@@ -11,6 +11,7 @@ byte-stable: sorted keys, no timing, exact rationals as strings.
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import families, groups, search
@@ -46,6 +47,16 @@ def _int_args(raw, count, what):
         raise UsageError(f"{what} arguments must be integers, got {raw!r}") from None
 
 
+@contextmanager
+def _spec_errors(spec):
+    """Report a constructor's ``ValueError`` (``boolean:0``, a ``.lat``
+    cover out of range, ...) as a ``UsageError`` naming the spec."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{spec!r}: {exc}") from None
+
+
 def parse_group(spec):
     """Build a finite group from a spec like ``cyclic:6`` or
     ``prod:cyclic:2,cyclic:3`` (left-folded direct product)."""
@@ -60,12 +71,13 @@ def parse_group(spec):
         for factor in factors[1:]:
             product = groups.direct_product(product, factor)
         return product
-    if kind == "cyclic":
-        return groups.cyclic(_int_args(rest, 1, "cyclic")[0])
-    if kind == "sym":
-        return groups.symmetric(_int_args(rest, 1, "sym")[0])
-    if kind == "dihedral":
-        return groups.dihedral(_int_args(rest, 1, "dihedral")[0])
+    with _spec_errors(spec):
+        if kind == "cyclic":
+            return groups.cyclic(_int_args(rest, 1, "cyclic")[0])
+        if kind == "sym":
+            return groups.symmetric(_int_args(rest, 1, "sym")[0])
+        if kind == "dihedral":
+            return groups.dihedral(_int_args(rest, 1, "dihedral")[0])
     raise UsageError(
         f"unknown group kind {kind!r} (expected cyclic, sym, dihedral, prod)"
     )
@@ -76,33 +88,34 @@ def parse_lattice_target(spec, *, max_elements=None):
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise UsageError(f"target {spec!r} needs a ':'")
-    if kind == "boolean":
-        lattice = families.boolean_lattice(_int_args(rest, 1, "boolean")[0])
-    elif kind == "chain":
-        lattice = families.chain(_int_args(rest, 1, "chain")[0])
-    elif kind == "divisor":
-        lattice = families.divisibility_lattice(_int_args(rest, 1, "divisor")[0])
-    elif kind == "subspace":
-        q, n = _int_args(rest, 2, "subspace")
-        lattice = families.subspace_lattice(q, n)
-    elif kind == "partition":
-        lattice = families.partition_lattice(_int_args(rest, 1, "partition")[0])
-    elif kind == "ddiv":
-        d, n = _int_args(rest, 2, "ddiv")
-        lattice = families.d_divisible_partition_lattice(d, n)
-    elif kind == "fixture":
-        lattice = load_fixture(rest)
-    elif kind == "group":
-        lattice = groups.coset_lattice(parse_group(rest)).lattice
-    elif kind == "file":
-        try:
-            with open(rest, encoding="ascii") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {rest!r}: {exc}") from None
-        lattice = Lattice.from_lat(text)
-    else:
-        raise UsageError(f"unknown target kind {kind!r}")
+    with _spec_errors(spec):
+        if kind == "boolean":
+            lattice = families.boolean_lattice(_int_args(rest, 1, "boolean")[0])
+        elif kind == "chain":
+            lattice = families.chain(_int_args(rest, 1, "chain")[0])
+        elif kind == "divisor":
+            lattice = families.divisibility_lattice(_int_args(rest, 1, "divisor")[0])
+        elif kind == "subspace":
+            q, n = _int_args(rest, 2, "subspace")
+            lattice = families.subspace_lattice(q, n)
+        elif kind == "partition":
+            lattice = families.partition_lattice(_int_args(rest, 1, "partition")[0])
+        elif kind == "ddiv":
+            d, n = _int_args(rest, 2, "ddiv")
+            lattice = families.d_divisible_partition_lattice(d, n)
+        elif kind == "fixture":
+            lattice = load_fixture(rest)
+        elif kind == "group":
+            lattice = groups.coset_lattice(parse_group(rest)).lattice
+        elif kind == "file":
+            try:
+                with open(rest, encoding="ascii") as handle:
+                    text = handle.read()
+            except OSError as exc:
+                raise UsageError(f"cannot read {rest!r}: {exc}") from None
+            lattice = Lattice.from_lat(text)
+        else:
+            raise UsageError(f"unknown target kind {kind!r}")
     if max_elements is not None and lattice.n > max_elements:
         raise UsageError(
             f"target has {lattice.n} elements, over the --max-elements cap "
@@ -239,7 +252,8 @@ def _closed_form_for(spec):
 
 
 def _cmd_family(args):
-    closed = _closed_form_for(args.family)
+    with _spec_errors(args.family):
+        closed = _closed_form_for(args.family)
     kind = args.family.partition(":")[0]
     doc = {"command": "family", "family": args.family}
     lines = []
@@ -248,7 +262,8 @@ def _cmd_family(args):
         lines.append(f"P(L, s) = {closed.pretty()}")
     if kind == "ddiv":
         d, n = _int_args(args.family.partition(":")[2], 2, "ddiv")
-        summary = ddiv_strong_check(d, n)
+        with _spec_errors(args.family):
+            summary = ddiv_strong_check(d, n)
         doc["shape_strong_check"] = summary.to_doc()
         lines.append(
             f"shape-level strong check (d={d}, n={n}): {summary.strong}"

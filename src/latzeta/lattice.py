@@ -8,16 +8,19 @@ Conventions used throughout:
 - The order is stored as bitmasks: ``up[x]`` has bit ``y`` set iff
   ``x <= y``, and ``down[y]`` has bit ``x`` set iff ``x <= y``.
 - Construction validates everything eagerly: acyclicity of the covers,
-  existence of a unique bottom and top, and existence of a unique least
-  upper bound and greatest lower bound for every pair.  A ``Lattice``
-  that exists is a lattice.
-- Join/meet tables are materialised for orders up to ``TABLE_THRESHOLD``
-  elements; above that the same principal-filter lookup used during
-  validation answers ``join``/``meet`` on demand, which bounds memory.
+  existence of a unique bottom and top, and existence of the meet of
+  every element with every meet-irreducible (an element with exactly one
+  upper cover).  That suffices for all meets, hence all joins (see
+  ``Lattice._check_meets``), so a ``Lattice`` that exists is a lattice.
+- Join/meet tables are built on the first ``join``/``meet`` call for
+  orders up to ``TABLE_THRESHOLD`` elements; above that a principal
+  filter/ideal lookup answers each call, which bounds memory.  The series
+  and the classifiers never call either.
 
-Instances are immutable apart from internal memo caches (Moebius vectors
-and the canonical key), which are filled at most once per value; handing
-a constructed lattice to several threads is safe.
+Instances are immutable apart from internal memo caches (Moebius vectors,
+the canonical key and the join/meet tables).  Each cache value is fully
+computed before it is stored, so a racing second computation only
+repeats work; handing a constructed lattice to several threads is safe.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .errors import (
     SizeLimitExceeded,
 )
 
-#: Above this many elements join/meet tables are not stored.
+#: Up to this many elements the first ``join``/``meet`` call builds an
+#: n-by-n table (2 bytes per entry); above it each call is a dict lookup.
 TABLE_THRESHOLD = 5000
 
 #: Default ceiling for product constructions.
@@ -57,6 +61,14 @@ def _transpose_masks(n, rows):
         for j in _iter_bits(row):
             cols[j] |= bit
     return cols
+
+
+def _op_table(masks, index):
+    """Rows ``t[x][y] = index[masks[x] & masks[y]]``: the join table from
+    up-masks and the filter index, or the meet table from down-masks and
+    the ideal index."""
+    kind = "H" if len(masks) <= 0xFFFF else "l"
+    return [array(kind, [index[mx & my] for my in masks]) for mx in masks]
 
 
 def _covers_from_up(n, up, down):
@@ -88,6 +100,7 @@ class Lattice:
         "_ideal_index",
         "_join_rows",
         "_meet_rows",
+        "_tabulate",
         "_desc_height",
         "_irreducibles",
         "_irr_mask",
@@ -108,7 +121,11 @@ class Lattice:
         ``covers`` is any iterable of pairs ``(a, b)`` meaning ``a < b``;
         it does not have to be reduced, the transitive reduction is
         re-derived.  Raises ``CyclicCovers``, ``NoBoundedStructure``,
-        ``DegenerateLattice`` or ``NotALattice`` as appropriate.
+        ``DegenerateLattice`` or ``NotALattice`` as appropriate; the
+        lattice test looks up ``meet(x, m)`` for every element ``x`` and
+        every meet-irreducible ``m``, not every pair.  With at most
+        ``table_threshold`` elements, ``join``/``meet`` fill an O(1)
+        lookup table on first use.
         """
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"element count must be a positive integer, got {n!r}")
@@ -189,7 +206,9 @@ class Lattice:
 
         self._filter_index = {up[x]: x for x in range(n)}
         self._ideal_index = {down[x]: x for x in range(n)}
-        self._validate_and_tabulate(eager=n <= table_threshold)
+        self._check_meets()
+        self._tabulate = n <= table_threshold
+        self._join_rows = self._meet_rows = None
 
         irr = tuple(
             x for x in range(n) if x != bottom and len(self._covers_down[x]) == 1
@@ -204,40 +223,28 @@ class Lattice:
         self._canonical_key = None
         return self
 
-    def _validate_and_tabulate(self, *, eager):
-        n = self.n
-        up, down = self.up, self.down
-        if eager:
-            kind = "H" if n <= 0xFFFF else "l"
-            itemsize = 2 if kind == "H" else array(kind).itemsize
-            join_rows = [array(kind, bytes(itemsize * n)) for _ in range(n)]
-            meet_rows = [array(kind, bytes(itemsize * n)) for _ in range(n)]
-        else:
-            join_rows = meet_rows = None
-        fget = self._filter_index.get
-        iget = self._ideal_index.get
-        for x in range(n):
-            ux, dx = up[x], down[x]
-            jrow = join_rows[x] if eager else None
-            mrow = meet_rows[x] if eager else None
-            for y in range(x, n):
-                j = fget(ux & up[y])
-                if j is None:
+    def _check_meets(self):
+        """Raise ``NotALattice`` unless ``meet(x, m)`` exists for every
+        element ``x`` and every meet-irreducible ``m``.
+
+        That is enough for a bounded order.  Going down from the top, an
+        element ``y`` with two upper covers ``a != b`` is their meet, so
+        ``down[x] & down[y] == down[meet(meet(x, a), b)]`` by the meets
+        already established above ``y``; the top meets everything
+        trivially.  A finite meet-semilattice with a top is a lattice, so
+        joins exist too.
+        """
+        down = self.down
+        ideals = self._ideal_index
+        for m in range(self.n):
+            if len(self._covers_up[m]) != 1:
+                continue
+            dm = down[m]
+            for x in range(self.n):
+                if down[x] & dm not in ideals:
                     raise NotALattice(
-                        f"elements {x} and {y} have no least upper bound"
+                        f"elements {x} and {m} have no greatest lower bound"
                     )
-                m = iget(dx & down[y])
-                if m is None:
-                    raise NotALattice(
-                        f"elements {x} and {y} have no greatest lower bound"
-                    )
-                if eager:
-                    jrow[y] = j
-                    join_rows[y][x] = j
-                    mrow[y] = m
-                    meet_rows[y][x] = m
-        self._join_rows = join_rows
-        self._meet_rows = meet_rows
 
     # ------------------------------------------------------------------
     # order predicates and operations
@@ -246,14 +253,18 @@ class Lattice:
         return (self.up[x] >> y) & 1 == 1
 
     def join(self, x, y):
-        if self._join_rows is not None:
-            return self._join_rows[x][y]
-        return self._filter_index[self.up[x] & self.up[y]]
+        if self._join_rows is None:
+            if not self._tabulate:
+                return self._filter_index[self.up[x] & self.up[y]]
+            self._join_rows = _op_table(self.up, self._filter_index)
+        return self._join_rows[x][y]
 
     def meet(self, x, y):
-        if self._meet_rows is not None:
-            return self._meet_rows[x][y]
-        return self._ideal_index[self.down[x] & self.down[y]]
+        if self._meet_rows is None:
+            if not self._tabulate:
+                return self._ideal_index[self.down[x] & self.down[y]]
+            self._meet_rows = _op_table(self.down, self._ideal_index)
+        return self._meet_rows[x][y]
 
     def join_set(self, xs):
         """Join of an iterable of elements; the empty join is bottom."""
@@ -625,14 +636,18 @@ def parse_lat(text):
         if not line:
             continue
         fields = line.split()
+        try:
+            values = [int(f) for f in fields[1:]]
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-integer field in {line!r}") from None
         if fields[0] == "n" and len(fields) == 2:
             if n is not None:
                 raise ValueError(f"line {lineno}: duplicate element count")
-            n = int(fields[1])
+            n = values[0]
         elif fields[0] == "c" and len(fields) == 3:
             if n is None:
                 raise ValueError(f"line {lineno}: cover before element count")
-            covers.append((int(fields[1]), int(fields[2])))
+            covers.append((values[0], values[1]))
         else:
             raise ValueError(f"line {lineno}: unrecognised directive {line!r}")
     if n is None:

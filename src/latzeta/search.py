@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
-from .cosetlike import classify
+from .cosetlike import classify  # noqa: F401 -- bench/spans.py traces search.classify
 from .errors import BudgetExceeded
 from .lattice import (
     Lattice,
@@ -322,15 +322,16 @@ class LatticeCatalogEntry:
 
 
 def catalog_entry(lattice):
+    """Flags and series digest of one lattice from a single engine pass;
+    ``strongly_coset_like``/``ordinary`` are ``classify``'s strong/weak."""
     report = zeta_series(lattice)
-    verdict = classify(lattice)
     digest = hashlib.sha256(report.series.to_json().encode()).hexdigest()[:12]
     return LatticeCatalogEntry(
         key=lattice.canonical_form(),
         n=lattice.n,
         atomistic=lattice.is_atomistic(),
-        strong=verdict.strong,
-        weak=verdict.weak,
+        strong=report.strongly_coset_like,
+        weak=report.ordinary,
         series_digest=digest,
     )
 

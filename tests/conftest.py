@@ -22,7 +22,7 @@ def lattices_by_size():
 
 @pytest.fixture(scope="session")
 def big_partition_lattices():
-    """{7: Pi_7, 8: Pi_8}; building Pi_8 dominates (about 15 s)."""
+    """{7: Pi_7, 8: Pi_8}; building Pi_8 dominates (about 1 s)."""
     return {n: partition_lattice(n) for n in (7, 8)}
 
 

@@ -236,6 +236,7 @@ def test_criterion_12_search_reproduction():
     for n in range(2, 10):
         assert found[n] == [], n
     ten_key = load_fixture("ten_point").canonical_form()
+    assert len(found[10]) == 29
     assert ten_key in {e.key for e in found[10]}
     assert all(not e.atomistic for entries in found.values() for e in entries)
     assert all(

@@ -188,6 +188,41 @@ def test_usage_exit_codes(capsys):
     assert run(["zeta"]) == 2  # missing target
 
 
+@pytest.mark.parametrize("target", [
+    "boolean:0", "chain:1", "divisor:1", "partition:1",
+])
+def test_rejected_target_exit_code(capsys, target):
+    code, out, err = invoke(capsys, "zeta", target)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: '{target}': ")
+
+
+def test_rejected_group_exit_code(capsys):
+    code, _, err = invoke(capsys, "group", "cyclic:0")
+    assert code == 2
+    assert err.startswith("error: 'cyclic:0': ")
+
+
+@pytest.mark.parametrize("family", ["chain:1", "ddiv:0,2"])
+def test_rejected_family_exit_code(capsys, family):
+    code, _, err = invoke(capsys, "family", family)
+    assert code == 2
+    assert err.startswith(f"error: '{family}': ")
+
+
+@pytest.mark.parametrize("text", [
+    "n 3\nc 0 1\nc 1 5\n",  # cover out of range
+    "n x\n",  # element count not an integer
+    "n 0\n",  # element count not positive
+])
+def test_rejected_file_exit_code(capsys, tmp_path, text):
+    path = tmp_path / "bad.lat"
+    path.write_text(text)
+    code, _, err = invoke(capsys, "zeta", f"file:{path}")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_domain_error_exit_code(capsys):
     # coprime check on groups with a common factor: domain error -> 1
     code, out, _ = invoke(

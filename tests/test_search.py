@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from latzeta.cosetlike import classify
 from latzeta.errors import BudgetExceeded
 from latzeta.lattice import Lattice, is_isomorphic
 from latzeta.search import (
@@ -82,6 +83,16 @@ def test_catalog_entry_fields():
     assert len(entry.series_digest) == 12
     doc = entry.to_doc()
     assert doc["n"] == 4 and doc["strong"] and doc["key"] == entry.key
+
+
+def test_catalog_flags_match_classify(lattices_by_size):
+    # catalog_entry reads strong/weak off the zeta report; classify
+    # decides them from the divisor ratios and the series terms.
+    for lattices in lattices_by_size.values():
+        for lattice in lattices:
+            entry = catalog_entry(lattice)
+            verdict = classify(lattice)
+            assert (entry.strong, entry.weak) == (verdict.strong, verdict.weak)
 
 
 def test_level_entries_and_summary():

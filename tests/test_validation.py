@@ -1,0 +1,153 @@
+"""Lattice validation against meet-irreducibles, checked differentially.
+
+``Lattice.from_covers`` only looks up the meet of every element with
+every meet-irreducible.  These tests hold it to the deliberately naive
+pairwise test ``search._is_lattice_masks``, exhaustively on small posets
+and on random cover sets, and check the lazily built join/meet tables
+(and the dict fallback above the table threshold) against a direct
+least-upper-bound / greatest-lower-bound search.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latzeta.errors import NoBoundedStructure, NotALattice
+from latzeta.families import partition_lattice
+from latzeta.lattice import Lattice
+from latzeta.search import _is_lattice_masks, _naturally_labeled_posets
+from latzeta.zeta import zeta_series
+
+
+def _strict_pairs(up):
+    return [(a, b) for a, mask in enumerate(up) for b in range(len(up))
+            if a != b and (mask >> b) & 1]
+
+
+def _closure(n, pairs):
+    """Up-masks of the order generated by ``pairs``, by fixpoint."""
+    up = [1 << x for x in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for a, b in pairs:
+            if up[b] & ~up[a]:
+                up[a] |= up[b]
+                changed = True
+    return up
+
+
+def _agrees_with_naive(n, pairs):
+    """from_covers accepts exactly the lattices, rejecting the rest with
+    a typed error; returns whether ``pairs`` generate a lattice."""
+    up = _closure(n, pairs)
+    if _is_lattice_masks(n, up):
+        assert list(Lattice.from_covers(n, pairs).up) == up
+        return True
+    with pytest.raises((NotALattice, NoBoundedStructure)):
+        Lattice.from_covers(n, pairs)
+    return False
+
+
+def _naive_join(lattice, x, y):
+    common = [z for z in range(lattice.n)
+              if lattice.leq(x, z) and lattice.leq(y, z)]
+    least = [z for z in common if all(lattice.leq(z, w) for w in common)]
+    assert len(least) == 1
+    return least[0]
+
+
+def _naive_meet(lattice, x, y):
+    common = [z for z in range(lattice.n)
+              if lattice.leq(z, x) and lattice.leq(z, y)]
+    greatest = [z for z in common if all(lattice.leq(w, z) for w in common)]
+    assert len(greatest) == 1
+    return greatest[0]
+
+
+def _assert_operations(n, pairs):
+    """join/meet agree with the naive search on the table path and on the
+    dict path (``table_threshold=0``)."""
+    for threshold in (n, 0):
+        lattice = Lattice.from_covers(n, pairs, table_threshold=threshold)
+        for x in range(n):
+            for y in range(n):
+                assert lattice.join(x, y) == _naive_join(lattice, x, y)
+                assert lattice.meet(x, y) == _naive_meet(lattice, x, y)
+        tabulated = lattice._join_rows is not None
+        assert tabulated == (threshold > 0)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_exhaustive_agreement_with_pairwise_test(n):
+    # Each poset once in a natural labelling and once reversed, so the
+    # labels are a linear extension in one case and its opposite in the
+    # other.
+    lattices = 0
+    for up in _naturally_labeled_posets(n):
+        pairs = _strict_pairs(up)
+        reverse = [(n - 1 - a, n - 1 - b) for a, b in pairs]
+        verdicts = {_agrees_with_naive(n, p) for p in (pairs, reverse)}
+        assert len(verdicts) == 1
+        if verdicts == {True}:
+            lattices += 1
+            if n <= 5:
+                _assert_operations(n, pairs)
+                _assert_operations(n, reverse)
+    assert lattices > 0
+
+
+@st.composite
+def cover_sets(draw):
+    """Random relations ``(i, j)``, ``i < j``, on up to 12 points.
+
+    Points get sorted levels and pairs are drawn only across levels, so
+    incomparable pairs, and with them non-lattices, stay common; half of
+    the cases also get a bottom and a top.  The points are then relabelled
+    at random, so the labels need not follow the order."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    inner = draw(st.lists(st.integers(1, 3), min_size=n - 2, max_size=n - 2))
+    level = [0, *sorted(inner), 4]
+    candidates = [(i, j) for i in range(n) for j in range(i + 1, n)
+                  if level[i] < level[j]]
+    keep = draw(st.lists(st.booleans(), min_size=len(candidates),
+                         max_size=len(candidates)))
+    pairs = [p for p, k in zip(candidates, keep) if k]
+    if draw(st.booleans()):
+        pairs += [(0, x) for x in range(1, n)]
+        pairs += [(x, n - 1) for x in range(n - 1)]
+    perm = draw(st.permutations(range(n)))
+    return n, [(perm[a], perm[b]) for a, b in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_sets())
+def test_random_covers_agree_with_pairwise_test(case):
+    n, pairs = case
+    if _agrees_with_naive(n, pairs):
+        _assert_operations(n, pairs)
+
+
+def test_meet_irreducible_pairs_alone_do_not_suffice():
+    # Atoms p, q lie under each of w, u, v; the meet-irreducibles m1, m2,
+    # m3 cover {w, u}, {w, v} and {u, v}.  Every two meet-irreducibles
+    # have a meet (w, u or v), yet meet(w, m3) and join(p, q) do not
+    # exist: the check must pair each meet-irreducible with every
+    # element, in either labelling direction.
+    bottom, p, q, w, u, v, m1, m2, m3, top = range(10)
+    covers = [(bottom, p), (bottom, q)]
+    covers += [(a, b) for a in (p, q) for b in (w, u, v)]
+    covers += [(w, m1), (u, m1), (w, m2), (v, m2), (u, m3), (v, m3)]
+    covers += [(m, top) for m in (m1, m2, m3)]
+    for pairs in (covers, [(9 - a, 9 - b) for a, b in covers]):
+        assert not _is_lattice_masks(10, _closure(10, pairs))
+        with pytest.raises(NotALattice):
+            Lattice.from_covers(10, pairs)
+
+
+def test_series_builds_no_tables():
+    lattice = partition_lattice(5)
+    zeta_series(lattice)
+    assert lattice._join_rows is None and lattice._meet_rows is None
+    assert lattice.join(1, 2) == lattice.join(2, 1)
+    assert lattice._join_rows is not None and lattice._meet_rows is None
