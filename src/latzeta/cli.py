@@ -10,6 +10,7 @@ byte-stable: sorted keys, no timing, exact rationals as strings.
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -488,6 +489,18 @@ def _cmd_verify(args):
 # parser
 
 
+def _jobs(raw):
+    """``--jobs``: a positive count, clamped to the number of CPUs so that
+    a large value cannot open that many worker processes."""
+    try:
+        jobs = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--smax", type=int, default=5,
@@ -496,8 +509,8 @@ def build_parser():
                         help="cap on enumerated tuples in oracle checks")
     common.add_argument("--max-elements", type=int, default=None,
                         help="refuse lattices larger than this")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for search")
+    common.add_argument("--jobs", type=_jobs, default=1,
+                        help="worker processes for search, at most the CPU count")
     common.add_argument("--format", choices=("human", "json"), default="human")
     common.add_argument("--output", default=None, metavar="PATH",
                         help="write the report here instead of stdout")

@@ -252,57 +252,61 @@ def _primes_in(lo, hi):
 # ----------------------------------------------------------------------
 # central-binomial divisibility
 
-DEFAULT_EXACT_THRESHOLD = 10_000
+
+def _excess_prime(hi, v_left, v_right):
+    """Largest prime p <= hi with v_left(p) > v_right(p), or None.
+
+    ``v_left(p)`` and ``v_right(p)`` give the multiplicity of p in a
+    divisor and a dividend.  When every prime factor of the divisor is
+    at most ``hi``, the divisor divides the dividend exactly when this
+    returns None, so the answer is exact.  The scan runs downwards
+    because the large primes are the usual witnesses.
+    """
+    for p in range(hi, 1, -1):
+        if _is_prime(p) and v_left(p) > v_right(p):
+            return p
+    return None
 
 
-def central_binomial_check(m, *, threshold=DEFAULT_EXACT_THRESHOLD):
+def central_binomial_check(m):
     """True when C(2m, m) does not divide C(4m, 2m).
 
-    Small instances (top argument at most ``threshold``) are settled by
-    exact big-integer arithmetic.  Larger ones use a witness prime p in
-    [5m/3, 2m): such a p divides C(2m, m) exactly once but C(4m, 2m)
-    not at all, which is verified (not assumed) by comparing Legendre
-    multiplicities.
+    Every prime factor of C(2m, m) is at most 2m, so comparing the
+    Legendre multiplicities of each prime p <= 2m in the two binomials
+    decides the question exactly.  A prime p in (4m/3, 2m] with
+    p^2 > 4m divides C(2m, m) once and C(4m, 2m) not at all, so the
+    downward scan usually stops at the largest prime below 2m; the
+    multiplicities are still compared, not assumed.
     """
     if m < 2:
         raise ValueError("need m >= 2")
-    if 4 * m <= threshold:
-        return math.comb(4 * m, 2 * m) % math.comb(2 * m, m) != 0
-    for p in _primes_in(Fraction(5 * m, 3) - 1, 2 * m):
-        if 3 * p < 5 * m:  # enforce the closed lower end 5m/3 <= p
-            continue
-        if _binom_multiplicity(2 * m, m, p) > _binom_multiplicity(4 * m, 2 * m, p):
-            return True
-    # No witness found (does not happen for m >= 15); decide exactly.
-    return math.comb(4 * m, 2 * m) % math.comb(2 * m, m) != 0
+    return _excess_prime(
+        2 * m,
+        lambda p: _binom_multiplicity(2 * m, m, p),
+        lambda p: _binom_multiplicity(4 * m, 2 * m, p),
+    ) is not None
 
 
-def odd_case_check(m, *, threshold=DEFAULT_EXACT_THRESHOLD):
+def odd_case_check(m):
     """True when (2m+1) C(2m, m) does not divide (4m+1) C(4m, 2m).
 
-    The same witness prime works: p in [5m/3, 2m) lies strictly between
-    (4m+1)/3 and (4m+1)/2, so it divides neither 2m+1 nor 4m+1, and the
-    multiplicity comparison carries over from the even case.
+    The divisor's prime factors are at most 2m+1, and each side's
+    multiplicity of p is that of the odd factor plus that of the
+    binomial.  The witnesses of the even case carry over, except two
+    primes that divide both sides once: p = 2m+1, and p = (4m+1)/3,
+    which divides C(2m, m) and 4m+1.  The comparison passes over both.
     """
     if m < 3:
         raise ValueError("need m >= 3")
-    if 4 * m <= threshold:
-        left = (2 * m + 1) * math.comb(2 * m, m)
-        right = (4 * m + 1) * math.comb(4 * m, 2 * m)
-        return right % left != 0
-    for p in _primes_in(Fraction(5 * m, 3) - 1, 2 * m):
-        if 3 * p < 5 * m:
-            continue
-        v_left = _mult_in(2 * m + 1, p) + _binom_multiplicity(2 * m, m, p)
-        v_right = _mult_in(4 * m + 1, p) + _binom_multiplicity(4 * m, 2 * m, p)
-        if v_left > v_right:
-            return True
-    left = (2 * m + 1) * math.comb(2 * m, m)
-    right = (4 * m + 1) * math.comb(4 * m, 2 * m)
-    return right % left != 0
+    return _excess_prime(
+        2 * m + 1,
+        lambda p: _mult_in(2 * m + 1, p) + _binom_multiplicity(2 * m, m, p),
+        lambda p: _mult_in(4 * m + 1, p) + _binom_multiplicity(4 * m, 2 * m, p),
+    ) is not None
 
 
 def _mult_in(n, p):
+    """Multiplicity of the prime p in the positive integer n."""
     total = 0
     while n % p == 0:
         n //= p

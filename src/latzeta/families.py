@@ -140,14 +140,19 @@ _IRREDUCIBLE = {
 }
 
 
+def _prime_power(q):
+    """(p, e) with q = p**e; NotAPrimePower for any other q."""
+    fact = factorize(q) if q > 1 else []
+    if len(fact) != 1:
+        raise NotAPrimePower(f"{q} is not a prime power")
+    return fact[0]
+
+
 class FieldTable:
     """Addition/multiplication tables for GF(q), q prime or in {4, 8, 9}."""
 
     def __init__(self, q):
-        fact = factorize(q) if q > 1 else []
-        if len(fact) != 1:
-            raise NotAPrimePower(f"{q} is not a prime power")
-        p, e = fact[0]
+        p, e = _prime_power(q)
         if e == 1:
             self.q = q
             self.add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
@@ -205,11 +210,38 @@ def field(q):
 # ----------------------------------------------------------------------
 # lattice constructions
 
+# Each family's parameter check, shared by its constructor and its closed
+# form so that both reject a degenerate parameter with the same error.
+
+
+def _check_chain_length(k):
+    if k < 2:
+        raise ValueError("a chain needs at least 2 elements")
+
+
+def _check_rank(r):
+    if r < 1:
+        raise ValueError("rank must be at least 1")
+
+
+def _check_divisor_n(n):
+    if n < 2:
+        raise ValueError("need n >= 2 for a non-degenerate divisor lattice")
+
+
+def _check_dimension(n):
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+
+
+def _check_partition_n(n):
+    if n < 2:
+        raise ValueError("need n >= 2 for a non-degenerate partition lattice")
+
 
 def boolean_lattice(r, *, max_rank=16):
     """Subset lattice of an r-set; 2**r elements."""
-    if r < 1:
-        raise ValueError("rank must be at least 1")
+    _check_rank(r)
     if r > max_rank:
         raise SizeLimitExceeded(f"rank {r} exceeds the budget of {max_rank}")
     pairs = []
@@ -222,15 +254,13 @@ def boolean_lattice(r, *, max_rank=16):
 
 def chain(k):
     """Total order on k >= 2 elements."""
-    if k < 2:
-        raise ValueError("a chain needs at least 2 elements")
+    _check_chain_length(k)
     return Lattice.from_covers(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def divisibility_lattice(n):
     """Divisors of n ordered by divisibility; element i is divisors(n)[i]."""
-    if n < 2:
-        raise ValueError("need n >= 2 for a non-degenerate divisor lattice")
+    _check_divisor_n(n)
     divs = divisors(n)
     index = {d: i for i, d in enumerate(divs)}
     pairs = [
@@ -243,8 +273,7 @@ def divisibility_lattice(n):
 
 def subspace_lattice(q, n, *, max_vectors=512):
     """Lattice of subspaces of GF(q)^n ordered by inclusion."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
+    _check_dimension(n)
     gf = field(q)
     if q**n > max_vectors:
         raise SizeLimitExceeded(f"{q ** n} vectors exceed the budget of {max_vectors}")
@@ -300,8 +329,7 @@ def partition_lattice(n, *, max_n=8):
 
     Element i is ``set_partitions(n)[i]``; finer partitions sit lower.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 for a non-degenerate partition lattice")
+    _check_partition_n(n)
     if n > max_n:
         raise SizeLimitExceeded(f"partition lattice budget is n <= {max_n}")
     parts = set_partitions(n)
@@ -408,6 +436,7 @@ def d_divisible_j_count(d, shape):
 
 def boolean_zeta_closed(r):
     """P(B_r, s) = ((-1)^r / r^s) * sum_{k=1..r} (-1)^k C(r,k) k^s."""
+    _check_rank(r)
     terms = {}
     for k in range(1, r + 1):
         coeff = (-1) ** (r + k) * math.comb(r, k)
@@ -423,8 +452,7 @@ def chain_zeta_closed(k):
     1 - 1/((k-1)/(k-2))^s (and the constant 1 for the 2-chain, whose
     single irreducible is the top itself).
     """
-    if k < 2:
-        raise ValueError("need a chain of at least 2 elements")
+    _check_chain_length(k)
     if k == 2:
         return DirichletSeries({Fraction(1): 1})
     return DirichletSeries({Fraction(1): 1, Fraction(k - 1, k - 2): -1})
@@ -437,6 +465,7 @@ def divisibility_zeta_closed(n):
     ((-1)^w / w^s) * sum_k (-1)^k C(r, w-k) k^s, the k = 0 term (the
     unit divisor, possible when w = r) being dropped.
     """
+    _check_divisor_n(n)
     w = big_omega(n)
     r = len(factorize(n))
     terms = {}
@@ -484,6 +513,8 @@ def gaussian_binomial(n, k, q):
 def subspace_zeta_closed(q, n):
     """P(S(GF(q)^n), s) with bases (q^n - 1)/(q^k - 1) and coefficients
     (-1)^(n-k) [n choose k]_q q^C(n-k, 2)."""
+    _check_dimension(n)
+    _prime_power(q)
     terms = {}
     for k in range(1, n + 1):
         coeff = (-1) ** (n - k) * gaussian_binomial(n, k, q) * q ** math.comb(
@@ -498,6 +529,7 @@ def partition_zeta_closed(n):
     """P(Pi_n, s) aggregated over block-size shapes: a shape with k
     blocks contributes count(shape) * (-1)^(k-1) (k-1)! at base
     C(n,2) / sum_i C(shape_i, 2)."""
+    _check_partition_n(n)
     total = math.comb(n, 2)
     terms = {}
     for shape in integer_partitions(n):

@@ -2,11 +2,13 @@
 and the verification suites."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from latzeta import search
 from latzeta.cli import parse_group, parse_lattice_target, run
 from latzeta.cosetlike import load_fixture
 from latzeta.errors import UsageError
@@ -141,6 +143,30 @@ def test_search(capsys):
     assert doc["weak_not_strong"] == {str(n): [] for n in range(2, 7)}
 
 
+def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    seen = []
+    real = search.level_entries
+
+    def recording(n, *, store=None, jobs=1):
+        seen.append(jobs)
+        return real(n, store=store, jobs=jobs)
+
+    monkeypatch.setattr(search, "level_entries", recording)
+    for cpus, asked, expected in ((2, "3", 2), (2, "2", 2), (4, "1", 1), (None, "2", 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        seen.clear()
+        code, _, _ = invoke(capsys, "search", "--max-n", "4", "--jobs", asked)
+        assert code == 0
+        assert seen == [expected] * 3, (cpus, asked)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "x"])
+def test_rejected_jobs_exit_code(capsys, jobs):
+    code, out, err = invoke(capsys, "search", "--max-n", "3", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "--jobs" in err
+
+
 def test_search_catalog_resume(capsys, tmp_path):
     path = str(tmp_path / "cat.txt")
     code, out1, _ = invoke(
@@ -203,11 +229,24 @@ def test_rejected_group_exit_code(capsys):
     assert err.startswith("error: 'cyclic:0': ")
 
 
-@pytest.mark.parametrize("family", ["chain:1", "ddiv:0,2"])
+@pytest.mark.parametrize("family", [
+    "chain:1", "ddiv:0,2",
+    "boolean:0", "subspace:2,0", "partition:1", "divisor:1",
+])
 def test_rejected_family_exit_code(capsys, family):
     code, _, err = invoke(capsys, "family", family)
     assert code == 2
     assert err.startswith(f"error: '{family}': ")
+
+
+@pytest.mark.parametrize("spec", ["subspace:1,2", "subspace:6,2"])
+def test_family_subspace_needs_a_prime_power(capsys, spec):
+    # family refuses a field order that is not a prime power as zeta
+    # does; with q = 1 the closed form would divide by zero
+    family = invoke(capsys, "family", spec)
+    zeta = invoke(capsys, "zeta", spec)
+    assert family[0] == zeta[0] == 1
+    assert family[1] == zeta[1] != ""
 
 
 @pytest.mark.parametrize("text", [

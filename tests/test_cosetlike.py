@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latzeta import cosetlike
 from latzeta.cosetlike import (
     FIXTURE_NAMES,
     WitnessPrime,
@@ -23,7 +26,12 @@ from latzeta.cosetlike import (
     p0prime_divisibility,
     partition_strong_check,
 )
-from latzeta.cosetlike import _is_prime, _primes_upto
+from latzeta.cosetlike import (
+    _binom_multiplicity,
+    _excess_prime,
+    _is_prime,
+    _primes_upto,
+)
 from latzeta.errors import UnknownFixture
 from latzeta.families import (
     boolean_lattice,
@@ -165,29 +173,112 @@ def test_is_prime_against_sieve():
         assert _is_prime(n) == (n in marks)
 
 
-def test_central_binomial_exact_matches_witness_path():
-    rng = random.Random(6001)
-    for _ in range(30):
-        m = rng.randrange(2, 400)
-        exact = central_binomial_check(m, threshold=10**9)
-        witness = central_binomial_check(m, threshold=0)
-        assert exact == witness
+def _mult(n, p):
+    # multiplicity of p in the positive integer n, by repeated division
+    count = 0
+    while n % p == 0:
+        n //= p
+        count += 1
+    return count
 
 
 def test_central_binomial_direct_statement():
-    # C(4m, 2m) is never a multiple of C(2m, m) in the tested range
-    for m in range(2, 60):
-        assert math.comb(4 * m, 2 * m) % math.comb(2 * m, m) != 0
-        assert central_binomial_check(m)
+    # the multiplicity scan agrees with dividing the binomials outright
+    for m in range(2, 600):
+        expected = math.comb(4 * m, 2 * m) % math.comb(2 * m, m) != 0
+        assert central_binomial_check(m) == expected, m
+        assert expected  # C(4m, 2m) is never a multiple of C(2m, m) here
 
 
 def test_odd_case_check():
-    for m in range(3, 200):
+    for m in range(3, 600):
+        left = (2 * m + 1) * math.comb(2 * m, m)
+        right = (4 * m + 1) * math.comb(4 * m, 2 * m)
+        assert odd_case_check(m) == (right % left != 0), m
         assert odd_case_check(m)
-    rng = random.Random(6002)
-    for _ in range(20):
-        m = rng.randrange(3, 400)
-        assert odd_case_check(m, threshold=0) == odd_case_check(m, threshold=10**9)
+
+
+@pytest.mark.parametrize("check, lowest, divisor, dividend", [
+    (central_binomial_check, 2,
+     lambda m: math.comb(2 * m, m),
+     lambda m: math.comb(4 * m, 2 * m)),
+    (odd_case_check, 3,
+     lambda m: (2 * m + 1) * math.comb(2 * m, m),
+     lambda m: (4 * m + 1) * math.comb(4 * m, 2 * m)),
+], ids=["central", "odd"])
+def test_check_multiplicities_match_comb(monkeypatch, check, lowest,
+                                         divisor, dividend):
+    # every multiplicity a check hands to the kernel equals the one read
+    # off the integers themselves, and its witness really is one
+    calls = []
+
+    def recording(hi, v_left, v_right):
+        p = _excess_prime(hi, v_left, v_right)
+        calls.append((hi, v_left, v_right, p))
+        return p
+
+    monkeypatch.setattr(cosetlike, "_excess_prime", recording)
+    primes = _primes_upto(2 * 300 + 2)
+    for m in range(lowest, 300):
+        assert check(m)
+        hi, v_left, v_right, p = calls.pop()
+        left, right = divisor(m), dividend(m)
+        for q in primes:
+            if q > hi:
+                assert _mult(left, q) == 0  # every prime factor is <= hi
+                continue
+            assert v_left(q) == _mult(left, q), (m, q)
+            assert v_right(q) == _mult(right, q), (m, q)
+        assert p in primes and _mult(left, p) > _mult(right, p)
+
+
+@st.composite
+def binomial_pairs(draw):
+    """(a, b, c, d) with b <= a and d <= c, drawn so that C(a, b) often
+    divides C(c, d): b in {0, a}, (c, d) = (a, b) or (a, a - b), and
+    d in {0, c} all come up often."""
+
+    def pick(special, hi):
+        if draw(st.integers(0, 3)):
+            return draw(st.integers(0, hi))
+        return draw(st.sampled_from(sorted(special)))
+
+    a = draw(st.integers(0, 60))
+    b = pick({0, a}, a)
+    c = a if draw(st.booleans()) else draw(st.integers(0, 120))
+    d = pick({0, c} | ({b, a - b} if c == a else set()), c)
+    return a, b, c, d
+
+
+def _binomial_excess(a, b, c, d):
+    return _excess_prime(
+        a,
+        lambda p: _binom_multiplicity(a, b, p),
+        lambda p: _binom_multiplicity(c, d, p),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(binomial_pairs())
+def test_excess_prime_decides_binomial_divisibility(case):
+    a, b, c, d = case
+    divides = math.comb(c, d) % math.comb(a, b) == 0
+    assert (_binomial_excess(a, b, c, d) is None) == divides
+
+
+@settings(max_examples=400, deadline=None)
+@given(binomial_pairs())
+def test_excess_prime_witness_is_real(case):
+    a, b, c, d = case
+    p = _binomial_excess(a, b, c, d)
+    if p is None:
+        return
+    primes = set(_primes_upto(a + 1))
+    assert p in primes
+    left, right = math.comb(a, b), math.comb(c, d)
+    assert _mult(left, p) > _mult(right, p)
+    # and it is the largest such prime: the scan runs downwards
+    assert all(_mult(left, q) <= _mult(right, q) for q in primes if q > p)
 
 
 def test_nagura_prime():

@@ -320,6 +320,27 @@ def test_chain_zeta_closed():
         chain_zeta_closed(1)
 
 
+@pytest.mark.parametrize("closed, build, args", [
+    (chain_zeta_closed, chain, (1,)),
+    (boolean_zeta_closed, boolean_lattice, (0,)),
+    (divisibility_zeta_closed, divisibility_lattice, (1,)),
+    (subspace_zeta_closed, subspace_lattice, (2, 0)),
+    (partition_zeta_closed, partition_lattice, (1,)),
+], ids=["chain", "boolean", "divisor", "subspace", "partition"])
+def test_closed_form_rejects_what_the_constructor_rejects(closed, build, args):
+    with pytest.raises(ValueError) as from_closed:
+        closed(*args)
+    with pytest.raises(ValueError) as from_build:
+        build(*args)
+    assert str(from_closed.value) == str(from_build.value)
+
+
+def test_subspace_closed_form_needs_a_prime_power():
+    for q in (0, 1, 6):
+        with pytest.raises(NotAPrimePower):
+            subspace_zeta_closed(q, 2)
+
+
 def test_boolean_zeta_closed_small():
     for r in range(1, 5):
         assert boolean_zeta_closed(r) == zeta_series(boolean_lattice(r)).series
