@@ -24,7 +24,7 @@ from .cosetlike import (
     load_fixture,
 )
 from .errors import LatZetaError, MismatchDetected, UsageError
-from .lattice import Lattice
+from .lattice import Lattice, parse_lat
 from .zeta import (
     DEFAULT_TUPLE_BUDGET,
     verify_series_against_oracle,
@@ -84,45 +84,59 @@ def parse_group(spec):
     )
 
 
+# kind -> (integer arguments, size from the spec, constructor)
+_FAMILIES = {
+    "boolean": (1, families.boolean_size, families.boolean_lattice),
+    "chain": (1, families.chain_size, families.chain),
+    "divisor": (1, families.divisibility_size, families.divisibility_lattice),
+    "subspace": (2, families.subspace_size, families.subspace_lattice),
+    "partition": (1, families.partition_size, families.partition_lattice),
+    "ddiv": (2, families.d_divisible_size, families.d_divisible_partition_lattice),
+}
+
+
+def _check_cap(count, max_elements):
+    if max_elements is not None and count > max_elements:
+        raise UsageError(
+            f"target has {count} elements, over the --max-elements cap "
+            f"{max_elements}"
+        )
+
+
 def parse_lattice_target(spec, *, max_elements=None):
-    """Build a lattice from a target spec; see module docstring."""
+    """Build a lattice from a target spec; see module docstring.
+
+    ``max_elements`` is checked before anything is built wherever the
+    spec tells the size: the families, a coset lattice, a ``file:``
+    target's ``n`` line.
+    """
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise UsageError(f"target {spec!r} needs a ':'")
     with _spec_errors(spec):
-        if kind == "boolean":
-            lattice = families.boolean_lattice(_int_args(rest, 1, "boolean")[0])
-        elif kind == "chain":
-            lattice = families.chain(_int_args(rest, 1, "chain")[0])
-        elif kind == "divisor":
-            lattice = families.divisibility_lattice(_int_args(rest, 1, "divisor")[0])
-        elif kind == "subspace":
-            q, n = _int_args(rest, 2, "subspace")
-            lattice = families.subspace_lattice(q, n)
-        elif kind == "partition":
-            lattice = families.partition_lattice(_int_args(rest, 1, "partition")[0])
-        elif kind == "ddiv":
-            d, n = _int_args(rest, 2, "ddiv")
-            lattice = families.d_divisible_partition_lattice(d, n)
-        elif kind == "fixture":
+        if kind in _FAMILIES:
+            arity, size, build = _FAMILIES[kind]
+            params = _int_args(rest, arity, kind)
+            _check_cap(size(*params), max_elements)
+            return build(*params)
+        if kind == "fixture":
             lattice = load_fixture(rest)
-        elif kind == "group":
-            lattice = groups.coset_lattice(parse_group(rest)).lattice
-        elif kind == "file":
+            _check_cap(lattice.n, max_elements)
+            return lattice
+        if kind == "group":
+            group = parse_group(rest)
+            _check_cap(groups.coset_count(group), max_elements)
+            return groups.coset_lattice(group).lattice
+        if kind == "file":
             try:
                 with open(rest, encoding="ascii") as handle:
                     text = handle.read()
             except OSError as exc:
                 raise UsageError(f"cannot read {rest!r}: {exc}") from None
-            lattice = Lattice.from_lat(text)
-        else:
-            raise UsageError(f"unknown target kind {kind!r}")
-    if max_elements is not None and lattice.n > max_elements:
-        raise UsageError(
-            f"target has {lattice.n} elements, over the --max-elements cap "
-            f"{max_elements}"
-        )
-    return lattice
+            n, covers = parse_lat(text)
+            _check_cap(n, max_elements)
+            return Lattice.from_covers(n, covers)
+    raise UsageError(f"unknown target kind {kind!r}")
 
 
 # ----------------------------------------------------------------------

@@ -239,11 +239,59 @@ def _check_partition_n(n):
         raise ValueError("need n >= 2 for a non-degenerate partition lattice")
 
 
-def boolean_lattice(r, *, max_rank=16):
-    """Subset lattice of an r-set; 2**r elements."""
+# Each ``*_size`` function runs its constructor's parameter and budget
+# checks and returns the element count the constructor would build, so a
+# caller can refuse an oversized lattice before any of it is built.
+
+
+def boolean_size(r, *, max_rank=16):
     _check_rank(r)
     if r > max_rank:
         raise SizeLimitExceeded(f"rank {r} exceeds the budget of {max_rank}")
+    return 1 << r
+
+
+def chain_size(k):
+    _check_chain_length(k)
+    return k
+
+
+def divisibility_size(n):
+    _check_divisor_n(n)
+    return math.prod(e + 1 for _, e in factorize(n))
+
+
+def subspace_size(q, n, *, max_vectors=512):
+    _check_dimension(n)
+    field(q)
+    if q**n > max_vectors:
+        raise SizeLimitExceeded(f"{q ** n} vectors exceed the budget of {max_vectors}")
+    return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+
+
+def partition_size(n, *, max_n=8):
+    _check_partition_n(n)
+    if n > max_n:
+        raise SizeLimitExceeded(f"partition lattice budget is n <= {max_n}")
+    return sum(stirling2(n, k) for k in range(n + 1))
+
+
+def d_divisible_size(d, n, *, max_ground=12, max_elements=20_000):
+    if d < 2:
+        raise ValueError("need d >= 2")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if d * n > max_ground:
+        raise SizeLimitExceeded(f"ground set of {d * n} exceeds budget {max_ground}")
+    count = d_divisible_count(d, n) + 1
+    if count > max_elements:
+        raise SizeLimitExceeded(f"{count} elements exceed the budget {max_elements}")
+    return count
+
+
+def boolean_lattice(r, *, max_rank=16):
+    """Subset lattice of an r-set; 2**r elements."""
+    boolean_size(r, max_rank=max_rank)
     pairs = []
     for mask in range(1 << r):
         for i in range(r):
@@ -254,13 +302,13 @@ def boolean_lattice(r, *, max_rank=16):
 
 def chain(k):
     """Total order on k >= 2 elements."""
-    _check_chain_length(k)
+    chain_size(k)
     return Lattice.from_covers(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def divisibility_lattice(n):
     """Divisors of n ordered by divisibility; element i is divisors(n)[i]."""
-    _check_divisor_n(n)
+    divisibility_size(n)
     divs = divisors(n)
     index = {d: i for i, d in enumerate(divs)}
     pairs = [
@@ -273,10 +321,8 @@ def divisibility_lattice(n):
 
 def subspace_lattice(q, n, *, max_vectors=512):
     """Lattice of subspaces of GF(q)^n ordered by inclusion."""
-    _check_dimension(n)
+    subspace_size(q, n, max_vectors=max_vectors)
     gf = field(q)
-    if q**n > max_vectors:
-        raise SizeLimitExceeded(f"{q ** n} vectors exceed the budget of {max_vectors}")
     vectors = list(itertools.product(range(q), repeat=n))
     vec_id = {v: i for i, v in enumerate(vectors)}
 
@@ -329,9 +375,7 @@ def partition_lattice(n, *, max_n=8):
 
     Element i is ``set_partitions(n)[i]``; finer partitions sit lower.
     """
-    _check_partition_n(n)
-    if n > max_n:
-        raise SizeLimitExceeded(f"partition lattice budget is n <= {max_n}")
+    partition_size(n, max_n=max_n)
     parts = set_partitions(n)
     index = {p: i for i, p in enumerate(parts)}
     pairs = []
@@ -382,15 +426,7 @@ def d_divisible_count(d, n):
 def d_divisible_partition_lattice(d, n, *, max_ground=12, max_elements=20_000):
     """d-divisible partitions of a dn-set under refinement, plus an
     artificial bottom below the all-blocks-of-size-d partitions."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if d * n > max_ground:
-        raise SizeLimitExceeded(f"ground set of {d * n} exceeds budget {max_ground}")
-    count = d_divisible_count(d, n) + 1
-    if count > max_elements:
-        raise SizeLimitExceeded(f"{count} elements exceed the budget {max_elements}")
+    d_divisible_size(d, n, max_ground=max_ground, max_elements=max_elements)
     parts = d_divisible_partitions(d, n)
     index = {p: i + 1 for i, p in enumerate(parts)}  # 0 is the bottom
     pairs = []

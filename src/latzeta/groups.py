@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dirichlet import DirichletSeries
@@ -260,6 +260,8 @@ class CosetLattice:
 
     ``members[i]`` is the underlying set of element ids (empty for the
     bottom), ``subgroup_of[i]`` the subgroup the coset belongs to.
+    ``_translations`` memoises ``translate`` and takes no part in
+    equality.
     """
 
     group: FiniteGroup
@@ -268,6 +270,9 @@ class CosetLattice:
     subgroup_of: tuple
     singleton_id: dict
     member_index: dict
+    _translations: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def find(self, members):
         """Element id of a given coset (as a set of group elements)."""
@@ -280,12 +285,16 @@ class CosetLattice:
             ) from None
 
     def translate(self, g):
-        """The permutation of element ids induced by left translation."""
-        out = []
-        for m in self.members:
-            shifted = frozenset(self.group.table[g][x] for x in m)
-            out.append(self.find(shifted))
-        return tuple(out)
+        """The permutation of element ids induced by left translation by
+        ``g``; computed once per ``g``, then served from the memo."""
+        perm = self._translations.get(g)
+        if perm is None:
+            row = self.group.table[g]
+            perm = tuple(
+                self.find(frozenset(row[x] for x in m)) for m in self.members
+            )
+            self._translations[g] = perm
+        return perm
 
     def coset_join(self, i, j):
         """Join via the explicit formula x1<x1^-1 x2, H1, H2> rather
@@ -304,16 +313,23 @@ class CosetLattice:
         return self.find(frozenset(g.table[x1][h] for h in sub))
 
 
+def coset_count(group):
+    """Element count of the coset lattice: one coset per subgroup H and
+    left-coset representative (a coset xH determines H), plus the empty
+    bottom."""
+    return 1 + sum(group.n // len(h) for h in group.subgroups())
+
+
 def coset_lattice(group, *, max_elements=2000):
     """Build the coset lattice of a finite group."""
+    count = coset_count(group)
+    if count > max_elements:
+        raise SizeLimitExceeded(f"{count} elements exceed the budget {max_elements}")
     cosets = {}
     for h in group.subgroups():
         for x in range(group.n):
             c = group.left_coset(x, h)
             cosets.setdefault(c, h)
-    count = len(cosets) + 1
-    if count > max_elements:
-        raise SizeLimitExceeded(f"{count} elements exceed the budget {max_elements}")
     ordered = sorted(cosets, key=lambda c: (len(c), tuple(sorted(c))))
     members = (frozenset(),) + tuple(ordered)
     subgroup_of = (None,) + tuple(cosets[c] for c in ordered)

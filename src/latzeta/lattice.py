@@ -433,30 +433,12 @@ def _refine_partition(n, cells, covers_up, covers_down):
                 cell_of[x] = idx
 
 
-def canonical_key_from_up(n, up):
-    """Canonical hex key of the order given by up-masks.
-
-    Individualisation-refinement search: elements are coloured by
-    (rank, upper-cover degree, lower-cover degree) and the colouring is
-    refined by iterated cover multisets.  While some colour class has
-    more than one member, the search branches on which member of the
-    first such class comes first, re-refining after each choice; twins
-    (identical strict up- and down-sets) are interchangeable by an
-    automorphism, so one branch per twin class suffices.  Every fully
-    discrete partition orders the elements by a linear extension (rank
-    dominates the colouring, and equal-rank elements are incomparable),
-    so the strict upper triangle of the order matrix in that ordering
-    captures the whole order.  The key is the minimum over leaves of
-    that triangle, read column by column (column ``j`` lists the bits
-    ``label_i <= label_j`` for ``i < j``) and hex-encoded.
-    """
-    if n == 1:
-        return _columns_to_hex(1, [0])
-    down = _transpose_masks(n, up)
-    covers = _covers_from_up(n, up, down)
+def _root_partition(n, up, down):
+    """The refined seed colouring (rank, upper-cover degree, lower-cover
+    degree) at the root of the canonical search, with the cover lists."""
     covers_up = [[] for _ in range(n)]
     covers_down = [[] for _ in range(n)]
-    for a, b in covers:
+    for a, b in _covers_from_up(n, up, down):
         covers_up[a].append(b)
         covers_down[b].append(a)
     heights = [0] * n
@@ -472,25 +454,101 @@ def canonical_key_from_up(n, up):
         if i == n or init[order[i]] != init[order[start]]:
             seed.append(order[start:i])
             start = i
-    base = _refine_partition(n, seed, covers_up, covers_down)
+    return _refine_partition(n, seed, covers_up, covers_down), covers_up, covers_down
 
+
+def _leaf_columns(n, up, perm):
+    """Column ``p`` of the strict upper triangle in the ordering ``perm``:
+    the bits ``perm[i] <= perm[p]`` for ``i < p``, first ``i`` highest."""
+    cols = [0] * n
+    for p in range(1, n):
+        x = perm[p]
+        col = 0
+        for e in perm[:p]:
+            col = (col << 1) | ((up[e] >> x) & 1)
+        cols[p] = col
+    return cols
+
+
+def canonical_key_from_up(n, up):
+    """Canonical hex key of the order given by up-masks.
+
+    Individualisation-refinement search: elements are coloured by
+    (rank, upper-cover degree, lower-cover degree) and the colouring is
+    refined by iterated cover multisets.  While some colour class has
+    more than one member, the search branches on which member of the
+    first such class comes first, re-refining after each choice.  Every
+    fully discrete partition orders the elements by a linear extension
+    (rank dominates the colouring, and equal-rank elements are
+    incomparable), so the strict upper triangle of the order matrix in
+    that ordering captures the whole order.  The key is the minimum over
+    leaves of that triangle, read column by column (column ``j`` lists
+    the bits ``label_i <= label_j`` for ``i < j``) and hex-encoded.
+
+    Branches are pruned by automorphisms (McKay & Piperno, *Practical
+    graph isomorphism II*, 2014), which never changes the minimum:
+
+    - Refinement is equivariant: ``refine(g(P)) = g(refine(P))`` for an
+      automorphism ``g``, and the seed colouring is fixed by every
+      automorphism.  So an automorphism fixing each element individualised
+      on the way to a node maps the node to itself, and maps the subtree
+      below child ``v`` onto the subtree below child ``g(v)``.  A leaf
+      and its image have the same triangle, so a child in the orbit of an
+      already searched child under such automorphisms adds no new leaf
+      triangle and is skipped.
+    - The automorphisms come from the search itself: a leaf whose
+      triangle equals the best one found so far orders the elements as
+      ``perm``, the best leaf as ``best_perm``, and
+      ``perm[p] -> best_perm[p]`` preserves the order.
+    - Twins (identical strict up- and down-sets) are swapped by an
+      automorphism that fixes every other element, hence every
+      individualised one; one branch per twin class is the cheap special
+      case, checked first.
+
+    The orbits at a node are recomputed only when the list of found
+    automorphisms has grown.
+    """
+    if n == 1:
+        return _columns_to_hex(1, [0])
+    down = _transpose_masks(n, up)
+    base, covers_up, covers_down = _root_partition(n, up, down)
     twin = [(up[x] & ~(1 << x), down[x] & ~(1 << x)) for x in range(n)]
-    best = None
+    best = best_perm = None
+    automorphisms = []
 
     def leaf(cells):
-        nonlocal best
-        perm = [x for members in cells for x in members]
-        cols = [0] * n
-        for p in range(1, n):
-            x = perm[p]
-            col = 0
-            for e in perm[:p]:
-                col = (col << 1) | ((up[e] >> x) & 1)
-            cols[p] = col
+        nonlocal best, best_perm
+        perm = [members[0] for members in cells]
+        cols = _leaf_columns(n, up, perm)
         if best is None or cols < best:
-            best = cols
+            best, best_perm = cols, perm
+        elif cols == best:
+            gamma = [0] * n
+            for x, y in zip(perm, best_perm):
+                gamma[x] = y
+            automorphisms.append(gamma)
 
-    def rec(cells):
+    def orbits(members, prefix):
+        """Orbit representative of each member under the automorphisms
+        found so far that fix every element of ``prefix``."""
+        root = {x: x for x in members}
+
+        def find(x):
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        for gamma in automorphisms:
+            if any(gamma[v] != v for v in prefix):
+                continue
+            for x in members:
+                a, b = find(x), find(gamma[x])
+                if a != b:
+                    root[a] = b
+        return {x: find(x) for x in members}
+
+    def rec(cells, prefix):
         for idx, members in enumerate(cells):
             if len(members) > 1:
                 break
@@ -498,16 +556,25 @@ def canonical_key_from_up(n, up):
             leaf(cells)
             return
         seen_twins = set()
+        searched = []
+        orbit = None
+        known = 0
         for v in members:
             key = twin[v]
             if key in seen_twins:
                 continue
+            if len(automorphisms) > known:
+                known = len(automorphisms)
+                orbit = orbits(members, prefix)
+            if orbit is not None and any(orbit[v] == orbit[u] for u in searched):
+                continue
             seen_twins.add(key)
+            searched.append(v)
             rest = [w for w in members if w != v]
             child = cells[:idx] + [[v], rest] + cells[idx + 1 :]
-            rec(_refine_partition(n, child, covers_up, covers_down))
+            rec(_refine_partition(n, child, covers_up, covers_down), prefix + [v])
 
-    rec(base)
+    rec(base, [])
     return _columns_to_hex(n, best)
 
 

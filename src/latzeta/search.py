@@ -132,7 +132,14 @@ def _extend_chunk(args):
 
 
 def _semilattice_level(m, *, jobs=1):
-    """Semilattices on m elements as a sorted list of (key, up_masks)."""
+    """Semilattices on m elements as a sorted list of (key, up_masks).
+
+    ``jobs`` worker processes build the missing levels; it must be at
+    least 1 and is lowered to the CPU count.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     for level in range(2, m + 1):
         if level in _SEMI_LEVELS:
             continue

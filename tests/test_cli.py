@@ -262,6 +262,41 @@ def test_rejected_file_exit_code(capsys, tmp_path, text):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("target, count", [
+    ("partition:8", 4140), ("boolean:7", 128), ("chain:12", 12),
+    ("divisor:720", 30), ("subspace:2,4", 67), ("ddiv:2,5", 6557),
+    ("group:sym:4", 235),
+])
+def test_max_elements_checked_before_building(capsys, monkeypatch, target, count):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(Lattice, "from_covers", refuse)
+    code, out, err = invoke(capsys, "zeta", target, "--max-elements", "10")
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: target has {count} elements, over the --max-elements cap 10\n"
+    )
+
+
+def test_max_elements_checked_before_reading_covers(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "big.lat"
+    path.write_text("n 1000\nc 0 1\n")
+    monkeypatch.setattr(Lattice, "from_covers", None)
+    code, _, err = invoke(capsys, "zeta", f"file:{path}", "--max-elements", "10")
+    assert code == 2
+    assert err == "error: target has 1000 elements, over the --max-elements cap 10\n"
+
+
+@pytest.mark.parametrize("target", ["chain:5", "partition:3", "group:cyclic:2"])
+def test_max_elements_admits_targets_at_the_cap(capsys, target):
+    size = parse_lattice_target(target).n
+    code, _, _ = invoke(capsys, "zeta", target, "--max-elements", str(size))
+    assert code == 0
+    code, _, _ = invoke(capsys, "zeta", target, "--max-elements", str(size - 1))
+    assert code == 2
+
+
 def test_domain_error_exit_code(capsys):
     # coprime check on groups with a common factor: domain error -> 1
     code, out, _ = invoke(

@@ -1,7 +1,10 @@
 """Core lattice representation: validation, order operations, Möbius
 numbers, canonical forms, products, and the .lat text format."""
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +17,20 @@ from latzeta.errors import (
     NotComparable,
     SizeLimitExceeded,
 )
-from latzeta.families import boolean_lattice, chain, divisibility_lattice
+from latzeta import search
+from latzeta.families import (
+    boolean_lattice,
+    chain,
+    divisibility_lattice,
+    partition_lattice,
+    subspace_lattice,
+)
+from latzeta.groups import coset_lattice, cyclic, symmetric
 from latzeta.lattice import (
     Lattice,
     adjoin_atoms,
     canonical_form,
+    canonical_key_from_up,
     cartesian_product,
     decode_canonical_key,
     is_isomorphic,
@@ -305,6 +317,51 @@ def test_canonical_key_on_many_automorphisms():
     key = lat.canonical_form()
     for _ in range(3):
         assert relabelled(lat, random_perm(rng, lat.n)).canonical_form() == key
+
+
+# Keys recorded before automorphism pruning was added to the canonical
+# search.  Catalogs on disk hold these keys, so they must never change.
+PINNED_KEYS = json.loads(
+    (Path(__file__).parent / "data" / "canonical_keys.json").read_text()
+)
+
+PINNED_LATTICES = {
+    "boolean:6": lambda: boolean_lattice(6),
+    "subspace:2,3": lambda: subspace_lattice(2, 3),
+    "partition:6": lambda: partition_lattice(6),
+    "group:cyclic:12": lambda: coset_lattice(cyclic(12)).lattice,
+    "group:cyclic:30": lambda: coset_lattice(cyclic(30)).lattice,
+    "group:sym:4": lambda: coset_lattice(symmetric(4)).lattice,
+}
+
+
+def _digest(keys):
+    return hashlib.sha256("\n".join(sorted(keys)).encode()).hexdigest()
+
+
+def test_census_keys_are_pinned():
+    # The enumeration is the one criterion 12 builds; the semilattice keys
+    # come with it, and each lattice's key is taken from its up-masks with
+    # the bottom adjoined as element 0.
+    for n in range(2, 11):
+        level = search._semilattice_level(n - 1)
+        semi = [key for key, _ in level]
+        lattices = [
+            canonical_key_from_up(n, [(1 << n) - 1] + [u << 1 for u in ups])
+            for _, ups in level
+        ]
+        assert _digest(semi) == PINNED_KEYS["semilattice_levels"][str(n)], n
+        assert _digest(lattices) == PINNED_KEYS["lattice_levels"][str(n)], n
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LATTICES))
+def test_large_keys_are_pinned(name):
+    lat = PINNED_LATTICES[name]()
+    pinned = PINNED_KEYS["lattices"][name]
+    assert lat.n == pinned["n"]
+    assert lat.canonical_form() == pinned["key"]
+    perm = random_perm(random.Random(1006), lat.n)
+    assert relabelled(lat, perm).canonical_form() == pinned["key"]
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Exhaustive small-lattice search: enumeration counts, the independent
 brute-force oracle, catalog persistence, and the weak-not-strong sweep."""
 
+import os
 import random
 
 import pytest
 
+from latzeta import search
 from latzeta.cosetlike import classify
 from latzeta.errors import BudgetExceeded
 from latzeta.lattice import Lattice, is_isomorphic
@@ -71,6 +73,50 @@ def test_jobs_parallel_matches_serial():
     serial = [lat.canonical_form() for lat in enumerate_lattices(7, jobs=1)]
     parallel = [lat.canonical_form() for lat in enumerate_lattices(7, jobs=2)]
     assert serial == parallel
+
+
+def test_library_jobs_clamped_to_cpu_count(monkeypatch):
+    # A stand-in for multiprocessing.Pool that records the worker count and
+    # maps in this process, on a fresh level cache so that the levels are
+    # really rebuilt; no worker process is started.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return [fn(chunk) for chunk in chunks]
+
+    serial = search._semilattice_level(6)
+    first = search._SEMI_LEVELS[1]
+    monkeypatch.setattr(search, "Pool", RecordingPool)
+    for cpus, asked, expected in ((2, 10**6, [2]), (3, 2, [2]), (None, 8, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(search, "_SEMI_LEVELS", {1: first})
+        sizes.clear()
+        assert search._semilattice_level(6, jobs=asked) == serial
+        assert sizes == expected, (cpus, asked)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_library_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError):
+        lattice_count(3, jobs=jobs)
+    with pytest.raises(ValueError):
+        list(enumerate_lattices(3, jobs=jobs))
+    with pytest.raises(ValueError):
+        level_entries(3, jobs=jobs)
+    with pytest.raises(ValueError):
+        classify_catalog(3, jobs=jobs)
+    with pytest.raises(ValueError):
+        find_weak_not_strong(3, jobs=jobs)
 
 
 def test_catalog_entry_fields():
