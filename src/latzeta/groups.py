@@ -30,7 +30,9 @@ MAX_GROUP_ORDER = 64
 class FiniteGroup:
     """A group given by its full multiplication table."""
 
-    __slots__ = ("name", "n", "table", "inverse", "_subgroups", "_subgroup_lattice")
+    __slots__ = (
+        "name", "n", "table", "inverse", "_subgroups", "_subgroup_lattice", "_normal"
+    )
 
     def __init__(self, table, name="G"):
         n = len(table)
@@ -68,6 +70,7 @@ class FiniteGroup:
         self.inverse = tuple(inverse)
         self._subgroups = None
         self._subgroup_lattice = None
+        self._normal = {}
 
     # ------------------------------------------------------------------
 
@@ -124,9 +127,18 @@ class FiniteGroup:
         return self._subgroups
 
     def is_normal(self, subgroup):
-        return all(
-            self.conjugate(g, a) in subgroup for g in range(self.n) for a in subgroup
-        )
+        """Whether ``subgroup`` is closed under conjugation; memoised per
+        subgroup (as a frozenset)."""
+        subgroup = frozenset(subgroup)
+        normal = self._normal.get(subgroup)
+        if normal is None:
+            normal = all(
+                self.conjugate(g, a) in subgroup
+                for g in range(self.n)
+                for a in subgroup
+            )
+            self._normal[subgroup] = normal
+        return normal
 
     def normal_subgroups(self):
         return tuple(h for h in self.subgroups() if self.is_normal(h))

@@ -473,17 +473,31 @@ def _leaf_columns(n, up, perm):
 def canonical_key_from_up(n, up):
     """Canonical hex key of the order given by up-masks.
 
-    Individualisation-refinement search: elements are coloured by
-    (rank, upper-cover degree, lower-cover degree) and the colouring is
-    refined by iterated cover multisets.  While some colour class has
-    more than one member, the search branches on which member of the
-    first such class comes first, re-refining after each choice.  Every
-    fully discrete partition orders the elements by a linear extension
-    (rank dominates the colouring, and equal-rank elements are
-    incomparable), so the strict upper triangle of the order matrix in
-    that ordering captures the whole order.  The key is the minimum over
-    leaves of that triangle, read column by column (column ``j`` lists
-    the bits ``label_i <= label_j`` for ``i < j``) and hex-encoded.
+    The key is the least strict upper triangle of the order matrix over
+    the leaves of an individualisation-refinement search; see
+    ``_canonical_labelling``, which also returns the best leaf ordering
+    and generators of the automorphism group, and whose docstring shows
+    why those generate the whole group.
+    """
+    return _canonical_labelling(n, up)[0]
+
+
+def _canonical_labelling(n, up):
+    """Search behind ``canonical_key_from_up``: ``(key, best_perm,
+    generators)``.
+
+    Elements are coloured by (rank, upper-cover degree, lower-cover
+    degree) and the colouring is refined by iterated cover multisets.
+    While some colour class has more than one member, the search
+    branches on which member of the first such class comes first,
+    re-refining after each choice.  Every fully discrete partition orders
+    the elements by a linear extension (rank dominates the colouring, and
+    equal-rank elements are incomparable), so the strict upper triangle
+    of the order matrix in that ordering captures the whole order.  The
+    key is the minimum over leaves of that triangle, read column by
+    column (column ``j`` lists the bits ``label_i <= label_j`` for
+    ``i < j``) and hex-encoded.  ``best_perm`` is the ordering of the
+    first leaf reached with that triangle.
 
     Branches are pruned by automorphisms (McKay & Piperno, *Practical
     graph isomorphism II*, 2014), which never changes the minimum:
@@ -507,9 +521,32 @@ def canonical_key_from_up(n, up):
 
     The orbits at a node are recomputed only when the list of found
     automorphisms has grown.
+
+    ``generators`` (lists ``g`` with ``g[x]`` the image of ``x``) are the
+    recorded leaf automorphisms plus one transposition per adjacent pair
+    of each twin class, and they generate the whole automorphism group.
+    An individualised element sits at the start of its cell and cells
+    only split in place, so a leaf's ordering fixes its path, and an
+    automorphism mapping one leaf onto another maps path onto path.  Let
+    ``b_1 .. b_t`` be the path of the leaf ``best_perm`` and ``g`` an
+    automorphism fixing ``b_1 .. b_k``; it fixes that node, so ``u =
+    g(b_(k+1))`` lies in the node's branching cell.  If ``u`` was pruned,
+    as a twin of a searched ``v`` or by recorded automorphisms fixing
+    ``b_1 .. b_k``, generated elements fixing ``b_1 .. b_k`` map ``u``
+    to a searched ``v``; otherwise ``v = u``.  If ``v != b_(k+1)``, some
+    automorphism fixing ``b_1 .. b_k`` maps ``b_(k+1)`` to ``v``, so the
+    subtree of ``v`` holds a leaf with the best triangle.  Pruning keeps
+    each subtree's minimum, so the search reaches such a leaf, after the
+    best one (the first reached), and records an automorphism mapping
+    its path onto the best path: it fixes ``b_1 .. b_k`` and maps ``v``
+    to ``b_(k+1)``.  So ``g`` followed by generated elements fixes
+    ``b_1 .. b_(k+1)``; going down the path, ``g`` followed by generated
+    elements fixes the whole best leaf and is the identity.  Twin
+    pruning records nothing, hence the transpositions: three atoms of
+    one height give a single leaf and no recorded automorphism.
     """
     if n == 1:
-        return _columns_to_hex(1, [0])
+        return _columns_to_hex(1, [0]), [0], []
     down = _transpose_masks(n, up)
     base, covers_up, covers_down = _root_partition(n, up, down)
     twin = [(up[x] & ~(1 << x), down[x] & ~(1 << x)) for x in range(n)]
@@ -575,7 +612,17 @@ def canonical_key_from_up(n, up):
             rec(_refine_partition(n, child, covers_up, covers_down), prefix + [v])
 
     rec(base, [])
-    return _columns_to_hex(n, best)
+    del rec  # rec refers to itself; without this only the cyclic GC frees the search
+    twin_classes = {}
+    for x in range(n):
+        twin_classes.setdefault(twin[x], []).append(x)
+    generators = automorphisms
+    for members in twin_classes.values():
+        for a, b in zip(members, members[1:]):
+            gamma = list(range(n))
+            gamma[a], gamma[b] = b, a
+            generators.append(gamma)
+    return _columns_to_hex(n, best), best_perm, generators
 
 
 def _columns_to_hex(n, cols):
@@ -590,8 +637,8 @@ def _columns_to_hex(n, cols):
     return acc.to_bytes(max(nbytes, 1), "big").hex()
 
 
-def decode_canonical_key(key, n):
-    """Rebuild a lattice from a canonical key and its element count."""
+def _hex_to_columns(n, key):
+    """Inverse of ``_columns_to_hex``."""
     total = n * (n - 1) // 2
     acc = int.from_bytes(bytes.fromhex(key), "big")
     acc >>= (-total) % 8
@@ -599,6 +646,12 @@ def decode_canonical_key(key, n):
     for p in range(n - 1, 0, -1):
         cols[p] = acc & ((1 << p) - 1)
         acc >>= p
+    return cols
+
+
+def decode_canonical_key(key, n):
+    """Rebuild a lattice from a canonical key and its element count."""
+    cols = _hex_to_columns(n, key)
     pairs = []
     for j in range(1, n):
         col = cols[j]

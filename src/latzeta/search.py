@@ -7,7 +7,20 @@ elements, and conversely adjoining a bottom to one yields a lattice, so
 the isomorphism classes correspond one to one.  Each level is built
 from the previous one by adding a new minimal element whose upper
 covers form an antichain; only joins against the new element need
-checking, and duplicates are discarded by canonical key.
+checking.
+
+Duplicates are never generated, by canonical augmentation (McKay,
+*Isomorph-free exhaustive generation*, J. Algorithms 1998; Heitzig &
+Reinhold, *Counting finite lattices*, Algebra Universalis 2002).
+Removing any minimal element of a semilattice-with-top leaves one, so
+every class on m elements has a canonical parent: the class without its
+canonical minimal element ``m*``, the first element of the best leaf
+ordering among the minimal elements with the largest up-set.  Each
+parent is extended by one antichain per orbit of its automorphism group,
+and a child is kept only if its new element lies in the automorphism
+orbit of ``m*``; so every class is kept exactly once, from one parent
+and one antichain, and at most one canonical labelling is made per
+orbit-distinct child whose new element has the largest up-set.
 
 An independent brute-force oracle (all naturally labeled posets,
 filtered by a direct lattice test) cross-checks the counts for small n.
@@ -17,12 +30,17 @@ import hashlib
 import os
 from dataclasses import dataclass
 from multiprocessing import Pool
+from operator import itemgetter
 
 from .cosetlike import classify  # noqa: F401 -- bench/spans.py traces search.classify
 from .errors import BudgetExceeded
 from .lattice import (
     Lattice,
+    _canonical_labelling,
+    _columns_to_hex,
     _covers_from_up,
+    _hex_to_columns,
+    _iter_bits,
     _transpose_masks,
     canonical_key_from_up,
 )
@@ -47,9 +65,11 @@ DEFAULT_MAX_N = 11
 # ----------------------------------------------------------------------
 # join-semilattice levels
 
-# m -> list of (canonical_key, up_masks) sorted by key; level m holds the
-# semilattices on m elements, i.e. the lattices on m + 1 minus bottoms.
-_SEMI_LEVELS = {1: [(canonical_key_from_up(1, [1]), (1,))]}
+# m -> list of (canonical_key, up_masks, generators) sorted by key; level m
+# holds the semilattices on m elements, i.e. the lattices on m + 1 minus
+# bottoms.  ``generators`` is a tuple of bytes, each a permutation of the
+# m elements, that generates the automorphism group of ``up_masks``.
+_SEMI_LEVELS = {1: [(canonical_key_from_up(1, [1]), (1,), ())]}
 
 
 def _antichain_masks(m, comp):
@@ -73,57 +93,100 @@ def _antichain_masks(m, comp):
     return out
 
 
-def _extend_parents(m, parents):
-    """All one-minimal-element extensions of the given (m-1)-element
-    semilattices, deduplicated by canonical key.
+def _orbit_representatives(masks, generators):
+    """The first of ``masks`` in each orbit of the group generated by
+    ``generators``, which must map the set of masks to itself."""
+    if not generators:
+        return masks
+    seen = set()
+    reps = []
+    for mask in masks:
+        if mask in seen:
+            continue
+        reps.append(mask)
+        seen.add(mask)
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for g in generators:
+                y = 0
+                for i in _iter_bits(x):
+                    y |= 1 << g[i]
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return reps
 
-    Returns {key: up_masks} keeping the lexicographically least
-    representative per class, which makes the result independent of how
-    the parents were chunked across workers.
+
+def _in_orbit(x, y, generators):
+    """Whether ``y`` is in the orbit of ``x`` under the generated group."""
+    if x == y:
+        return True
+    orbit = {x}
+    stack = [x]
+    while stack:
+        z = stack.pop()
+        for g in generators:
+            w = g[z]
+            if w == y:
+                return True
+            if w not in orbit:
+                orbit.add(w)
+                stack.append(w)
+    return False
+
+
+def _has_joins(k, ups, filt):
+    """Whether every old element ``a`` has a join with a new element whose
+    strict up-set is ``filt``: the least element of ``filt & ups[a]``."""
+    for a in range(k):
+        if (1 << a) & filt:
+            continue  # a is above the new element; join is a itself
+        common = filt & ups[a]
+        if not common:
+            return False
+        for z in _iter_bits(common):
+            if ups[z] & common == common:
+                break
+        else:
+            return False
+    return True
+
+
+def _extend_parents(m, parents):
+    """The classes on m elements whose canonical parent is among the
+    given (m-1)-element semilattices, as ``(key, up_masks, generators)``.
+
+    ``parents`` holds ``(up_masks, generators)`` pairs.  For each parent,
+    one antichain per automorphism orbit becomes the upper covers of a new
+    minimal element; a child whose joins fail, or whose new element has a
+    smaller up-set than another minimal element, is dropped before it is
+    labelled, and a labelled child is kept only if its new element is in
+    the orbit of its canonical minimal element ``m*``.
     """
-    out = {}
+    out = []
+    shared = {}  # equal permutations and generator tuples share one object
     k = m - 1
     newbit = 1 << k
-    for ups in parents:
+    for ups, generators in parents:
         down = _transpose_masks(k, list(ups))
         comp = [ups[i] | down[i] for i in range(k)]
-        for amask in _antichain_masks(k, comp):
+        minimal = [(i, ups[i].bit_count()) for i in range(k) if down[i] == 1 << i]
+        for amask in _orbit_representatives(_antichain_masks(k, comp), generators):
             filt = 0
-            rest = amask
-            while rest:
-                low = rest & -rest
-                filt |= ups[low.bit_length() - 1]
-                rest ^= low
-            # The new element joins with a to the least element of
-            # filt & up[a]; reject the extension if some pair has no
-            # least common upper bound.
-            ok = True
-            for a in range(k):
-                if (1 << a) & filt:
-                    continue  # a is above the new element; join is a itself
-                common = filt & ups[a]
-                if not common:
-                    ok = False
-                    break
-                rest = common
-                found = False
-                while rest:
-                    low = rest & -rest
-                    z = low.bit_length() - 1
-                    if ups[z] & common == common:
-                        found = True
-                        break
-                    rest ^= low
-                if not found:
-                    ok = False
-                    break
-            if not ok:
+            for a in _iter_bits(amask):
+                filt |= ups[a]
+            size = filt.bit_count() + 1
+            others = [(i, s) for i, s in minimal if not (filt >> i) & 1]
+            if any(s > size for _, s in others) or not _has_joins(k, ups, filt):
                 continue
             child = ups + (filt | newbit,)
-            key = canonical_key_from_up(m, list(child))
-            prev = out.get(key)
-            if prev is None or child < prev:
-                out[key] = child
+            key, perm, child_gens = _canonical_labelling(m, list(child))
+            ties = {k} | {i for i, s in others if s == size}
+            star = next(x for x in perm if x in ties)
+            if _in_orbit(star, k, child_gens):
+                gens = tuple(shared.setdefault(g, g) for g in map(bytes, child_gens))
+                out.append((key, child, shared.setdefault(gens, gens)))
     return out
 
 
@@ -132,10 +195,14 @@ def _extend_chunk(args):
 
 
 def _semilattice_level(m, *, jobs=1):
-    """Semilattices on m elements as a sorted list of (key, up_masks).
+    """Semilattices on m elements as a sorted list of
+    ``(key, up_masks, generators)``.
 
     ``jobs`` worker processes build the missing levels; it must be at
-    least 1 and is lowered to the CPU count.
+    least 1 and is lowered to the CPU count.  Each class comes from one
+    parent, so its representative does not depend on ``jobs``; a key
+    met twice means the augmentation is broken and raises
+    ``RuntimeError``.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -143,33 +210,55 @@ def _semilattice_level(m, *, jobs=1):
     for level in range(2, m + 1):
         if level in _SEMI_LEVELS:
             continue
-        parents = [ups for _, ups in _SEMI_LEVELS[level - 1]]
+        parents = [(ups, gens) for _, ups, gens in _SEMI_LEVELS[level - 1]]
         if jobs > 1 and len(parents) >= 4 * jobs:
             chunks = [
                 (level, parents[i::jobs]) for i in range(jobs)
             ]
-            merged = {}
             with Pool(jobs) as pool:
-                for part in pool.map(_extend_chunk, chunks):
-                    for key, child in part.items():
-                        prev = merged.get(key)
-                        if prev is None or child < prev:
-                            merged[key] = child
+                children = [c for part in pool.map(_extend_chunk, chunks) for c in part]
         else:
-            merged = _extend_parents(level, parents)
-        _SEMI_LEVELS[level] = sorted(merged.items())
+            children = _extend_parents(level, parents)
+        children.sort(key=itemgetter(0))
+        for before, after in zip(children, children[1:]):
+            if before[0] == after[0]:
+                raise RuntimeError(f"level {level}: class {before[0]} generated twice")
+        _SEMI_LEVELS[level] = children
     return _SEMI_LEVELS[m]
 
 
-def _lattice_from_semilattice(ups):
-    """Adjoin a bottom below the minimal elements of a semilattice."""
+def _lattice_key(m, key):
+    """Canonical key of the lattice made by adjoining a bottom to a
+    semilattice on m elements, from the semilattice's canonical key.
+
+    The bottom is the only element of rank 0 in the lattice, a singleton
+    cell at index 0 that shifts every other cell index by one without
+    reordering, and it is below everything, so the refined colourings,
+    the twin classes, the automorphisms and hence the search trees of the
+    two correspond one to one, with the bottom first in every leaf.  Leaf
+    column ``p + 1`` of the lattice is then column ``p`` of the
+    semilattice under a new highest bit for the bottom, an order-keeping
+    map of triangles, so the least triangles correspond too.  For m = 1
+    the semilattice has no columns and the lattice is the 2-chain.
+    """
+    if m == 1:
+        return _columns_to_hex(2, [0, 1])
+    cols = _hex_to_columns(m, key)
+    return _columns_to_hex(m + 1, [0, 1] + [(1 << p) | cols[p] for p in range(1, m)])
+
+
+def _lattice_from_semilattice(ups, key):
+    """Adjoin a bottom below the minimal elements of a semilattice whose
+    canonical key is ``key``; the lattice's key is derived, not searched."""
     m = len(ups)
     down = _transpose_masks(m, list(ups))
     covers = [(a + 1, b + 1) for a, b in _covers_from_up(m, list(ups), down)]
     for x in range(m):
         if down[x] == 1 << x:  # minimal in the semilattice
             covers.append((0, x + 1))
-    return Lattice.from_covers(m + 1, covers)
+    lattice = Lattice.from_covers(m + 1, covers)
+    lattice._canonical_key = _lattice_key(m, key)
+    return lattice
 
 
 def enumerate_lattices(n, *, jobs=1, max_n=DEFAULT_MAX_N):
@@ -177,14 +266,17 @@ def enumerate_lattices(n, *, jobs=1, max_n=DEFAULT_MAX_N):
 
     Deterministic order (ascending canonical key of the bottomless
     semilattice); every emitted object passes full construction-time
-    lattice validation.
+    lattice validation.  The semilattices are built by canonical
+    augmentation (see the module docstring), and each lattice's
+    ``canonical_form`` is derived from its semilattice's key rather than
+    searched again.
     """
     if n < 2:
         raise ValueError("lattices need at least 2 elements")
     if n > max_n:
         raise BudgetExceeded(f"enumeration capped at n = {max_n} (asked for {n})")
-    for _, ups in _semilattice_level(n - 1, jobs=jobs):
-        yield _lattice_from_semilattice(ups)
+    for key, ups, _ in _semilattice_level(n - 1, jobs=jobs):
+        yield _lattice_from_semilattice(ups, key)
 
 
 def lattice_count(n, *, jobs=1, max_n=DEFAULT_MAX_N):
@@ -298,7 +390,7 @@ def brute_force_lattice_count(n, *, max_n=6):
 # classification and catalog
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeCatalogEntry:
     """One isomorphism class with its classification flags."""
 

@@ -8,6 +8,10 @@ give the same key on every relabelling of every census class up to 8
 elements, of the coset lattices of C4, C6 and S3, and of the incidence
 lattices of a few regular graphs, whose search trees hold branches that
 are not automorphic images of each other.
+
+The generators the search returns must generate the whole automorphism
+group: checked against a backtracking count of order automorphisms on
+every semilattice up to 7 elements and on the lattices above.
 """
 
 import functools
@@ -16,9 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latzeta.groups import coset_lattice, cyclic, symmetric
+from latzeta import search
 from latzeta.lattice import (
     Lattice,
+    _canonical_labelling,
     _columns_to_hex,
+    _covers_from_up,
     _leaf_columns,
     _refine_partition,
     _root_partition,
@@ -129,3 +136,91 @@ def test_pruned_search_matches_unpruned_after_relabelling(data):
     lat = data.draw(st.sampled_from(census()) | st.sampled_from(wide()))
     perm = data.draw(st.permutations(range(lat.n)))
     assert canonical_key_from_up(lat.n, relabelled_up(lat, perm)) == oracle_key(lat)
+
+
+def automorphism_count(n, up):
+    """Number of order automorphisms, by backtracking.  Elements are
+    placed in breadth-first order over the covers between elements other
+    than the bottom and the top, so each one but the first of a component
+    is tied to a placed neighbour; an element goes to an element with the
+    same up- and down-set sizes whose relations to the placed images
+    match its own."""
+    down = _transpose_masks(n, up)
+    sig = [(up[x].bit_count(), down[x].bit_count()) for x in range(n)]
+    ends = {x for x in range(n) if n in sig[x]}  # the bottom and the top
+    neighbours = [[] for _ in range(n)]
+    for a, b in _covers_from_up(n, up, down):
+        if a not in ends and b not in ends:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    order = []
+    for start in range(n):
+        if start in order:
+            continue
+        order.append(start)
+        queue = [start]
+        while queue:
+            x = queue.pop(0)
+            for y in neighbours[x]:
+                if y not in order:
+                    order.append(y)
+                    queue.append(y)
+    image = {}
+
+    def extend(i, used):
+        if i == n:
+            return 1
+        x = order[i]
+        total = 0
+        for y in range(n):
+            if (used >> y) & 1 or sig[y] != sig[x]:
+                continue
+            if all(
+                (up[x] >> z) & 1 == (up[y] >> w) & 1
+                and (up[z] >> x) & 1 == (up[w] >> y) & 1
+                for z, w in image.items()
+            ):
+                image[x] = y
+                total += extend(i + 1, used | 1 << y)
+                del image[x]
+        return total
+
+    return extend(0, 0)
+
+
+def group_order(n, up, generators):
+    """Order of the group the generators close to, after checking that
+    each generator preserves the order."""
+    for g in generators:
+        assert sorted(g) == list(range(n))
+        for x in range(n):
+            for y in range(n):
+                assert (up[x] >> y) & 1 == (up[g[x]] >> g[y]) & 1
+    identity = tuple(range(n))
+    group = {identity}
+    stack = [identity]
+    while stack:
+        h = stack.pop()
+        for g in generators:
+            gh = tuple(g[h[x]] for x in range(n))
+            if gh not in group:
+                group.add(gh)
+                stack.append(gh)
+    return len(group)
+
+
+def test_generators_give_the_whole_group_on_semilattices():
+    # The enumerator's stored generators (bytes) are the search's own.
+    for m in range(1, 8):
+        for _key, ups, generators in search._semilattice_level(m):
+            up = list(ups)
+            assert group_order(m, up, generators) == automorphism_count(m, up), ups
+
+
+def test_generators_give_the_whole_group_on_wide_lattices():
+    for lat in wide():
+        up = list(lat.up)
+        key, best_perm, generators = _canonical_labelling(lat.n, up)
+        assert key == lat.canonical_form()
+        assert sorted(best_perm) == list(range(lat.n))
+        assert group_order(lat.n, up, generators) == automorphism_count(lat.n, up)

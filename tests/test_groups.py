@@ -301,3 +301,11 @@ def test_partition4_is_not_a_coset_lattice():
     pi4 = partition_lattice(4)
     assert not is_isomorphic(pi4, coset_lattice(cyclic(6)).lattice)
     assert not is_isomorphic(pi4, coset_lattice(symmetric(3)).lattice)
+
+
+def test_is_normal_memo_matches_conjugation():
+    for g in (symmetric(3), symmetric(4), dihedral(4)):
+        for h in g.subgroups():
+            direct = all(g.conjugate(x, a) in h for x in range(g.n) for a in h)
+            assert g.is_normal(h) == direct
+            assert g.is_normal(set(h)) == direct  # the memo is keyed by value

@@ -345,10 +345,10 @@ def test_census_keys_are_pinned():
     # the bottom adjoined as element 0.
     for n in range(2, 11):
         level = search._semilattice_level(n - 1)
-        semi = [key for key, _ in level]
+        semi = [key for key, _, _ in level]
         lattices = [
             canonical_key_from_up(n, [(1 << n) - 1] + [u << 1 for u in ups])
-            for _, ups in level
+            for _, ups, _ in level
         ]
         assert _digest(semi) == PINNED_KEYS["semilattice_levels"][str(n)], n
         assert _digest(lattices) == PINNED_KEYS["lattice_levels"][str(n)], n

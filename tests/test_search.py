@@ -1,15 +1,29 @@
 """Exhaustive small-lattice search: enumeration counts, the independent
-brute-force oracle, catalog persistence, and the weak-not-strong sweep."""
+brute-force oracle, catalog persistence, and the weak-not-strong sweep.
 
+The canonical augmentation in ``search._extend_parents`` is checked
+against the generate-then-deduplicate enumerator it replaced, kept here
+as an oracle.
+"""
+
+import functools
 import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latzeta import search
 from latzeta.cosetlike import classify
 from latzeta.errors import BudgetExceeded
-from latzeta.lattice import Lattice, is_isomorphic
+from latzeta.lattice import (
+    Lattice,
+    _canonical_labelling,
+    _transpose_masks,
+    canonical_key_from_up,
+    is_isomorphic,
+)
 from latzeta.search import (
     CatalogStore,
     brute_force_lattice_count,
@@ -205,6 +219,77 @@ def test_weak_not_strong_budget():
 @pytest.mark.long
 def test_eleven_element_count():
     assert lattice_count(11, jobs=4) == 37622
+    assert classify_catalog(11)["weak_not_strong"] == 451
+
+
+def oracle_children(m, parents):
+    """Every one-minimal-element extension of the given semilattices on
+    m - 1 elements, labelled and deduplicated by canonical key: the
+    enumerator before canonical augmentation.  Returns {key: up_masks}."""
+    out = {}
+    k = m - 1
+    for ups in parents:
+        down = _transpose_masks(k, list(ups))
+        comp = [ups[i] | down[i] for i in range(k)]
+        for amask in search._antichain_masks(k, comp):
+            filt = 0
+            for a in range(k):
+                if (amask >> a) & 1:
+                    filt |= ups[a]
+            if not search._has_joins(k, ups, filt):
+                continue
+            child = ups + (filt | 1 << k,)
+            out.setdefault(canonical_key_from_up(m, list(child)), child)
+    return out
+
+
+@functools.cache
+def oracle_level(m):
+    """{key: up_masks} of the semilattices on m elements, built level by
+    level by the oracle alone."""
+    if m == 1:
+        return {canonical_key_from_up(1, [1]): (1,)}
+    return oracle_children(m, oracle_level(m - 1).values())
+
+
+def test_augmentation_matches_deduplication_oracle():
+    for m in range(1, 9):
+        keys = [key for key, _, _ in search._semilattice_level(m)]
+        assert keys == sorted(oracle_level(m)), m
+
+
+def relabel_masks(ups, perm):
+    """Up-masks with element x renamed perm[x]."""
+    out = [0] * len(ups)
+    for x, mask in enumerate(ups):
+        for y in range(len(ups)):
+            if (mask >> y) & 1:
+                out[perm[x]] |= 1 << perm[y]
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kept_children_do_not_depend_on_the_parent_labelling(data):
+    # The classes kept from a parent are those whose canonical parent is
+    # the parent's class, a property of the class alone.
+    k = data.draw(st.integers(1, 7))
+    _, ups, generators = data.draw(st.sampled_from(search._semilattice_level(k)))
+    perm = data.draw(st.permutations(range(k)))
+    moved = relabel_masks(ups, perm)
+    _, _, moved_generators = _canonical_labelling(k, list(moved))
+    kept = {key for key, _, _ in search._extend_parents(k + 1, [(ups, generators)])}
+    again = search._extend_parents(k + 1, [(moved, moved_generators)])
+    assert {key for key, _, _ in again} == kept
+    assert len(again) == len(kept)
+
+
+def test_lattice_keys_are_derived_correctly():
+    # enumerate_lattices fills each lattice's key from its semilattice's
+    # key; it must be the key a direct search gives.
+    for n in range(2, 11):
+        for lat in enumerate_lattices(n):
+            assert lat._canonical_key == canonical_key_from_up(lat.n, lat.up)
 
 
 def test_enumerated_lattices_are_valid(lattices_by_size):
