@@ -303,24 +303,16 @@ def _cmd_family(args):
 
 
 def _cmd_search(args):
-    store = search.CatalogStore(args.catalog) if args.catalog else None
-    summaries = []
-    found = {}
-    for n in range(2, args.max_n + 1):
-        entries = search.level_entries(n, store=store, jobs=args.jobs)
-        summaries.append({
-            "n": n,
-            "total": len(entries),
-            "strong": sum(e.strong for e in entries),
-            "weak": sum(e.weak for e in entries),
-            "atomistic": sum(e.atomistic for e in entries),
-            "weak_not_strong": sum(e.weak and not e.strong for e in entries),
-        })
-        found[n] = [
-            e for e in entries
-            if e.weak and not e.strong
-            and (e.atomistic or not args.atomistic_only)
-        ]
+    # an in-memory store when no path is given, so that the summaries
+    # reread the levels the search has just classified
+    store = search.CatalogStore(args.catalog)
+    found = search.find_weak_not_strong(
+        args.max_n, store=store, jobs=args.jobs,
+        atomistic_only=args.atomistic_only,
+    )
+    summaries = [
+        search.classify_catalog(n, store=store, jobs=args.jobs) for n in found
+    ]
     doc = {
         "command": "search",
         "max_n": args.max_n,

@@ -13,11 +13,14 @@ questions those checks reduce to, and the two small fixture lattices
 whose series are weakly but not strongly coset-like.
 """
 
+import itertools
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MismatchDetected, UnknownFixture
+from .errors import BudgetExceeded, MismatchDetected, UnknownFixture
 from .families import d_divisible_j_count, integer_partitions
 from .lattice import Lattice
 from .zeta import zeta_series
@@ -184,46 +187,45 @@ def ddiv_strong_check(d, n):
 
 
 # ----------------------------------------------------------------------
-# primality and prime multiplicities
+# the shared prime table and prime multiplicities
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND_MAX = 1 << 24
+"""Largest bound the shared prime table grows to.
 
+The full table holds the 1,077,871 primes up to 2**24 as 4-byte items,
+about 4.3 MB, and building it takes a 16 MB byte sieve for a moment.
+A search that needs primes above this bound raises ``BudgetExceeded``
+before anything is allocated.
+"""
 
-def _is_prime(n):
-    """Deterministic Miller-Rabin, valid far beyond any size used here."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+# (bound, ascending array of every prime <= bound); replaced whole when
+# it grows, so a reader never sees a half-built table
+_prime_table = (1, array("I"))
 
 
-def _primes_upto(limit):
-    """Ascending primes below ``limit`` by a byte sieve."""
-    if limit < 3:
-        return []
-    sieve = bytearray([1]) * limit
+def _primes_through(hi):
+    """The shared ascending prime table, grown to hold every prime <= hi.
+
+    A growing table at least doubles its bound, so a run of rising
+    requests sieves O(final bound) integers in total.
+    """
+    global _prime_table
+    bound, primes = _prime_table
+    if hi <= bound:
+        return primes
+    if hi > PRIME_BOUND_MAX:
+        raise BudgetExceeded(
+            f"primes up to {hi} exceed the prime table cap of {PRIME_BOUND_MAX}"
+        )
+    bound = min(max(hi, 2 * bound), PRIME_BOUND_MAX)
+    sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit - 1) + 1):
+    for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, limit, p)))
-    return [i for i in range(limit) if sieve[i]]
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    primes = array("I", itertools.compress(range(bound + 1), sieve))
+    _prime_table = (bound, primes)
+    return primes
 
 
 def _legendre(n, p):
@@ -242,11 +244,11 @@ def _binom_multiplicity(n, k, p):
 
 def _primes_in(lo, hi):
     """Primes p with lo < p < hi (exclusive rational bounds), ascending."""
-    p = math.floor(lo) + 1
-    while p < hi:
-        if p > lo and _is_prime(p):
-            yield p
-        p += 1
+    first, last = math.floor(lo) + 1, math.ceil(hi) - 1
+    if last < first:
+        return array("I")
+    primes = _primes_through(last)
+    return primes[bisect_left(primes, first) : bisect_right(primes, last)]
 
 
 # ----------------------------------------------------------------------
@@ -262,8 +264,10 @@ def _excess_prime(hi, v_left, v_right):
     returns None, so the answer is exact.  The scan runs downwards
     because the large primes are the usual witnesses.
     """
-    for p in range(hi, 1, -1):
-        if _is_prime(p) and v_left(p) > v_right(p):
+    primes = _primes_through(hi)
+    for i in range(bisect_right(primes, hi) - 1, -1, -1):
+        p = primes[i]
+        if v_left(p) > v_right(p):
             return p
     return None
 
@@ -327,30 +331,34 @@ def nagura_prime(n):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    p = n + 1
-    while 5 * p < 6 * n:
-        if _is_prime(p):
-            return p
-        p += 1
-    return None
+    primes = _primes_through((6 * n - 1) // 5)  # the largest p with 5p < 6n
+    i = bisect_right(primes, n)
+    return primes[i] if i < len(primes) and 5 * primes[i] < 6 * n else None
 
 
 def nagura_scan(lo, hi):
     """All n in [lo, hi] whose interval (n, 6n/5) contains no prime.
 
-    One shared sieve plus a forward pointer makes the full scan to 10^6
-    take seconds; the expected result for lo >= 25 is an empty list.
+    Every n in [p, q) between consecutive primes p < q has q as its next
+    prime, so it fails exactly when 6n <= 5q; the scan steps over the
+    shared prime table rather than over every n.  The expected result
+    for lo >= 25 is an empty list.
     """
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
-    primes = _primes_upto(6 * hi // 5 + 2)
+    # a next prime above 6hi/5 makes every n <= hi fail, so the table
+    # need not reach it
+    primes = _primes_through(6 * hi // 5)
     failures = []
-    idx = 0
-    for n in range(lo, hi + 1):
-        while idx < len(primes) and primes[idx] <= n:
-            idx += 1
-        if idx >= len(primes) or 5 * primes[idx] >= 6 * n:
-            failures.append(n)
+    start = lo
+    for i in range(bisect_right(primes, lo), len(primes)):
+        if start > hi:
+            return failures
+        q = primes[i]
+        # 5q // 6 is the largest n with 6n <= 5q
+        failures.extend(range(start, min(q - 1, hi, 5 * q // 6) + 1))
+        start = q
+    failures.extend(range(start, hi + 1))
     return failures
 
 
@@ -406,6 +414,18 @@ def _delta(d):
     return d // 2 if d % 2 == 0 else (d + 1) // 2
 
 
+def _witness_candidates(narrow, extended):
+    """The primes of the extended window, those of the narrow window first.
+
+    The narrow window lies inside the extended one and shares its upper
+    end, so the extended window's primes split at the narrow lower end:
+    the narrow window's primes, then those in (extended lo, narrow lo].
+    """
+    primes = _primes_in(*extended)
+    split = bisect_right(primes, narrow[0])
+    return primes[split:] + primes[:split]
+
+
 def mainthm_witness(d, m):
     """Search for a witness prime certifying C(2m,m) does not divide C(2dm,dm).
 
@@ -441,13 +461,9 @@ def mainthm_witness(d, m):
             narrow[0] < p < narrow[1], square_ok, mult_ok, odd_ok,
         )
 
-    narrow_primes = list(_primes_in(narrow[0], narrow[1]))
-    outside = [
-        p for p in _primes_in(extended[0], extended[1]) if p not in narrow_primes
-    ]
     fallback = None
     best_partial = None
-    for p in narrow_primes + outside:
+    for p in _witness_candidates(narrow, extended):
         cand = build(p)
         if fallback is None:
             fallback = cand

@@ -480,19 +480,21 @@ def sublattice_generated(ambient, generators):
     """Close generators (ambient ids) under join and meet, together with
     the ambient bottom and top, and return the induced sublattice."""
     closed = {ambient.bottom, ambient.top} | set(generators)
-    while True:
-        fresh = set()
-        items = sorted(closed)
-        for x, y in itertools.combinations(items, 2):
-            j = ambient.join(x, y)
-            if j not in closed:
-                fresh.add(j)
-            m = ambient.meet(x, y)
-            if m not in closed:
-                fresh.add(m)
-        if not fresh:
-            break
-        closed |= fresh
+    fresh = closed
+    while fresh:
+        # pairs of older elements were closed in an earlier round, so
+        # each round tests only the pairs that involve a fresh element
+        pairs = itertools.chain(
+            itertools.product(fresh, closed - fresh),
+            itertools.combinations(fresh, 2),
+        )
+        found = set()
+        for x, y in pairs:
+            for z in (ambient.join(x, y), ambient.meet(x, y)):
+                if z not in closed:
+                    found.add(z)
+        closed = closed | found
+        fresh = found
     ids = tuple(sorted(closed))
     pos = {x: i for i, x in enumerate(ids)}
     pairs = [

@@ -442,17 +442,18 @@ class CatalogStore:
     Levels without a marker are discarded on load, so an interrupted
     run resumes by redoing only its last level and the regenerated file
     is byte-identical to an uninterrupted one (entries are kept sorted,
-    writes go through a temp file).
+    writes go through a temp file).  With ``path=None`` the levels are
+    kept in memory only.
     """
 
-    def __init__(self, path):
-        self.path = str(path)
+    def __init__(self, path=None):
+        self.path = None if path is None else str(path)
         self._levels = {}
         self._complete = set()
         self._load()
 
     def _load(self):
-        if not os.path.exists(self.path):
+        if self.path is None or not os.path.exists(self.path):
             return
         pending = {}
         with open(self.path, encoding="ascii") as handle:
@@ -497,6 +498,8 @@ class CatalogStore:
     def write_level(self, n, entries):
         self._levels[n] = {e.key: e.flags for e in entries}
         self._complete.add(n)
+        if self.path is None:
+            return
         tmp = self.path + ".tmp"
         with open(tmp, "w", encoding="ascii") as handle:
             for level in sorted(self._levels):
@@ -547,7 +550,9 @@ def find_weak_not_strong(max_n, *, store=None, jobs=1, atomistic_only=False,
     sizes this artifact can sweep).
     """
     if max_n > enum_cap:
-        raise BudgetExceeded(f"enumeration capped at n = {enum_cap}")
+        raise BudgetExceeded(
+            f"enumeration capped at n = {enum_cap} (asked for {max_n})"
+        )
     found = {}
     for n in range(2, max_n + 1):
         found[n] = [

@@ -147,9 +147,9 @@ def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     seen = []
     real = search.level_entries
 
-    def recording(n, *, store=None, jobs=1):
-        seen.append(jobs)
-        return real(n, store=store, jobs=jobs)
+    def recording(n, **kwargs):
+        seen.append(kwargs["jobs"])
+        return real(n, **kwargs)
 
     monkeypatch.setattr(search, "level_entries", recording)
     for cpus, asked, expected in ((2, "3", 2), (2, "2", 2), (4, "1", 1), (None, "2", 1)):
@@ -157,7 +157,8 @@ def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
         seen.clear()
         code, _, _ = invoke(capsys, "search", "--max-n", "4", "--jobs", asked)
         assert code == 0
-        assert seen == [expected] * 3, (cpus, asked)
+        # levels 2..4, each read by the search and again by its summary
+        assert seen == [expected] * 6, (cpus, asked)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", "x"])
@@ -334,3 +335,18 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["j_count"] == 2
+
+
+def test_search_cap_checked_before_enumerating(capsys, monkeypatch):
+    seen = []
+    real = search.level_entries
+
+    def recording(n, **kwargs):
+        seen.append(n)
+        return real(n, **kwargs)
+
+    monkeypatch.setattr(search, "level_entries", recording)
+    code, out, _ = invoke(capsys, "search", "--max-n", "12")
+    assert code == 1
+    assert out == "error (BudgetExceeded): enumeration capped at n = 11 (asked for 12)\n"
+    assert seen == []

@@ -3,6 +3,7 @@ lattices, witness primes, and the bundled fixture lattices."""
 
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -27,12 +28,14 @@ from latzeta.cosetlike import (
     partition_strong_check,
 )
 from latzeta.cosetlike import (
+    PRIME_BOUND_MAX,
     _binom_multiplicity,
     _excess_prime,
-    _is_prime,
-    _primes_upto,
+    _primes_in,
+    _primes_through,
+    _witness_candidates,
 )
-from latzeta.errors import UnknownFixture
+from latzeta.errors import BudgetExceeded, UnknownFixture
 from latzeta.families import (
     boolean_lattice,
     chain,
@@ -165,12 +168,126 @@ def test_ddiv_doc():
 # primes and binomial multiplicities
 
 
-def test_is_prime_against_sieve():
-    limit = 50_000
-    sieve = _primes_upto(limit)
-    marks = set(sieve)
-    for n in range(2, limit):
-        assert _is_prime(n) == (n in marks)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin: the oracle the prime table is checked
+    against, sharing no code with its sieve."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+ORACLE_LIMIT = 50_000
+ORACLE_PRIMES = [n for n in range(ORACLE_LIMIT) if _is_prime(n)]
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    # an empty shared table for this test alone, as at import
+    monkeypatch.setattr(cosetlike, "_prime_table", (1, array("I")))
+
+
+def _assert_table_exact(hi):
+    # every prime <= hi, in order, and nothing else up to hi
+    primes = _primes_through(hi)
+    below = [p for p in primes if p <= hi]
+    assert below == [p for p in ORACLE_PRIMES if p <= hi], hi
+    assert list(primes) == sorted(set(primes))
+    assert len(below) == len(primes) or primes[len(below)] > hi
+
+
+def test_prime_table_against_miller_rabin(fresh_table):
+    _assert_table_exact(ORACLE_LIMIT - 1)
+    assert cosetlike._prime_table[0] == ORACLE_LIMIT - 1
+
+
+def test_prime_table_grows_small_large_small(fresh_table):
+    for hi in (10, 30_000, 7, 30_001, 2, 49_999):
+        _assert_table_exact(hi)
+    # each growth at least doubles the bound, capped by the request
+    assert cosetlike._prime_table[0] == 60_000
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, ORACLE_LIMIT - 1), min_size=1, max_size=6))
+def test_prime_table_any_growth_order(bounds):
+    saved = cosetlike._prime_table
+    cosetlike._prime_table = (1, array("I"))
+    try:
+        for hi in bounds:
+            before = cosetlike._prime_table[0]
+            _assert_table_exact(hi)
+            after = cosetlike._prime_table[0]
+            assert after == before if hi <= before else after >= max(hi, 2 * before)
+    finally:
+        cosetlike._prime_table = saved
+
+
+def test_primes_in_excludes_prime_endpoints():
+    for lo, hi in ((2, 3), (3, 13), (7, 7), (13, 11), (97, 101), (1, 2)):
+        expected = [p for p in ORACLE_PRIMES if lo < p < hi]
+        assert list(_primes_in(lo, hi)) == expected, (lo, hi)
+        assert list(_primes_in(Fraction(lo), Fraction(hi))) == expected
+        assert list(_primes_in(Fraction(2 * lo - 1, 2), Fraction(2 * hi + 1, 2))) == [
+            p for p in ORACLE_PRIMES if lo <= p <= hi
+        ]
+    assert list(_primes_in(Fraction(13), 17)) == []
+    assert list(_primes_in(11, Fraction(13))) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(0, 500, max_denominator=7), st.fractions(0, 500, max_denominator=7))
+def test_primes_in_matches_oracle(lo, hi):
+    expected = [p for p in ORACLE_PRIMES[:100] if lo < p < hi]  # primes < 542
+    assert list(_primes_in(lo, hi)) == expected
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _primes_through(PRIME_BOUND_MAX + 1),
+    lambda: central_binomial_check(PRIME_BOUND_MAX // 2 + 1),
+    lambda: odd_case_check(PRIME_BOUND_MAX // 2),
+    lambda: nagura_prime(PRIME_BOUND_MAX),
+    lambda: nagura_scan(1, PRIME_BOUND_MAX),
+    lambda: mainthm_witness(4, PRIME_BOUND_MAX // 2 + 1),
+    lambda: mainthm_witness(3, PRIME_BOUND_MAX),
+], ids=["table", "central", "odd", "nagura_prime", "nagura_scan",
+        "witness_even", "witness_odd"])
+def test_bound_above_cap_raises_and_keeps_table(call):
+    _primes_through(100)
+    before = cosetlike._prime_table
+    with pytest.raises(BudgetExceeded):
+        call()
+    assert cosetlike._prime_table is before
+
+
+def test_table_growth_stops_at_cap(fresh_table, monkeypatch):
+    monkeypatch.setattr(cosetlike, "PRIME_BOUND_MAX", 1_000)
+    _assert_table_exact(600)
+    _assert_table_exact(601)  # doubling would pass the cap
+    assert cosetlike._prime_table[0] == 1_000
+    _assert_table_exact(1_000)
+    with pytest.raises(BudgetExceeded):
+        _primes_through(1_001)
+    assert cosetlike._prime_table[0] == 1_000
 
 
 def _mult(n, p):
@@ -218,7 +335,7 @@ def test_check_multiplicities_match_comb(monkeypatch, check, lowest,
         return p
 
     monkeypatch.setattr(cosetlike, "_excess_prime", recording)
-    primes = _primes_upto(2 * 300 + 2)
+    primes = [p for p in ORACLE_PRIMES if p <= 2 * 300 + 1]
     for m in range(lowest, 300):
         assert check(m)
         hi, v_left, v_right, p = calls.pop()
@@ -273,7 +390,7 @@ def test_excess_prime_witness_is_real(case):
     p = _binomial_excess(a, b, c, d)
     if p is None:
         return
-    primes = set(_primes_upto(a + 1))
+    primes = {q for q in ORACLE_PRIMES if q <= a}
     assert p in primes
     left, right = math.comb(a, b), math.comb(c, d)
     assert _mult(left, p) > _mult(right, p)
@@ -281,9 +398,21 @@ def test_excess_prime_witness_is_real(case):
     assert all(_mult(left, q) <= _mult(right, q) for q in primes if q > p)
 
 
+def _nagura_fails(n):
+    # one n at a time: no prime p with n < p < 6n/5
+    return not any(_is_prime(p) for p in range(n + 1, n + n // 5 + 2) if 5 * p < 6 * n)
+
+
 def test_nagura_prime():
     assert nagura_prime(25) == 29
     assert nagura_prime(100) == 101
+    for n in range(1, 5_000):
+        p = nagura_prime(n)
+        expected = next(
+            (q for q in range(n + 1, n + n // 5 + 2) if 5 * q < 6 * n and _is_prime(q)),
+            None,
+        )
+        assert p == expected, n
     rng = random.Random(6003)
     for _ in range(60):
         n = rng.randrange(25, 10**5)
@@ -294,6 +423,14 @@ def test_nagura_prime():
 
 def test_nagura_scan():
     assert nagura_scan(25, 20_000) == []
+
+
+def test_nagura_scan_against_one_n_at_a_time():
+    brute = [n for n in range(1, 2_001) if _nagura_fails(n)]
+    assert {13, 23, 24} <= set(brute)
+    assert nagura_scan(1, 2_000) == brute
+    for lo, hi in ((1, 1), (2, 2), (13, 13), (13, 24), (14, 22), (24, 30), (23, 23)):
+        assert nagura_scan(lo, hi) == [n for n in brute if lo <= n <= hi], (lo, hi)
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +476,58 @@ def test_witness_thresholds():
     assert mainthm_threshold(3) == 12
     assert mainthm_threshold(4) == 6
     assert mainthm_threshold(5) == 23
+
+
+def _window_scan_witness(d, m):
+    # the witness search as it stood before the shared prime table: each
+    # integer of both windows through Miller-Rabin, the narrow window's
+    # primes first, then the extended window's other primes
+    delta = d // 2 if d % 2 == 0 else (d + 1) // 2
+    dm = d * m
+    narrow = (Fraction(4 * dm, 4 * delta + 1), Fraction(dm, delta))
+    extended = (Fraction(2 * dm, 2 * delta + 1), Fraction(dm, delta))
+
+    def primes_in(lo, hi):
+        return [p for p in range(math.floor(lo) + 1, math.ceil(hi)) if lo < p < hi
+                and _is_prime(p)]
+
+    def build(p):
+        if p is None:
+            return WitnessPrime(d, m, delta, narrow, extended, None, False, False,
+                                False, False)
+        return WitnessPrime(
+            d, m, delta, narrow, extended, p, narrow[0] < p < narrow[1],
+            p * p > 2 * dm,
+            _binom_multiplicity(2 * m, m, p) > _binom_multiplicity(2 * dm, dm, p),
+            all((2 * dm + s) % p for s in range(1, d)),
+        )
+
+    narrow_primes = primes_in(*narrow)
+    candidates = narrow_primes + [
+        p for p in primes_in(*extended) if p not in narrow_primes
+    ]
+    fallback = best_partial = None
+    for p in candidates:
+        cand = build(p)
+        if fallback is None:
+            fallback = cand
+        if cand.confirmed:
+            if cand.odd_product_ok:
+                return cand, candidates
+            if best_partial is None:
+                best_partial = cand
+    result = best_partial or fallback or build(None)
+    return result, candidates
+
+
+def test_witness_matches_window_scan():
+    for d in range(3, 9):
+        for m in range(1, 501):
+            w = mainthm_witness(d, m)
+            expected, candidates = _window_scan_witness(d, m)
+            assert w.to_doc() == expected.to_doc(), (d, m)
+            assert list(_witness_candidates(w.interval, w.extended_interval)) == \
+                candidates, (d, m)
 
 
 def test_witness_preconditions():

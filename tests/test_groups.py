@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latzeta.dirichlet import DirichletSeries
 from latzeta.errors import NotCoprimeOrders, OrderLimitExceeded
@@ -309,3 +311,64 @@ def test_is_normal_memo_matches_conjugation():
             direct = all(g.conjugate(x, a) in h for x in range(g.n) for a in h)
             assert g.is_normal(h) == direct
             assert g.is_normal(set(h)) == direct  # the memo is keyed by value
+
+
+def _naive_closure(ambient, generators):
+    # every pair of the closed set, every round, until nothing new appears
+    closed = {ambient.bottom, ambient.top} | set(generators)
+    while True:
+        fresh = set()
+        for x in closed:
+            for y in closed:
+                fresh |= {ambient.join(x, y), ambient.meet(x, y)} - closed
+        if not fresh:
+            return tuple(sorted(closed))
+        closed |= fresh
+
+
+@pytest.mark.parametrize("group", [cyclic(12), dihedral(4), symmetric(4)],
+                         ids=["C12", "D4", "S4"])
+def test_sublattice_closure_matches_naive(monkeypatch, group):
+    # the closure tests only pairs with a new element; on every seed the
+    # good-sublattice scan closes it agrees with closing all pairs
+    from latzeta import groups as groups_module
+
+    calls = []
+
+    def recording(ambient, generators):
+        generators = list(generators)
+        sub = sublattice_generated(ambient, generators)
+        calls.append((ambient, generators, sub))
+        return sub
+
+    monkeypatch.setattr(groups_module, "sublattice_generated", recording)
+    good_sublattice_scan(group)
+    assert calls
+    for ambient, generators, sub in calls:
+        assert sub.ambient_ids == _naive_closure(ambient, generators)
+        assert sub.lattice.n == len(sub.ambient_ids)
+
+
+_CLOSURE_AMBIENTS = {}
+
+
+def _closure_ambient(name):
+    if name not in _CLOSURE_AMBIENTS:
+        from latzeta.families import partition_lattice
+
+        _CLOSURE_AMBIENTS[name] = (
+            partition_lattice(5) if name == "partition:5"
+            else coset_lattice(symmetric(4)).lattice
+        )
+    return _CLOSURE_AMBIENTS[name]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["partition:5", "coset:S4"]), st.data())
+def test_sublattice_closure_random_generators(name, data):
+    # random generators often reach rounds where an old and a new
+    # element give a further one; the scan's coset seeds never do
+    ambient = _closure_ambient(name)
+    generators = data.draw(st.lists(st.integers(0, ambient.n - 1), max_size=5))
+    sub = sublattice_generated(ambient, generators)
+    assert sub.ambient_ids == _naive_closure(ambient, generators)
