@@ -18,6 +18,7 @@ from .dirichlet import DirichletSeries
 from .errors import (
     BottomHasNoIrreducibles,
     BudgetExceeded,
+    CatalogCorrupt,
     LatZetaError,
     MismatchDetected,
     NotALattice,
@@ -34,7 +35,6 @@ from .lattice import (
 from .zeta import (
     OracleCheck,
     ZetaReport,
-    local_sums,
     verify_series_against_oracle,
     zeta_series,
 )
@@ -93,6 +93,7 @@ __all__ = [
     "MismatchDetected",
     "BottomHasNoIrreducibles",
     "BudgetExceeded",
+    "CatalogCorrupt",
     "NotCoprimeOrders",
     "SingularInput",
     "UnknownFixture",
@@ -103,7 +104,6 @@ __all__ = [
     "ZetaReport",
     "OracleCheck",
     "zeta_series",
-    "local_sums",
     "verify_series_against_oracle",
     "boolean_lattice",
     "chain",

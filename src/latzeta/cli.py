@@ -23,7 +23,7 @@ from .cosetlike import (
     ddiv_strong_check,
     load_fixture,
 )
-from .errors import LatZetaError, MismatchDetected, UsageError
+from .errors import CatalogCorrupt, LatZetaError, MismatchDetected, UsageError
 from .lattice import Lattice, parse_lat
 from .zeta import (
     DEFAULT_TUPLE_BUDGET,
@@ -588,7 +588,7 @@ def run(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         doc, lines, code = args.handler(args)
-    except UsageError as exc:
+    except (UsageError, CatalogCorrupt) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MismatchDetected as exc:

@@ -83,3 +83,8 @@ class UnknownFixture(LatZetaError):
 
 class UsageError(LatZetaError):
     """Malformed command-line input."""
+
+
+class CatalogCorrupt(LatZetaError):
+    """A catalog file holds a line that is neither an entry, a level
+    marker nor a comment; the message names the path and line number."""

@@ -311,12 +311,11 @@ def divisibility_lattice(n):
     divisibility_size(n)
     divs = divisors(n)
     index = {d: i for i, d in enumerate(divs)}
-    pairs = [
-        (index[a], index[b])
-        for a, b in itertools.combinations(divs, 2)
-        if b % a == 0
+    primes = [p for p, _ in factorize(n)]
+    covers = [
+        (i, index[d * p]) for i, d in enumerate(divs) for p in primes if d * p in index
     ]
-    return Lattice.from_covers(len(divs), pairs)
+    return Lattice.from_covers(len(divs), covers)
 
 
 def subspace_lattice(q, n, *, max_vectors=512):
@@ -362,12 +361,7 @@ def subspace_lattice(q, n, *, max_vectors=512):
         return (len(sub), tuple(sorted(vec_id[v] for v in sub)))
 
     subs = sorted(known, key=sort_key)
-    pairs = [
-        (i, j)
-        for i, j in itertools.combinations(range(len(subs)), 2)
-        if subs[i] < subs[j]
-    ]
-    return Lattice.from_covers(len(subs), pairs)
+    return Lattice.from_sets(sum(1 << vec_id[v] for v in sub) for sub in subs)
 
 
 def partition_lattice(n, *, max_n=8):

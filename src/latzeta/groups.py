@@ -220,17 +220,16 @@ def direct_product(a, b, name=None):
 # subgroup lattice and the group zeta function
 
 
+def _mask(elements):
+    """Bitmask with bit ``x`` set for each element id ``x``."""
+    return sum(1 << x for x in elements)
+
+
 def subgroup_lattice(group):
     """Lattice of subgroups under inclusion; element i corresponds to
     ``group.subgroups()[i]``."""
     if group._subgroup_lattice is None:
-        subs = group.subgroups()
-        pairs = [
-            (i, j)
-            for i, j in itertools.combinations(range(len(subs)), 2)
-            if subs[i] < subs[j]
-        ]
-        group._subgroup_lattice = Lattice.from_covers(len(subs), pairs)
+        group._subgroup_lattice = Lattice.from_sets(map(_mask, group.subgroups()))
     return group._subgroup_lattice
 
 
@@ -345,23 +344,12 @@ def coset_lattice(group, *, max_elements=2000):
     ordered = sorted(cosets, key=lambda c: (len(c), tuple(sorted(c))))
     members = (frozenset(),) + tuple(ordered)
     subgroup_of = (None,) + tuple(cosets[c] for c in ordered)
-    pairs = [(0, i) for i in range(1, count)]
-    for i, j in itertools.combinations(range(1, count), 2):
-        if members[i] < members[j]:
-            pairs.append((i, j))
-        elif members[j] < members[i]:
-            pairs.append((j, i))
-    lat = Lattice.from_covers(count, pairs)
-    singleton_id = {}
-    for i, m in enumerate(members):
-        if len(m) == 1:
-            singleton_id[next(iter(m))] = i
     return CosetLattice(
         group=group,
-        lattice=lat,
+        lattice=Lattice.from_sets(map(_mask, members)),
         members=members,
         subgroup_of=subgroup_of,
-        singleton_id=singleton_id,
+        singleton_id={min(m): i for i, m in enumerate(members) if len(m) == 1},
         member_index={m: i for i, m in enumerate(members)},
     )
 
@@ -496,21 +484,11 @@ def sublattice_generated(ambient, generators):
         closed = closed | found
         fresh = found
     ids = tuple(sorted(closed))
-    pos = {x: i for i, x in enumerate(ids)}
-    pairs = [
-        (pos[x], pos[y])
-        for x, y in itertools.combinations(ids, 2)
-        if ambient.leq(x, y)
-    ]
-    # ids are ascending and leq can point either way between them
-    pairs += [
-        (pos[y], pos[x])
-        for x, y in itertools.combinations(ids, 2)
-        if ambient.leq(y, x) and x != y
-    ]
-    return Sublattice(
-        lattice=Lattice.from_covers(len(ids), pairs), ambient_ids=ids
-    )
+    # the order on the closed set is inclusion of its principal ideals
+    # cut down to the closed set
+    keep = _mask(ids)
+    lattice = Lattice.from_sets(ambient.down[x] & keep for x in ids)
+    return Sublattice(lattice=lattice, ambient_ids=ids)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,14 @@ Conventions used throughout:
   relabellings.
 - The order is stored as bitmasks: ``up[x]`` has bit ``y`` set iff
   ``x <= y``, and ``down[y]`` has bit ``x`` set iff ``x <= y``.
-- Construction validates everything eagerly: acyclicity of the covers,
-  existence of a unique bottom and top, and existence of the meet of
-  every element with every meet-irreducible (an element with exactly one
-  upper cover).  That suffices for all meets, hence all joins (see
+- There are two public constructors.  ``Lattice.from_covers`` takes a
+  below/above relation and checks it is acyclic; ``Lattice.from_sets``
+  takes distinct ground-set bitmasks ordered by inclusion.  Both hand
+  the principal filters to one kernel, ``Lattice._from_up``, which
+  derives the rest and validates eagerly: existence of a unique bottom
+  and top, and existence of the meet of every element with every
+  meet-irreducible (an element with exactly one upper cover).  That
+  suffices for all meets, hence all joins (see
   ``Lattice._check_meets``), so a ``Lattice`` that exists is a lattice.
 - Join/meet tables are built on the first ``join``/``meet`` call for
   orders up to ``TABLE_THRESHOLD`` elements; above that a principal
@@ -71,15 +75,35 @@ def _op_table(masks, index):
     return [array(kind, [index[mx & my] for my in masks]) for mx in masks]
 
 
-def _covers_from_up(n, up, down):
-    """Transitive reduction of the order given by up/down masks."""
+def _order_structure(n, up, down):
+    """``(covers, covers_up, covers_down, heights)`` of the order given by
+    up/down masks: the transitive reduction as ascending pairs, each
+    element's upper and lower covers, and its longest-path height."""
     covers = []
+    covers_up = [[] for _ in range(n)]
+    covers_down = [[] for _ in range(n)]
     for a in range(n):
         strict = up[a] & ~(1 << a)
         for b in _iter_bits(strict):
             if not (strict & down[b] & ~(1 << b)):
                 covers.append((a, b))
-    return covers
+                covers_up[a].append(b)
+                covers_down[b].append(a)
+    # ordering by down-set size is a linear extension, so lower covers
+    # are always finalised first
+    heights = [0] * n
+    for x in sorted(range(n), key=lambda v: down[v].bit_count()):
+        if covers_down[x]:
+            heights[x] = 1 + max(heights[c] for c in covers_down[x])
+    return covers, covers_up, covers_down, heights
+
+
+def _check_count(n):
+    """Reject an element count that cannot make a lattice."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"element count must be a positive integer, got {n!r}")
+    if n == 1:
+        raise DegenerateLattice("the one-element order has bottom == top")
 
 
 class Lattice:
@@ -95,7 +119,6 @@ class Lattice:
         "_covers_up",
         "_covers_down",
         "_heights",
-        "_depths",
         "_filter_index",
         "_ideal_index",
         "_join_rows",
@@ -109,7 +132,7 @@ class Lattice:
     )
 
     def __init__(self, *_args, **_kwargs):
-        raise TypeError("use Lattice.from_covers(...) to build a lattice")
+        raise TypeError("use Lattice.from_covers(...) or Lattice.from_sets(...)")
 
     # ------------------------------------------------------------------
     # construction
@@ -127,11 +150,7 @@ class Lattice:
         ``table_threshold`` elements, ``join``/``meet`` fill an O(1)
         lookup table on first use.
         """
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"element count must be a positive integer, got {n!r}")
-        if n == 1:
-            raise DegenerateLattice("the one-element order has bottom == top")
-
+        _check_count(n)
         succ = [set() for _ in range(n)]  # a -> {b : a < b given}
         pred = [set() for _ in range(n)]
         for a, b in covers:
@@ -159,7 +178,43 @@ class Lattice:
                     stack.append(p)
         if seen != n:
             raise CyclicCovers("cover relation contains a directed cycle")
+        return cls._from_up(n, up, table_threshold)
 
+    @classmethod
+    def from_sets(cls, sets):
+        """Build and validate the lattice of distinct ground-set bitmasks
+        ordered by inclusion; element ``i`` is ``sets[i]``.
+
+        A set's principal filter is the AND, over its ground bits, of the
+        sets holding that bit, so no pair of sets is compared.  Raises
+        ``ValueError`` for a negative or repeated mask, and otherwise
+        what ``from_covers`` raises.
+        """
+        sets = list(sets)
+        n = len(sets)
+        _check_count(n)
+        if len(set(sets)) != n:
+            raise ValueError("the sets are not distinct")
+        if min(sets) < 0:
+            raise ValueError("ground-set masks must be non-negative")
+        holders = [0] * max(sets).bit_length()  # ground bit -> sets holding it
+        for i, s in enumerate(sets):
+            for g in _iter_bits(s):
+                holders[g] |= 1 << i
+        full = (1 << n) - 1
+        up = []
+        for s in sets:
+            filt = full
+            for g in _iter_bits(s):
+                filt &= holders[g]
+            up.append(filt)
+        return cls._from_up(n, up)
+
+    @classmethod
+    def _from_up(cls, n, up, table_threshold=TABLE_THRESHOLD):
+        """The lattice of the partial order on ``n >= 2`` elements whose
+        principal filters are ``up``; raises ``NoBoundedStructure`` or
+        ``NotALattice`` unless that order is a lattice."""
         down = _transpose_masks(n, up)
         full = (1 << n) - 1
         bottom = top = -1
@@ -178,30 +233,11 @@ class Lattice:
         self.bottom = bottom
         self.top = top
 
-        reduced = _covers_from_up(n, up, down)
-        reduced.sort()
-        self.covers = tuple(reduced)
-        covers_up = [[] for _ in range(n)]
-        covers_down = [[] for _ in range(n)]
-        for a, b in reduced:
-            covers_up[a].append(b)
-            covers_down[b].append(a)
-        self._covers_up = tuple(tuple(v) for v in covers_up)
-        self._covers_down = tuple(tuple(v) for v in covers_down)
-
-        # Longest-path heights/depths; ordering by down-set size is a
-        # linear extension, so lower covers are always finalised first.
-        order = sorted(range(n), key=lambda x: down[x].bit_count())
-        heights = [0] * n
-        for x in order:
-            if covers_down[x]:
-                heights[x] = 1 + max(heights[c] for c in covers_down[x])
-        depths = [0] * n
-        for x in reversed(order):
-            if covers_up[x]:
-                depths[x] = 1 + max(depths[c] for c in covers_up[x])
+        covers, covers_up, covers_down, heights = _order_structure(n, up, down)
+        self.covers = tuple(covers)
+        self._covers_up = tuple(map(tuple, covers_up))
+        self._covers_down = tuple(map(tuple, covers_down))
         self._heights = tuple(heights)
-        self._depths = tuple(depths)
         self._desc_height = tuple(sorted(range(n), key=lambda x: -heights[x]))
 
         self._filter_index = {up[x]: x for x in range(n)}
@@ -210,14 +246,9 @@ class Lattice:
         self._tabulate = n <= table_threshold
         self._join_rows = self._meet_rows = None
 
-        irr = tuple(
-            x for x in range(n) if x != bottom and len(self._covers_down[x]) == 1
-        )
+        irr = tuple(x for x in range(n) if x != bottom and len(covers_down[x]) == 1)
         self._irreducibles = irr
-        mask = 0
-        for x in irr:
-            mask |= 1 << x
-        self._irr_mask = mask
+        self._irr_mask = sum(1 << x for x in irr)
 
         self._mobius_cache = {}
         self._canonical_key = None
@@ -436,15 +467,7 @@ def _refine_partition(n, cells, covers_up, covers_down):
 def _root_partition(n, up, down):
     """The refined seed colouring (rank, upper-cover degree, lower-cover
     degree) at the root of the canonical search, with the cover lists."""
-    covers_up = [[] for _ in range(n)]
-    covers_down = [[] for _ in range(n)]
-    for a, b in _covers_from_up(n, up, down):
-        covers_up[a].append(b)
-        covers_down[b].append(a)
-    heights = [0] * n
-    for x in sorted(range(n), key=lambda v: down[v].bit_count()):
-        if covers_down[x]:
-            heights[x] = 1 + max(heights[c] for c in covers_down[x])
+    _, covers_up, covers_down, heights = _order_structure(n, up, down)
     init = [(heights[x], len(covers_up[x]), len(covers_down[x])) for x in range(n)]
 
     order = sorted(range(n), key=lambda x: init[x])
@@ -659,10 +682,6 @@ def decode_canonical_key(key, n):
             if (col >> (j - 1 - i)) & 1:
                 pairs.append((i, j))
     return Lattice.from_covers(n, pairs)
-
-
-def canonical_form(lattice):
-    return lattice.canonical_form()
 
 
 def is_isomorphic(a, b):

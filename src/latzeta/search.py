@@ -28,17 +28,17 @@ filtered by a direct lattice test) cross-checks the counts for small n.
 
 import hashlib
 import os
+import re
 from dataclasses import dataclass
 from multiprocessing import Pool
 from operator import itemgetter
 
 from .cosetlike import classify  # noqa: F401 -- bench/spans.py traces search.classify
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, CatalogCorrupt
 from .lattice import (
     Lattice,
     _canonical_labelling,
     _columns_to_hex,
-    _covers_from_up,
     _hex_to_columns,
     _iter_bits,
     _transpose_masks,
@@ -60,6 +60,13 @@ __all__ = [
 ]
 
 DEFAULT_MAX_N = 11
+
+# every line of a catalog file, with runs of blanks read as one space
+_CATALOG_LINE = re.compile(
+    r"((?:[0-9a-f]{2})+) ([0-9]+) ([a-][s-][w-])"  # an entry: key, n, flags
+    r"|# complete ([0-9]+)"  # the marker that closes level n
+    r"|(?!# complete(?: |$))(?:#.*)?"  # a comment or a blank line
+)
 
 
 # ----------------------------------------------------------------------
@@ -251,12 +258,8 @@ def _lattice_from_semilattice(ups, key):
     """Adjoin a bottom below the minimal elements of a semilattice whose
     canonical key is ``key``; the lattice's key is derived, not searched."""
     m = len(ups)
-    down = _transpose_masks(m, list(ups))
-    covers = [(a + 1, b + 1) for a, b in _covers_from_up(m, list(ups), down)]
-    for x in range(m):
-        if down[x] == 1 << x:  # minimal in the semilattice
-            covers.append((0, x + 1))
-    lattice = Lattice.from_covers(m + 1, covers)
+    # the new bottom is element 0, below everything; element x moves to x + 1
+    lattice = Lattice._from_up(m + 1, [(1 << (m + 1)) - 1] + [u << 1 for u in ups])
     lattice._canonical_key = _lattice_key(m, key)
     return lattice
 
@@ -442,8 +445,9 @@ class CatalogStore:
     Levels without a marker are discarded on load, so an interrupted
     run resumes by redoing only its last level and the regenerated file
     is byte-identical to an uninterrupted one (entries are kept sorted,
-    writes go through a temp file).  With ``path=None`` the levels are
-    kept in memory only.
+    writes go through a temp file).  A line that is neither an entry, a
+    marker nor a ``#`` comment raises ``CatalogCorrupt``.  With
+    ``path=None`` the levels are kept in memory only.
     """
 
     def __init__(self, path=None):
@@ -456,20 +460,21 @@ class CatalogStore:
         if self.path is None or not os.path.exists(self.path):
             return
         pending = {}
-        with open(self.path, encoding="ascii") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    parts = line.split()
-                    if parts[:2] == ["#", "complete"]:
-                        level = int(parts[2])
-                        self._complete.add(level)
-                        self._levels[level] = pending.pop(level, {})
-                    continue
-                key, n, flags = line.split()
-                pending.setdefault(int(n), {})[key] = flags
+        # a non-ASCII byte decodes to U+FFFD, which no entry or marker matches
+        with open(self.path, encoding="ascii", errors="replace") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                match = _CATALOG_LINE.fullmatch(" ".join(line.split()))
+                if match is None:
+                    raise CatalogCorrupt(
+                        f"{self.path}, line {lineno}: malformed catalog line"
+                        f" {line.strip()!r}"
+                    )
+                key, n, flags, level = match.groups()
+                if key is not None:
+                    pending.setdefault(int(n), {})[key] = flags
+                elif level is not None:
+                    self._complete.add(int(level))
+                    self._levels[int(level)] = pending.pop(int(level), {})
         # drop entries for levels that never saw their marker
 
     def is_complete(self, n):

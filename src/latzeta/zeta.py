@@ -84,13 +84,6 @@ def zeta_series(lattice):
     )
 
 
-def local_sums(lattice):
-    """Map base -> sum of mu(x, top) over x realising that base.
-
-    Bases whose sum vanishes are retained; the series drops them."""
-    return dict(zeta_series(lattice).local_sums)
-
-
 def zeta_series_atom_based(lattice):
     """The same series computed from atoms instead of join-irreducibles.
 

@@ -25,8 +25,8 @@ from latzeta.lattice import (
     Lattice,
     _canonical_labelling,
     _columns_to_hex,
-    _covers_from_up,
     _leaf_columns,
+    _order_structure,
     _refine_partition,
     _root_partition,
     _transpose_masks,
@@ -149,7 +149,7 @@ def automorphism_count(n, up):
     sig = [(up[x].bit_count(), down[x].bit_count()) for x in range(n)]
     ends = {x for x in range(n) if n in sig[x]}  # the bottom and the top
     neighbours = [[] for _ in range(n)]
-    for a, b in _covers_from_up(n, up, down):
+    for a, b in _order_structure(n, up, down)[0]:
         if a not in ends and b not in ends:
             neighbours[a].append(b)
             neighbours[b].append(a)

@@ -180,6 +180,15 @@ def test_search_catalog_resume(capsys, tmp_path):
     assert code == 0 and out1 == out2
 
 
+@pytest.mark.parametrize("bad", ["badline", "abcd 3", "# complete x"])
+def test_search_malformed_catalog_exit_code(capsys, tmp_path, bad):
+    path = tmp_path / "cat.txt"
+    path.write_text(f"# complete 2\n{bad}\n")
+    code, out, err = invoke(capsys, "search", "--max-n", "3", "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}, line 2: malformed catalog line {bad!r}\n"
+
+
 def test_fixture_roundtrip(capsys):
     code, out, _ = invoke(capsys, "fixture", "eleven_point")
     assert code == 0
@@ -272,7 +281,9 @@ def test_max_elements_checked_before_building(capsys, monkeypatch, target, count
     def refuse(*args, **kwargs):
         raise AssertionError("a lattice was built")
 
+    # every constructor ends in the shared kernel, and no target may reach it
     monkeypatch.setattr(Lattice, "from_covers", refuse)
+    monkeypatch.setattr(Lattice, "_from_up", refuse)
     code, out, err = invoke(capsys, "zeta", target, "--max-elements", "10")
     assert code == 2 and out == ""
     assert err == (

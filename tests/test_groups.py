@@ -27,7 +27,7 @@ from latzeta.groups import (
     verify_brown_identity,
     verify_coprime_product,
 )
-from latzeta.lattice import is_isomorphic
+from latzeta.lattice import Lattice, is_isomorphic
 from latzeta.zeta import zeta_series
 
 
@@ -347,6 +347,41 @@ def test_sublattice_closure_matches_naive(monkeypatch, group):
     for ambient, generators, sub in calls:
         assert sub.ambient_ids == _naive_closure(ambient, generators)
         assert sub.lattice.n == len(sub.ambient_ids)
+
+
+def _pairwise_sublattice(ambient, ids):
+    """The order induced on ``ids`` by calling ``leq`` on every pair, as
+    ``sublattice_generated`` built it before it read principal ideals."""
+    pos = {x: i for i, x in enumerate(ids)}
+    pairs = [(pos[x], pos[y]) for x in ids for y in ids
+             if x != y and ambient.leq(x, y)]
+    return Lattice.from_covers(len(ids), pairs)
+
+
+@pytest.mark.parametrize("group", [symmetric(3), dihedral(4), symmetric(4)],
+                         ids=["S3", "D4", "S4"])
+def test_sublattice_order_matches_pairwise_leq(monkeypatch, group):
+    from latzeta import groups as groups_module
+
+    subs = []
+
+    def recording(ambient, generators):
+        sub = sublattice_generated(ambient, generators)
+        subs.append((ambient, sub))
+        return sub
+
+    monkeypatch.setattr(groups_module, "sublattice_generated", recording)
+    good_sublattice_scan(group)
+    ambient = coset_lattice(group).lattice
+    for k in range(ambient.n):
+        subs.append((ambient, sublattice_generated(ambient, [k, ambient.n - 1 - k])))
+    assert subs
+    for ambient, sub in subs:
+        lattice = sub.lattice
+        oracle = _pairwise_sublattice(ambient, sub.ambient_ids)
+        assert lattice.up == oracle.up and lattice.covers == oracle.covers
+        assert (lattice.bottom, lattice.top) == (oracle.bottom, oracle.top)
+        assert lattice.join_irreducibles() == oracle.join_irreducibles()
 
 
 _CLOSURE_AMBIENTS = {}

@@ -29,7 +29,6 @@ from latzeta.groups import coset_lattice, cyclic, symmetric
 from latzeta.lattice import (
     Lattice,
     adjoin_atoms,
-    canonical_form,
     canonical_key_from_up,
     cartesian_product,
     decode_canonical_key,
@@ -298,11 +297,6 @@ def test_canonical_key_decode_roundtrip(lattices_by_size):
         rebuilt = decode_canonical_key(key, lat.n)
         assert rebuilt.canonical_form() == key
         assert is_isomorphic(rebuilt, lat)
-
-
-def test_canonical_form_function_matches_method():
-    lat = Lattice.from_covers(*PENTAGON)
-    assert canonical_form(lat) == lat.canonical_form()
 
 
 def test_is_isomorphic_rejects_different_sizes():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from latzeta import search
 from latzeta.cosetlike import classify
-from latzeta.errors import BudgetExceeded
+from latzeta.errors import BudgetExceeded, CatalogCorrupt
 from latzeta.lattice import (
     Lattice,
     _canonical_labelling,
@@ -203,6 +203,28 @@ def test_catalog_store_discards_incomplete_level(tmp_path):
     # regeneration is byte-identical to the uninterrupted file
     level_entries(5, store=resumed)
     assert path.read_text() == full
+
+
+@pytest.mark.parametrize("bad", ["badline", "abcd 3", "# complete x"])
+def test_catalog_store_rejects_malformed_line(tmp_path, bad):
+    path = tmp_path / "catalog.txt"
+    level_entries(3, store=CatalogStore(path))
+    good = path.read_text()
+    path.write_text(good + bad + "\n")
+    line = good.count("\n") + 1
+    with pytest.raises(CatalogCorrupt) as info:
+        CatalogStore(path)
+    assert str(info.value) == (
+        f"{path}, line {line}: malformed catalog line {bad!r}"
+    )
+
+
+def test_catalog_store_ignores_comments(tmp_path):
+    path = tmp_path / "catalog.txt"
+    level_entries(3, store=CatalogStore(path))
+    good = path.read_text()
+    path.write_text("# a note\n#complete 9\n\n" + good)
+    assert CatalogStore(path).complete_levels() == [3]
 
 
 def test_weak_not_strong_empty_through_eight():

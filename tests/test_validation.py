@@ -5,14 +5,16 @@ every meet-irreducible.  These tests hold it to the deliberately naive
 pairwise test ``search._is_lattice_masks``, exhaustively on small posets
 and on random cover sets, and check the lazily built join/meet tables
 (and the dict fallback above the table threshold) against a direct
-least-upper-bound / greatest-lower-bound search.
+least-upper-bound / greatest-lower-bound search.  ``Lattice.from_sets``
+is held to ``from_covers`` on the pairwise inclusions of random set
+families.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latzeta.errors import NoBoundedStructure, NotALattice
+from latzeta.errors import LatZetaError, NoBoundedStructure, NotALattice
 from latzeta.families import partition_lattice
 from latzeta.lattice import Lattice
 from latzeta.search import _is_lattice_masks, _naturally_labeled_posets
@@ -126,6 +128,61 @@ def test_random_covers_agree_with_pairwise_test(case):
     n, pairs = case
     if _agrees_with_naive(n, pairs):
         _assert_operations(n, pairs)
+
+
+@st.composite
+def set_families(draw):
+    """Distinct subsets of a ground set of up to 6 points, in random
+    order.  A third of the families are left as drawn, mostly without a
+    bottom or a top; a third get the empty and the whole set, so that
+    the meet check decides; a third are also closed under intersection,
+    which makes them lattices."""
+    ground = draw(st.integers(1, 6))
+    full = (1 << ground) - 1
+    sets = draw(st.lists(st.integers(0, full), max_size=14))
+    mode = draw(st.sampled_from(["raw", "bounded", "closed"]))
+    if mode != "raw":
+        sets += [0, full]
+    if mode == "closed":  # round r adds the intersections of 2**r drawn sets
+        for _ in range(4):
+            sets = list(dict.fromkeys(sets + [a & b for a in sets for b in sets]))
+    sets = list(dict.fromkeys(sets))
+    return draw(st.permutations(sets))
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_families())
+# bounded, but {0, 1, 2} and {0, 1, 3, 4} have two maximal common
+# lower bounds, {0} and {1}
+@example([0b00000, 0b00001, 0b00010, 0b00111, 0b11011, 0b11111])
+def test_from_sets_agrees_with_from_covers(sets):
+    n = len(sets)
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if i != j and sets[i] & sets[j] == sets[i]]
+    try:
+        expected = Lattice.from_covers(n, pairs)
+    except (ValueError, LatZetaError) as exc:
+        with pytest.raises(type(exc)) as info:
+            Lattice.from_sets(sets)
+        assert type(info.value) is type(exc)
+        return
+    lattice = Lattice.from_sets(sets)
+    assert lattice.up == expected.up
+    assert lattice.covers == expected.covers
+    assert (lattice.bottom, lattice.top) == (expected.bottom, expected.top)
+
+
+def test_from_sets_rejects_repeated_and_negative_sets():
+    with pytest.raises(ValueError):
+        Lattice.from_sets([0, 1, 1, 3])
+    with pytest.raises(ValueError):
+        Lattice.from_sets([-1, 0])
+
+
+def test_from_sets_reads_any_iterable():
+    lattice = Lattice.from_sets(iter([0b11, 0b01, 0, 0b10]))
+    assert (lattice.bottom, lattice.top) == (2, 0)
+    assert lattice.atoms() == (1, 3)
 
 
 def test_meet_irreducible_pairs_alone_do_not_suffice():

@@ -16,7 +16,6 @@ from latzeta.families import boolean_lattice, chain, divisibility_lattice
 from latzeta.lattice import Lattice
 from latzeta.zeta import (
     brute_force_probability,
-    local_sums,
     verify_series_against_oracle,
     zeta_series,
     zeta_series_atom_based,
@@ -74,10 +73,6 @@ def test_report_fields():
     doc = report.to_doc()
     assert doc["n"] == 8 and doc["j_count"] == 3
     assert len(doc["local_sums"]) == len(report.local_sums)
-
-
-def test_local_sums_boolean():
-    assert local_sums(boolean_lattice(2)) == {Fraction(1): 1, Fraction(2): -2}
 
 
 def test_value_at_zero_is_minus_mobius(lattices_by_size):
