@@ -389,7 +389,7 @@ def _suite_oracle(args):
     for n in range(2, 8):
         for lattice in search.enumerate_lattices(n):
             verify_series_against_oracle(
-                lattice, min(args.smax, 3), budget=args.budget_tuples
+                lattice, args.smax, budget=args.budget_tuples
             )
         yield f"oracle n={n}", True
 

@@ -81,20 +81,18 @@ def classify(lattice):
     """
     report = zeta_series(lattice)
     j_total = report.j_count
-    failures = []
-    for x in range(lattice.n):
-        if x == lattice.bottom:
-            continue
-        jx = lattice.count_below_irreducibles(x)
-        if j_total % jx:
-            failures.append((x, jx, j_total))
+    failures = tuple(
+        (x, jx, j_total)
+        for x, jx in enumerate(report.j_below)
+        if x != lattice.bottom and j_total % jx
+    )
     non_integer = tuple(
         q for q, _ in report.series.terms() if q.denominator != 1
     )
     return Classification(
         strong=not failures,
         weak=not non_integer,
-        strong_failures=tuple(failures),
+        strong_failures=failures,
         non_integer_bases=non_integer,
     )
 

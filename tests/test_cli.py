@@ -326,6 +326,24 @@ def test_verify_suites(capsys):
         assert "FAIL" not in out
 
 
+def test_verify_oracle_honours_smax(capsys, monkeypatch):
+    import latzeta.cli as cli_mod
+
+    real = cli_mod.verify_series_against_oracle
+    seen = set()
+
+    def recording(lattice, s_max, **kwargs):
+        check = real(lattice, s_max, **kwargs)
+        seen.add((s_max, tuple(sorted(check.s_values)), check.methods))
+        return check
+
+    monkeypatch.setattr(cli_mod, "verify_series_against_oracle", recording)
+    code, out, _ = invoke(capsys, "verify", "--suite", "oracle", "--smax", "5")
+    assert code == 0 and "suite oracle: OK" in out
+    # every lattice on up to 7 elements has |J| <= 6, so 6**5 tuples fit
+    assert seen == {(5, (1, 2, 3, 4, 5), ("direct", "mobius"))}
+
+
 def test_verify_json(capsys):
     code, out, _ = invoke(
         capsys, "verify", "--suite", "fixtures", "--format", "json"

@@ -78,6 +78,17 @@ def test_classify_weak_not_strong():
     assert verdict.non_integer_bases == ()
 
 
+def test_classify_strong_failures_match_element_counts(lattices_by_size):
+    lattices = lattices_by_size[7] + [boolean_lattice(3), load_fixture("ten_point")]
+    for lat in lattices:
+        j = len(lat.join_irreducibles())
+        want = []
+        for x in range(lat.n):
+            if x != lat.bottom and j % lat.count_below_irreducibles(x):
+                want.append((x, lat.count_below_irreducibles(x), j))
+        assert classify(lat).strong_failures == tuple(want)
+
+
 def test_classify_doc():
     doc = classify(boolean_lattice(3)).to_doc()
     assert doc["strong"] is False and doc["weak"] is False

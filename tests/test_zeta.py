@@ -1,10 +1,13 @@
 """Series engine: exact values on known lattices, report structure, and
 agreement with the two brute-force oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latzeta.errors import (
     BottomTarget,
@@ -12,7 +15,13 @@ from latzeta.errors import (
     DegenerateGeneration,
     MismatchDetected,
 )
-from latzeta.families import boolean_lattice, chain, divisibility_lattice
+from latzeta.families import (
+    boolean_lattice,
+    chain,
+    divisibility_lattice,
+    partition_lattice,
+    subspace_lattice,
+)
 from latzeta.lattice import Lattice
 from latzeta.zeta import (
     brute_force_probability,
@@ -135,9 +144,81 @@ def test_brute_force_edge_cases():
     assert brute_force_probability(lat, lat.top, 3, budget=7) == Fraction(3, 4)
 
 
+def enumerated_probability(lattice, x, s):
+    """The direct oracle by literal enumeration: fold ``join`` over each
+    of the |J_x|**s tuples and count those that reach x."""
+    jx = lattice.below_irreducibles(x)
+    hits = 0
+    for tup in itertools.product(jx, repeat=s):
+        acc = lattice.bottom
+        for e in tup:
+            acc = lattice.join(acc, e)
+        if acc == x:
+            hits += 1
+    return Fraction(hits, len(jx) ** s)
+
+
+def test_direct_count_equals_enumeration_on_census(lattices_by_size):
+    for lat in (lat for n in range(2, 7) for lat in lattices_by_size[n]):
+        for x in range(lat.n):
+            if x == lat.bottom:
+                continue
+            for s in range(5):
+                got = brute_force_probability(lat, x, s, method="direct")
+                assert got == enumerated_probability(lat, x, s), (lat.covers, x, s)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: boolean_lattice(4),
+    lambda: partition_lattice(5),
+    lambda: subspace_lattice(2, 3),
+    lambda: divisibility_lattice(360),
+], ids=["boolean:4", "partition:5", "subspace:2,3", "divisor:360"])
+def test_direct_count_equals_enumeration_at_top(build):
+    lat = build()
+    for s in range(6):
+        got = brute_force_probability(lat, lat.top, s, method="direct")
+        assert got == enumerated_probability(lat, lat.top, s), s
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_direct_count_equals_enumeration_relabelled(lattices_by_size, data):
+    # a relabelled copy moves the bottom and the top off their census slots
+    census = [lat for lats in lattices_by_size.values() for lat in lats]
+    lat = data.draw(st.sampled_from(census))
+    perm = data.draw(st.permutations(range(lat.n)))
+    lat = Lattice.from_covers(lat.n, [(perm[a], perm[b]) for a, b in lat.covers])
+    x = data.draw(st.sampled_from([y for y in range(lat.n) if y != lat.bottom]))
+    s = data.draw(st.integers(0, 5))
+    got = brute_force_probability(lat, x, s, method="direct")
+    assert got == enumerated_probability(lat, x, s)
+
+
+def test_direct_count_join_calls_are_bounded(monkeypatch):
+    # Pi_6: 203 elements, 15 irreducibles; enumerating the 15**5 tuples
+    # would take about 3.0M joins, the prefix-join count at most s*n*|J|
+    lat = partition_lattice(6)
+    calls = 0
+    real = Lattice.join
+
+    def counting_join(self, a, b):
+        nonlocal calls
+        calls += 1
+        return real(self, a, b)
+
+    monkeypatch.setattr(Lattice, "join", counting_join)
+    got = brute_force_probability(lat, lat.top, 5, method="direct")
+    assert 0 < calls <= 5 * 203 * 15
+    monkeypatch.undo()
+    assert got == brute_force_probability(lat, lat.top, 5, method="mobius")
+
+
 def test_verify_series_against_oracle():
-    check = verify_series_against_oracle(boolean_lattice(3), 3)
-    assert check.ok
+    lat = boolean_lattice(3)
+    check = verify_series_against_oracle(lat, 3)
+    series = zeta_series(lat).series
+    assert all(check.s_values[s] == series.evaluate_exact(s) for s in (1, 2, 3))
     assert check.methods == ("direct", "mobius")
     assert set(check.s_values) == {1, 2, 3}
     # two draws from the three atoms of B_3 never join to the top,
