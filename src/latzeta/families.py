@@ -290,32 +290,26 @@ def d_divisible_size(d, n, *, max_ground=12, max_elements=20_000):
 
 
 def boolean_lattice(r, *, max_rank=16):
-    """Subset lattice of an r-set; 2**r elements."""
+    """Subset lattice of an r-set; element i is the subset with mask i."""
     boolean_size(r, max_rank=max_rank)
-    pairs = []
-    for mask in range(1 << r):
-        for i in range(r):
-            if not (mask >> i) & 1:
-                pairs.append((mask, mask | (1 << i)))
-    return Lattice.from_covers(1 << r, pairs)
+    return Lattice.from_sets(range(1 << r))
 
 
 def chain(k):
     """Total order on k >= 2 elements."""
     chain_size(k)
-    return Lattice.from_covers(k, [(i, i + 1) for i in range(k - 1)])
+    return Lattice.from_sets((1 << i) - 1 for i in range(k))
 
 
 def divisibility_lattice(n):
-    """Divisors of n ordered by divisibility; element i is divisors(n)[i]."""
+    """Divisors of n ordered by divisibility; element i is divisors(n)[i],
+    as the set of prime powers q | n dividing it."""
     divisibility_size(n)
-    divs = divisors(n)
-    index = {d: i for i, d in enumerate(divs)}
-    primes = [p for p, _ in factorize(n)]
-    covers = [
-        (i, index[d * p]) for i, d in enumerate(divs) for p in primes if d * p in index
-    ]
-    return Lattice.from_covers(len(divs), covers)
+    powers = [p**i for p, e in factorize(n) for i in range(1, e + 1)]
+    return Lattice.from_sets(
+        sum(1 << b for b, q in enumerate(powers) if d % q == 0)
+        for d in divisors(n)
+    )
 
 
 def subspace_lattice(q, n, *, max_vectors=512):
@@ -364,25 +358,20 @@ def subspace_lattice(q, n, *, max_vectors=512):
     return Lattice.from_sets(sum(1 << vec_id[v] for v in sub) for sub in subs)
 
 
+def _pair_mask(partition, ground):
+    """A partition of {0..ground-1} as an equivalence relation: one bit
+    per pair a < b inside a block, so refinement is inclusion."""
+    pairs = (pair for block in partition for pair in itertools.combinations(block, 2))
+    return sum(1 << (a * ground + b) for a, b in pairs)
+
+
 def partition_lattice(n, *, max_n=8):
     """Set partitions of an n-set ordered by refinement.
 
     Element i is ``set_partitions(n)[i]``; finer partitions sit lower.
     """
     partition_size(n, max_n=max_n)
-    parts = set_partitions(n)
-    index = {p: i for i, p in enumerate(parts)}
-    pairs = []
-    for i, p in enumerate(parts):
-        blocks = [list(b) for b in p]
-        for a, b in itertools.combinations(range(len(blocks)), 2):
-            merged = sorted(
-                [blocks[x] for x in range(len(blocks)) if x not in (a, b)]
-                + [sorted(blocks[a] + blocks[b])]
-            )
-            coarser = tuple(tuple(x) for x in merged)
-            pairs.append((i, index[coarser]))
-    return Lattice.from_covers(len(parts), pairs)
+    return Lattice.from_sets(_pair_mask(p, n) for p in set_partitions(n))
 
 
 def d_divisible_partitions(d, n):
@@ -419,23 +408,11 @@ def d_divisible_count(d, n):
 
 def d_divisible_partition_lattice(d, n, *, max_ground=12, max_elements=20_000):
     """d-divisible partitions of a dn-set under refinement, plus an
-    artificial bottom below the all-blocks-of-size-d partitions."""
+    artificial bottom, element 0, below the all-blocks-of-size-d
+    partitions; element i + 1 is ``d_divisible_partitions(d, n)[i]``."""
     d_divisible_size(d, n, max_ground=max_ground, max_elements=max_elements)
     parts = d_divisible_partitions(d, n)
-    index = {p: i + 1 for i, p in enumerate(parts)}  # 0 is the bottom
-    pairs = []
-    for p, i in index.items():
-        blocks = [list(b) for b in p]
-        if len(blocks) == n:  # finest layer: atoms over the new bottom
-            pairs.append((0, i))
-        for a, b in itertools.combinations(range(len(blocks)), 2):
-            merged = sorted(
-                [blocks[x] for x in range(len(blocks)) if x not in (a, b)]
-                + [sorted(blocks[a] + blocks[b])]
-            )
-            coarser = tuple(tuple(x) for x in merged)
-            pairs.append((i, index[coarser]))
-    return Lattice.from_covers(len(parts) + 1, pairs)
+    return Lattice.from_sets([0] + [_pair_mask(p, d * n) for p in parts])
 
 
 @lru_cache(maxsize=None)

@@ -7,12 +7,15 @@ Conventions used throughout:
   relabellings.
 - The order is stored as bitmasks: ``up[x]`` has bit ``y`` set iff
   ``x <= y``, and ``down[y]`` has bit ``x`` set iff ``x <= y``.
-- There are two public constructors.  ``Lattice.from_covers`` takes a
-  below/above relation and checks it is acyclic; ``Lattice.from_sets``
-  takes distinct ground-set bitmasks ordered by inclusion.  Both hand
-  the principal filters to one kernel, ``Lattice._from_up``, which
-  derives the rest and validates eagerly: existence of a unique bottom
-  and top, and existence of the meet of every element with every
+- There are two public constructors.  ``Lattice.from_sets`` takes
+  distinct ground-set bitmasks ordered by inclusion; the families, both
+  products, subgroup and coset lattices and generated sublattices are
+  built with it.  ``Lattice.from_covers`` takes a below/above relation
+  and checks it is acyclic; it serves input that arrives as covers
+  (``.lat`` files, fixtures, ``decode_canonical_key``, ``adjoin_atoms``).
+  Both hand the principal filters to one kernel, ``Lattice._from_up``,
+  which derives the rest and validates eagerly: existence of a unique
+  bottom and top, and existence of the meet of every element with every
   meet-irreducible (an element with exactly one upper cover).  That
   suffices for all meets, hence all joins (see
   ``Lattice._check_meets``), so a ``Lattice`` that exists is a lattice.
@@ -138,7 +141,7 @@ class Lattice:
     # construction
 
     @classmethod
-    def from_covers(cls, n, covers, *, table_threshold=TABLE_THRESHOLD):
+    def from_covers(cls, n, covers):
         """Build and validate a lattice from a below/above relation.
 
         ``covers`` is any iterable of pairs ``(a, b)`` meaning ``a < b``;
@@ -146,9 +149,7 @@ class Lattice:
         re-derived.  Raises ``CyclicCovers``, ``NoBoundedStructure``,
         ``DegenerateLattice`` or ``NotALattice`` as appropriate; the
         lattice test looks up ``meet(x, m)`` for every element ``x`` and
-        every meet-irreducible ``m``, not every pair.  With at most
-        ``table_threshold`` elements, ``join``/``meet`` fill an O(1)
-        lookup table on first use.
+        every meet-irreducible ``m``, not every pair.
         """
         _check_count(n)
         succ = [set() for _ in range(n)]  # a -> {b : a < b given}
@@ -178,7 +179,7 @@ class Lattice:
                     stack.append(p)
         if seen != n:
             raise CyclicCovers("cover relation contains a directed cycle")
-        return cls._from_up(n, up, table_threshold)
+        return cls._from_up(n, up)
 
     @classmethod
     def from_sets(cls, sets):
@@ -211,7 +212,7 @@ class Lattice:
         return cls._from_up(n, up)
 
     @classmethod
-    def _from_up(cls, n, up, table_threshold=TABLE_THRESHOLD):
+    def _from_up(cls, n, up):
         """The lattice of the partial order on ``n >= 2`` elements whose
         principal filters are ``up``; raises ``NoBoundedStructure`` or
         ``NotALattice`` unless that order is a lattice."""
@@ -243,7 +244,7 @@ class Lattice:
         self._filter_index = {up[x]: x for x in range(n)}
         self._ideal_index = {down[x]: x for x in range(n)}
         self._check_meets()
-        self._tabulate = n <= table_threshold
+        self._tabulate = n <= TABLE_THRESHOLD
         self._join_rows = self._meet_rows = None
 
         irr = tuple(x for x in range(n) if x != bottom and len(covers_down[x]) == 1)
@@ -696,51 +697,26 @@ def is_isomorphic(a, b):
 
 
 def cartesian_product(a, b, *, max_elements=DEFAULT_MAX_ELEMENTS):
-    """Componentwise-order product of two lattices."""
+    """Componentwise-order product of two lattices; element
+    ``x * b.n + y`` is ``(x, y)``, the union of ``a.down[x]`` and
+    ``b.down[y]`` shifted past ``a``'s ground bits."""
     n = a.n * b.n
     if n > max_elements:
         raise SizeLimitExceeded(f"product would have {n} > {max_elements} elements")
-
-    def eid(x, y):
-        return x * b.n + y
-
-    pairs = []
-    for x, xx in a.covers:
-        for y in range(b.n):
-            pairs.append((eid(x, y), eid(xx, y)))
-    for y, yy in b.covers:
-        for x in range(a.n):
-            pairs.append((eid(x, y), eid(x, yy)))
-    return Lattice.from_covers(n, pairs)
+    return Lattice.from_sets(dx | dy << a.n for dx in a.down for dy in b.down)
 
 
 def lower_reduced_product(a, b, *, max_elements=DEFAULT_MAX_ELEMENTS):
     """Product of ``a`` and ``b`` with both bottoms removed and a fresh
-    bottom adjoined below the resulting minimal pairs."""
+    bottom, element 0, adjoined below the resulting minimal pairs."""
     xs = [x for x in range(a.n) if x != a.bottom]
     ys = [y for y in range(b.n) if y != b.bottom]
     n = len(xs) * len(ys) + 1
     if n > max_elements:
         raise SizeLimitExceeded(f"product would have {n} > {max_elements} elements")
-    index = {}
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            index[x, y] = 1 + i * len(ys) + j
-    pairs = []
-    for x, xx in a.covers:
-        if x == a.bottom:
-            continue
-        for y in ys:
-            pairs.append((index[x, y], index[xx, y]))
-    for y, yy in b.covers:
-        if y == b.bottom:
-            continue
-        for x in xs:
-            pairs.append((index[x, y], index[x, yy]))
-    for x in a.atoms():
-        for y in b.atoms():
-            pairs.append((0, index[x, y]))
-    return Lattice.from_covers(n, pairs)
+    return Lattice.from_sets(
+        [0] + [a.down[x] | b.down[y] << a.n for x in xs for y in ys]
+    )
 
 
 def adjoin_atoms(lattice, k):

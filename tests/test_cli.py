@@ -344,6 +344,19 @@ def test_verify_oracle_honours_smax(capsys, monkeypatch):
     assert seen == {(5, (1, 2, 3, 4, 5), ("direct", "mobius"))}
 
 
+def test_verify_oracle_fails_when_the_direct_count_is_skipped(capsys):
+    # the 7-element lattices with |J| = 6 need 6**9 > 2,000,000 tuples at
+    # s = 9, so only the Moebius oracle runs there
+    code, out, _ = invoke(
+        capsys, "verify", "--suite", "oracle", "--smax", "9", "--format", "json"
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    verdicts = {c["name"]: c["ok"] for c in doc["checks"]}
+    assert verdicts == {f"oracle n={n}": n < 7 for n in range(2, 8)}
+
+
 def test_verify_json(capsys):
     code, out, _ = invoke(
         capsys, "verify", "--suite", "fixtures", "--format", "json"

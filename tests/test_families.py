@@ -1,6 +1,7 @@
 """Combinatorial helpers, classical lattice families, and their
 closed-form series."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -42,6 +43,7 @@ from latzeta.families import (
     subspace_lattice,
     subspace_zeta_closed,
 )
+from latzeta.lattice import Lattice
 from latzeta.zeta import zeta_series
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -282,6 +284,93 @@ def test_d_divisible_j_count_matches_lattice():
         lat = d_divisible_partition_lattice(d, n)
         assert len(lat.join_irreducibles()) == d_divisible_j_count(d, (d * n,))
         assert lat.is_atomistic()
+
+
+# ----------------------------------------------------------------------
+# the families' former cover builders, kept as test-only oracles: each
+# set-family constructor must give the same lattice element by element
+
+
+def _merge_covers(parts, index):
+    """(i, j) for each partition at ``index[p]`` and each coarser one got
+    by merging two of its blocks."""
+    pairs = []
+    for p in parts:
+        blocks = [list(b) for b in p]
+        for a, b in itertools.combinations(range(len(blocks)), 2):
+            merged = sorted(
+                [blocks[x] for x in range(len(blocks)) if x not in (a, b)]
+                + [sorted(blocks[a] + blocks[b])]
+            )
+            pairs.append((index[p], index[tuple(tuple(x) for x in merged)]))
+    return pairs
+
+
+def partition_oracle(n):
+    parts = set_partitions(n)
+    index = {p: i for i, p in enumerate(parts)}
+    return Lattice.from_covers(len(parts), _merge_covers(parts, index))
+
+
+def d_divisible_oracle(d, n):
+    parts = d_divisible_partitions(d, n)
+    index = {p: i + 1 for i, p in enumerate(parts)}  # 0 is the bottom
+    atoms = [(0, index[p]) for p in parts if len(p) == n]
+    return Lattice.from_covers(len(parts) + 1, atoms + _merge_covers(parts, index))
+
+
+def boolean_oracle(r):
+    pairs = [(mask, mask | 1 << i) for mask in range(1 << r) for i in range(r)
+             if not (mask >> i) & 1]
+    return Lattice.from_covers(1 << r, pairs)
+
+
+def chain_oracle(k):
+    return Lattice.from_covers(k, [(i, i + 1) for i in range(k - 1)])
+
+
+def divisibility_oracle(n):
+    divs = divisors(n)
+    index = {d: i for i, d in enumerate(divs)}
+    primes = [p for p, _ in factorize(n)]
+    covers = [(i, index[d * p]) for i, d in enumerate(divs) for p in primes
+              if d * p in index]
+    return Lattice.from_covers(len(divs), covers)
+
+
+def assert_same_lattice(got, want):
+    assert got.n == want.n
+    assert got.up == want.up
+    assert got.covers == want.covers
+    assert (got.bottom, got.top) == (want.bottom, want.top)
+    assert got.join_irreducibles() == want.join_irreducibles()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_partition_lattice_matches_cover_oracle(n):
+    assert_same_lattice(partition_lattice(n), partition_oracle(n))
+
+
+@pytest.mark.parametrize("d, n", [
+    (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2), (6, 2),
+])
+def test_d_divisible_lattice_matches_cover_oracle(d, n):
+    assert_same_lattice(d_divisible_partition_lattice(d, n), d_divisible_oracle(d, n))
+
+
+@pytest.mark.long
+def test_large_partition_lattices_match_cover_oracles():
+    assert_same_lattice(partition_lattice(8), partition_oracle(8))
+    assert_same_lattice(d_divisible_partition_lattice(2, 5), d_divisible_oracle(2, 5))
+
+
+def test_boolean_chain_divisor_lattices_match_cover_oracles():
+    for r in range(1, 9):
+        assert_same_lattice(boolean_lattice(r), boolean_oracle(r))
+    for k in range(2, 9):
+        assert_same_lattice(chain(k), chain_oracle(k))
+    for n in [*range(2, 501), 720720]:
+        assert_same_lattice(divisibility_lattice(n), divisibility_oracle(n))
 
 
 # ----------------------------------------------------------------------

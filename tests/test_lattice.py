@@ -7,6 +7,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latzeta.errors import (
     BottomHasNoIrreducibles,
@@ -393,6 +395,46 @@ def test_lower_reduced_product_shape():
     assert is_isomorphic(
         lower_reduced_product(chain(2), chain(2)), chain(2)
     )
+
+
+def cartesian_oracle(a, b):
+    """The former pair loop: each cover of one factor, beside every
+    element of the other."""
+    pairs = [(x * b.n + y, xx * b.n + y) for x, xx in a.covers for y in range(b.n)]
+    pairs += [(x * b.n + y, x * b.n + yy) for y, yy in b.covers for x in range(a.n)]
+    return Lattice.from_covers(a.n * b.n, pairs)
+
+
+def lower_reduced_oracle(a, b):
+    """The former pair loop of ``lower_reduced_product``."""
+    xs = [x for x in range(a.n) if x != a.bottom]
+    ys = [y for y in range(b.n) if y != b.bottom]
+    index = {(x, y): 1 + i * len(ys) + j
+             for i, x in enumerate(xs) for j, y in enumerate(ys)}
+    pairs = [(index[x, y], index[xx, y])
+             for x, xx in a.covers if x != a.bottom for y in ys]
+    pairs += [(index[x, y], index[x, yy])
+              for y, yy in b.covers if y != b.bottom for x in xs]
+    pairs += [(0, index[x, y]) for x in a.atoms() for y in b.atoms()]
+    return Lattice.from_covers(len(xs) * len(ys) + 1, pairs)
+
+
+def assert_same_lattice(got, want):
+    assert got.n == want.n
+    assert got.up == want.up
+    assert got.covers == want.covers
+    assert (got.bottom, got.top) == (want.bottom, want.top)
+    assert got.join_irreducibles() == want.join_irreducibles()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_products_match_cover_oracles(lattices_by_size, data):
+    census = [lat for n in range(2, 7) for lat in lattices_by_size[n]]
+    a = data.draw(st.sampled_from(census))
+    b = data.draw(st.sampled_from(census))
+    assert_same_lattice(cartesian_product(a, b), cartesian_oracle(a, b))
+    assert_same_lattice(lower_reduced_product(a, b), lower_reduced_oracle(a, b))
 
 
 def test_product_size_caps():

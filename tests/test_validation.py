@@ -69,15 +69,18 @@ def _naive_meet(lattice, x, y):
 
 def _assert_operations(n, pairs):
     """join/meet agree with the naive search on the table path and on the
-    dict path (``table_threshold=0``)."""
-    for threshold in (n, 0):
-        lattice = Lattice.from_covers(n, pairs, table_threshold=threshold)
+    dict path (``_tabulate`` cleared before the first call, as for a
+    lattice above ``TABLE_THRESHOLD``)."""
+    for tabulate in (True, False):
+        lattice = Lattice.from_covers(n, pairs)
+        assert lattice._tabulate
+        lattice._tabulate = tabulate
         for x in range(n):
             for y in range(n):
                 assert lattice.join(x, y) == _naive_join(lattice, x, y)
                 assert lattice.meet(x, y) == _naive_meet(lattice, x, y)
         tabulated = lattice._join_rows is not None
-        assert tabulated == (threshold > 0)
+        assert tabulated == tabulate
 
 
 @pytest.mark.parametrize("n", range(2, 7))
