@@ -309,7 +309,7 @@ class CosetLattice:
 
     def coset_join(self, i, j):
         """Join via the explicit formula x1<x1^-1 x2, H1, H2> rather
-        than through the order; used to cross-check the join table."""
+        than through the order; used to cross-check the lattice's join."""
         g = self.group
         if not self.members[i]:
             return j

@@ -19,20 +19,14 @@ Conventions used throughout:
   meet-irreducible (an element with exactly one upper cover).  That
   suffices for all meets, hence all joins (see
   ``Lattice._check_meets``), so a ``Lattice`` that exists is a lattice.
-- Join/meet tables are built on the first ``join``/``meet`` call for
-  orders up to ``TABLE_THRESHOLD`` elements; above that a principal
-  filter/ideal lookup answers each call, which bounds memory.  The series
-  and the classifiers never call either.
 
-Instances are immutable apart from internal memo caches (Moebius vectors,
-the canonical key and the join/meet tables).  Each cache value is fully
-computed before it is stored, so a racing second computation only
-repeats work; handing a constructed lattice to several threads is safe.
+Instances are immutable apart from internal memo caches (Moebius vectors
+and the canonical key).  Each cache value is fully computed before it is
+stored, so a racing second computation only repeats work; handing a
+constructed lattice to several threads is safe.
 """
 
 from __future__ import annotations
-
-from array import array
 
 from .errors import (
     BottomHasNoIrreducibles,
@@ -43,10 +37,6 @@ from .errors import (
     NotComparable,
     SizeLimitExceeded,
 )
-
-#: Up to this many elements the first ``join``/``meet`` call builds an
-#: n-by-n table (2 bytes per entry); above it each call is a dict lookup.
-TABLE_THRESHOLD = 5000
 
 #: Default ceiling for product constructions.
 DEFAULT_MAX_ELEMENTS = 50_000
@@ -68,14 +58,6 @@ def _transpose_masks(n, rows):
         for j in _iter_bits(row):
             cols[j] |= bit
     return cols
-
-
-def _op_table(masks, index):
-    """Rows ``t[x][y] = index[masks[x] & masks[y]]``: the join table from
-    up-masks and the filter index, or the meet table from down-masks and
-    the ideal index."""
-    kind = "H" if len(masks) <= 0xFFFF else "l"
-    return [array(kind, [index[mx & my] for my in masks]) for mx in masks]
 
 
 def _order_structure(n, up, down):
@@ -124,9 +106,6 @@ class Lattice:
         "_heights",
         "_filter_index",
         "_ideal_index",
-        "_join_rows",
-        "_meet_rows",
-        "_tabulate",
         "_desc_height",
         "_irreducibles",
         "_irr_mask",
@@ -244,8 +223,6 @@ class Lattice:
         self._filter_index = {up[x]: x for x in range(n)}
         self._ideal_index = {down[x]: x for x in range(n)}
         self._check_meets()
-        self._tabulate = n <= TABLE_THRESHOLD
-        self._join_rows = self._meet_rows = None
 
         irr = tuple(x for x in range(n) if x != bottom and len(covers_down[x]) == 1)
         self._irreducibles = irr
@@ -285,18 +262,13 @@ class Lattice:
         return (self.up[x] >> y) & 1 == 1
 
     def join(self, x, y):
-        if self._join_rows is None:
-            if not self._tabulate:
-                return self._filter_index[self.up[x] & self.up[y]]
-            self._join_rows = _op_table(self.up, self._filter_index)
-        return self._join_rows[x][y]
+        """The least upper bound: the element whose principal filter is
+        the intersection of the filters of ``x`` and ``y``."""
+        return self._filter_index[self.up[x] & self.up[y]]
 
     def meet(self, x, y):
-        if self._meet_rows is None:
-            if not self._tabulate:
-                return self._ideal_index[self.down[x] & self.down[y]]
-            self._meet_rows = _op_table(self.down, self._ideal_index)
-        return self._meet_rows[x][y]
+        """The greatest lower bound, read from the ideal index likewise."""
+        return self._ideal_index[self.down[x] & self.down[y]]
 
     def join_set(self, xs):
         """Join of an iterable of elements; the empty join is bottom."""

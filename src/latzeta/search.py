@@ -341,30 +341,21 @@ def _is_lattice_masks(n, up):
     down = _transpose_masks(n, list(up))
     for x in range(n):
         for y in range(x + 1, n):
-            common = up[x] & up[y]
-            if not _has_least(common, up):
+            if not _has_least(up[x] & up[y], up):
                 return False
-            common = down[x] & down[y]
-            if not _has_greatest(common, down):
+            if not _has_least(down[x] & down[y], down):
                 return False
     return True
 
 
-def _has_least(common, up):
+def _has_least(common, masks):
+    """Whether the set ``common`` holds an element whose mask covers all
+    of ``common``: a least element for up-masks, a greatest for
+    down-masks."""
     rest = common
     while rest:
         low = rest & -rest
-        if up[low.bit_length() - 1] & common == common:
-            return True
-        rest ^= low
-    return False
-
-
-def _has_greatest(common, down):
-    rest = common
-    while rest:
-        low = rest & -rest
-        if down[low.bit_length() - 1] & common == common:
+        if masks[low.bit_length() - 1] & common == common:
             return True
         rest ^= low
     return False
@@ -505,16 +496,26 @@ class CatalogStore:
         self._complete.add(n)
         if self.path is None:
             return
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="ascii") as handle:
-            for level in sorted(self._levels):
-                if level not in self._complete:
-                    continue
-                data = self._levels[level]
-                for key in sorted(data):
-                    handle.write(f"{key} {level} {data[key]}\n")
-                handle.write(f"# complete {level}\n")
-        os.replace(tmp, self.path)
+        # A fresh temp file beside the catalog: O_EXCL never clobbers an
+        # existing file or another writer's temp file, and mode 0666 less
+        # the umask gives the catalog the permissions open() would.
+        tmp = f"{self.path}.{os.urandom(8).hex()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="ascii") as handle:
+                for level in sorted(self._levels):
+                    if level not in self._complete:
+                        continue
+                    data = self._levels[level]
+                    for key in sorted(data):
+                        handle.write(f"{key} {level} {data[key]}\n")
+                    handle.write(f"# complete {level}\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, self.path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def level_entries(n, *, store=None, jobs=1, max_n=DEFAULT_MAX_N):

@@ -227,6 +227,37 @@ def test_catalog_store_ignores_comments(tmp_path):
     assert CatalogStore(path).complete_levels() == [3]
 
 
+def test_catalog_write_leaves_other_files_alone(tmp_path):
+    path = tmp_path / "c.txt"
+    neighbour = tmp_path / "c.txt.tmp"
+    neighbour.write_bytes(b"user data\n")
+    probe = tmp_path / "probe"
+    probe.write_text("")
+    level_entries(4, store=CatalogStore(path))
+    assert neighbour.read_bytes() == b"user data\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.txt", "c.txt.tmp", "probe"
+    ]
+    # the catalog gets the permissions a plain open() gives a new file
+    assert path.stat().st_mode == probe.stat().st_mode
+
+
+def test_catalog_write_failure_removes_its_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.txt"
+    store = CatalogStore(path)
+    level_entries(3, store=store)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(search.os, "replace", fail)
+    with pytest.raises(OSError):
+        level_entries(4, store=store)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
+
+
 def test_weak_not_strong_empty_through_eight():
     found = find_weak_not_strong(8)
     assert set(found) == set(range(2, 9))

@@ -3,11 +3,11 @@
 ``Lattice.from_covers`` only looks up the meet of every element with
 every meet-irreducible.  These tests hold it to the deliberately naive
 pairwise test ``search._is_lattice_masks``, exhaustively on small posets
-and on random cover sets, and check the lazily built join/meet tables
-(and the dict fallback above the table threshold) against a direct
+and on random cover sets, and check ``join``/``meet`` against a direct
 least-upper-bound / greatest-lower-bound search.  ``Lattice.from_sets``
 is held to ``from_covers`` on the pairwise inclusions of random set
-families.
+families, and its ``join``/``meet`` to union and intersection on random
+intersection-closed families.
 """
 
 import pytest
@@ -15,10 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latzeta.errors import LatZetaError, NoBoundedStructure, NotALattice
-from latzeta.families import partition_lattice
 from latzeta.lattice import Lattice
 from latzeta.search import _is_lattice_masks, _naturally_labeled_posets
-from latzeta.zeta import zeta_series
 
 
 def _strict_pairs(up):
@@ -68,19 +66,12 @@ def _naive_meet(lattice, x, y):
 
 
 def _assert_operations(n, pairs):
-    """join/meet agree with the naive search on the table path and on the
-    dict path (``_tabulate`` cleared before the first call, as for a
-    lattice above ``TABLE_THRESHOLD``)."""
-    for tabulate in (True, False):
-        lattice = Lattice.from_covers(n, pairs)
-        assert lattice._tabulate
-        lattice._tabulate = tabulate
-        for x in range(n):
-            for y in range(n):
-                assert lattice.join(x, y) == _naive_join(lattice, x, y)
-                assert lattice.meet(x, y) == _naive_meet(lattice, x, y)
-        tabulated = lattice._join_rows is not None
-        assert tabulated == tabulate
+    """join/meet agree with the naive search on every pair."""
+    lattice = Lattice.from_covers(n, pairs)
+    for x in range(n):
+        for y in range(n):
+            assert lattice.join(x, y) == _naive_join(lattice, x, y)
+            assert lattice.meet(x, y) == _naive_meet(lattice, x, y)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -96,9 +87,8 @@ def test_exhaustive_agreement_with_pairwise_test(n):
         assert len(verdicts) == 1
         if verdicts == {True}:
             lattices += 1
-            if n <= 5:
-                _assert_operations(n, pairs)
-                _assert_operations(n, reverse)
+            _assert_operations(n, pairs)
+            _assert_operations(n, reverse)
     assert lattices > 0
 
 
@@ -175,6 +165,37 @@ def test_from_sets_agrees_with_from_covers(sets):
     assert (lattice.bottom, lattice.top) == (expected.bottom, expected.top)
 
 
+@st.composite
+def closed_families(draw):
+    """Intersection-closed families holding the empty and the full set,
+    on a ground set of up to 8 points, with up to about 40 members, in
+    random order."""
+    ground = draw(st.integers(1, 8))
+    full = (1 << ground) - 1
+    sets = {0, full}
+    for s in draw(st.lists(st.integers(0, full), max_size=12)):
+        grown = sets | {s & t for t in sets}
+        if len(grown) > 40:
+            break
+        sets = grown
+    return draw(st.permutations(sorted(sets)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_families())
+def test_from_sets_operations_are_intersection_and_closed_union(sets):
+    # In an intersection-closed family the meet is the intersection and
+    # the join is the least member containing the union.
+    lattice = Lattice.from_sets(sets)
+    index = {s: i for i, s in enumerate(sets)}
+    for x, sx in enumerate(sets):
+        for y, sy in enumerate(sets):
+            assert lattice.meet(x, y) == index[sx & sy]
+            above = [s for s in sets if s & (sx | sy) == sx | sy]
+            [least] = [s for s in above if all(s & t == s for t in above)]
+            assert lattice.join(x, y) == index[least]
+
+
 def test_from_sets_rejects_repeated_and_negative_sets():
     with pytest.raises(ValueError):
         Lattice.from_sets([0, 1, 1, 3])
@@ -204,10 +225,3 @@ def test_meet_irreducible_pairs_alone_do_not_suffice():
         with pytest.raises(NotALattice):
             Lattice.from_covers(10, pairs)
 
-
-def test_series_builds_no_tables():
-    lattice = partition_lattice(5)
-    zeta_series(lattice)
-    assert lattice._join_rows is None and lattice._meet_rows is None
-    assert lattice.join(1, 2) == lattice.join(2, 1)
-    assert lattice._join_rows is not None and lattice._meet_rows is None
