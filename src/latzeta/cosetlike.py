@@ -75,25 +75,22 @@ class Classification:
 def classify(lattice):
     """Classify a lattice as strongly/weakly coset-like.
 
-    Strong is decided element-wise on the divisor ratios; weak is read
-    off the (cancelled) series: nonzero coefficients on non-integer
-    bases are exactly what makes it non-ordinary.
+    Both verdicts come from the engine's report; this lists their
+    witnesses: the elements whose |J_x| does not divide |J|, and the
+    non-integer bases left in the (cancelled) series.
     """
     report = zeta_series(lattice)
-    j_total = report.j_count
-    failures = tuple(
-        (x, jx, j_total)
-        for x, jx in enumerate(report.j_below)
-        if x != lattice.bottom and j_total % jx
-    )
-    non_integer = tuple(
-        q for q, _ in report.series.terms() if q.denominator != 1
-    )
     return Classification(
-        strong=not failures,
-        weak=not non_integer,
-        strong_failures=failures,
-        non_integer_bases=non_integer,
+        strong=report.strongly_coset_like,
+        weak=report.ordinary,
+        strong_failures=tuple(
+            (x, jx, report.j_count)
+            for x, jx in enumerate(report.j_below)
+            if x != lattice.bottom and report.j_count % jx
+        ),
+        non_integer_bases=tuple(
+            q for q, _ in report.series.terms() if q.denominator != 1
+        ),
     )
 
 

@@ -148,21 +148,26 @@ def _prime_power(q):
     return fact[0]
 
 
+def _check_field(q):
+    """NotAPrimePower or SizeLimitExceeded unless GF(q) has a table (q
+    prime or in ``_IRREDUCIBLE``); builds no table."""
+    _, e = _prime_power(q)
+    if e > 1 and q not in _IRREDUCIBLE:
+        raise SizeLimitExceeded(f"no field table available for GF({q})")
+
+
 class FieldTable:
     """Addition/multiplication tables for GF(q), q prime or in {4, 8, 9}."""
 
     def __init__(self, q):
-        p, e = _prime_power(q)
-        if e == 1:
-            self.q = q
+        _check_field(q)
+        self.q = q
+        if q not in _IRREDUCIBLE:
             self.add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
             self.mul = tuple(tuple((a * b) % q for b in range(q)) for a in range(q))
             return
-        if q not in _IRREDUCIBLE:
-            raise SizeLimitExceeded(f"no field table available for GF({q})")
         p, poly = _IRREDUCIBLE[q]
         k = len(poly)
-        self.q = q
 
         def digits(a):
             out = []
@@ -243,55 +248,75 @@ def _check_partition_n(n):
 # checks and returns the element count the constructor would build, so a
 # caller can refuse an oversized lattice before any of it is built.
 
+BOOLEAN_MAX_RANK = 16
+# Chains share the divisor budget: a k-chain is the divisor lattice of
+# p^(k-1), and its up-sets make it the densest family per element.
+DIVISOR_MAX_ELEMENTS = 2000
+SUBSPACE_MAX_VECTORS = 512
+# Admits GF(2)^7 (29,212 subspaces) and refuses GF(2)^8 (417,199).
+SUBSPACE_MAX_ELEMENTS = 30_000
+PARTITION_MAX_N = 8
+DDIV_MAX_GROUND = 12
+DDIV_MAX_ELEMENTS = 20_000
 
-def boolean_size(r, *, max_rank=16):
+
+def _check_elements(count, budget):
+    if count > budget:
+        raise SizeLimitExceeded(f"{count} elements exceed the budget {budget}")
+    return count
+
+
+def boolean_size(r):
     _check_rank(r)
-    if r > max_rank:
-        raise SizeLimitExceeded(f"rank {r} exceeds the budget of {max_rank}")
+    if r > BOOLEAN_MAX_RANK:
+        raise SizeLimitExceeded(f"rank {r} exceeds the budget of {BOOLEAN_MAX_RANK}")
     return 1 << r
 
 
 def chain_size(k):
     _check_chain_length(k)
-    return k
+    return _check_elements(k, DIVISOR_MAX_ELEMENTS)
 
 
 def divisibility_size(n):
     _check_divisor_n(n)
-    return math.prod(e + 1 for _, e in factorize(n))
+    count = math.prod(e + 1 for _, e in factorize(n))
+    return _check_elements(count, DIVISOR_MAX_ELEMENTS)
 
 
-def subspace_size(q, n, *, max_vectors=512):
+def subspace_size(q, n):
     _check_dimension(n)
-    field(q)
-    if q**n > max_vectors:
-        raise SizeLimitExceeded(f"{q ** n} vectors exceed the budget of {max_vectors}")
-    return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+    # q**b > budget for every q >= 2 at b = budget.bit_length(), so n is
+    # capped at b and a huge n never computes q**n
+    if q ** min(n, SUBSPACE_MAX_VECTORS.bit_length()) > SUBSPACE_MAX_VECTORS:
+        raise SizeLimitExceeded(f"GF({q})^{n} has over {SUBSPACE_MAX_VECTORS} vectors")
+    _check_field(q)
+    count = sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+    return _check_elements(count, SUBSPACE_MAX_ELEMENTS)
 
 
-def partition_size(n, *, max_n=8):
+def partition_size(n):
     _check_partition_n(n)
-    if n > max_n:
-        raise SizeLimitExceeded(f"partition lattice budget is n <= {max_n}")
+    if n > PARTITION_MAX_N:
+        raise SizeLimitExceeded(f"partition lattice budget is n <= {PARTITION_MAX_N}")
     return sum(stirling2(n, k) for k in range(n + 1))
 
 
-def d_divisible_size(d, n, *, max_ground=12, max_elements=20_000):
+def d_divisible_size(d, n):
     if d < 2:
         raise ValueError("need d >= 2")
     if n < 1:
         raise ValueError("need n >= 1")
-    if d * n > max_ground:
-        raise SizeLimitExceeded(f"ground set of {d * n} exceeds budget {max_ground}")
-    count = d_divisible_count(d, n) + 1
-    if count > max_elements:
-        raise SizeLimitExceeded(f"{count} elements exceed the budget {max_elements}")
-    return count
+    if d * n > DDIV_MAX_GROUND:
+        raise SizeLimitExceeded(
+            f"ground set of {d * n} exceeds budget {DDIV_MAX_GROUND}"
+        )
+    return _check_elements(d_divisible_count(d, n) + 1, DDIV_MAX_ELEMENTS)
 
 
-def boolean_lattice(r, *, max_rank=16):
+def boolean_lattice(r):
     """Subset lattice of an r-set; element i is the subset with mask i."""
-    boolean_size(r, max_rank=max_rank)
+    boolean_size(r)
     return Lattice.from_sets(range(1 << r))
 
 
@@ -312,50 +337,33 @@ def divisibility_lattice(n):
     )
 
 
-def subspace_lattice(q, n, *, max_vectors=512):
-    """Lattice of subspaces of GF(q)^n ordered by inclusion."""
-    subspace_size(q, n, max_vectors=max_vectors)
+def subspace_lattice(q, n):
+    """Lattice of subspaces of GF(q)^n ordered by inclusion.
+
+    Each subspace is spanned once from its reduced row-echelon basis: for
+    k pivot columns, every choice of field elements for the free entries
+    (right of a row's pivot, outside the pivot columns) gives one basis.
+    Vector ids follow ``itertools.product(range(q), repeat=n)``; element
+    ids sort the subspaces by size, then by their sorted vector ids.
+    """
+    subspace_size(q, n)
     gf = field(q)
-    vectors = list(itertools.product(range(q), repeat=n))
-    vec_id = {v: i for i, v in enumerate(vectors)}
-
-    def vadd(u, v):
-        return tuple(gf.add[a][b] for a, b in zip(u, v))
-
-    def vscale(c, v):
-        return tuple(gf.mul[c][a] for a in v)
-
-    zero = vectors[0]
-
-    def span(gens):
-        out = {zero}
-        for g in gens:
-            if g in out:
-                continue
-            out = {vadd(w, vscale(c, g)) for w in out for c in range(q)}
-        return frozenset(out)
-
-    zero_space = frozenset({zero})
-    atoms = {span([v]) for v in vectors[1:]}
-    known = {zero_space} | atoms
-    frontier = list(atoms)
-    while frontier:
-        new = []
-        for sub in frontier:
-            for a in atoms:
-                if a <= sub:
-                    continue
-                joined = span(sub | a)
-                if joined not in known:
-                    known.add(joined)
-                    new.append(joined)
-        frontier = new
-
-    def sort_key(sub):
-        return (len(sub), tuple(sorted(vec_id[v] for v in sub)))
-
-    subs = sorted(known, key=sort_key)
-    return Lattice.from_sets(sum(1 << vec_id[v] for v in sub) for sub in subs)
+    vec_id = {v: i for i, v in enumerate(itertools.product(range(q), repeat=n))}
+    subs = []
+    for k in range(n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free = [(r, c) for r, p in enumerate(pivots)
+                    for c in range(p + 1, n) if c not in pivots]
+            for values in itertools.product(range(q), repeat=len(free)):
+                entry = dict(zip(free, values))
+                span = [(0,) * n]
+                for r, p in enumerate(pivots):
+                    row = [int(c == p) or entry.get((r, c), 0) for c in range(n)]
+                    span = [tuple(gf.add[x][gf.mul[a][y]] for x, y in zip(w, row))
+                            for w in span for a in range(q)]
+                subs.append(sorted(vec_id[v] for v in span))
+    subs.sort(key=lambda ids: (len(ids), ids))
+    return Lattice.from_sets(sum(1 << i for i in ids) for ids in subs)
 
 
 def _pair_mask(partition, ground):
@@ -365,12 +373,12 @@ def _pair_mask(partition, ground):
     return sum(1 << (a * ground + b) for a, b in pairs)
 
 
-def partition_lattice(n, *, max_n=8):
+def partition_lattice(n):
     """Set partitions of an n-set ordered by refinement.
 
     Element i is ``set_partitions(n)[i]``; finer partitions sit lower.
     """
-    partition_size(n, max_n=max_n)
+    partition_size(n)
     return Lattice.from_sets(_pair_mask(p, n) for p in set_partitions(n))
 
 
@@ -406,11 +414,11 @@ def d_divisible_count(d, n):
     return total
 
 
-def d_divisible_partition_lattice(d, n, *, max_ground=12, max_elements=20_000):
+def d_divisible_partition_lattice(d, n):
     """d-divisible partitions of a dn-set under refinement, plus an
     artificial bottom, element 0, below the all-blocks-of-size-d
     partitions; element i + 1 is ``d_divisible_partitions(d, n)[i]``."""
-    d_divisible_size(d, n, max_ground=max_ground, max_elements=max_elements)
+    d_divisible_size(d, n)
     parts = d_divisible_partitions(d, n)
     return Lattice.from_sets([0] + [_pair_mask(p, d * n) for p in parts])
 

@@ -324,18 +324,25 @@ class CosetLattice:
         return self.find(frozenset(g.table[x1][h] for h in sub))
 
 
+#: Element budget of ``coset_lattice``, checked by ``coset_count``.
+COSET_MAX_ELEMENTS = 2000
+
+
 def coset_count(group):
     """Element count of the coset lattice: one coset per subgroup H and
     left-coset representative (a coset xH determines H), plus the empty
-    bottom."""
-    return 1 + sum(group.n // len(h) for h in group.subgroups())
+    bottom.  SizeLimitExceeded above ``COSET_MAX_ELEMENTS``."""
+    count = 1 + sum(group.n // len(h) for h in group.subgroups())
+    if count > COSET_MAX_ELEMENTS:
+        raise SizeLimitExceeded(
+            f"{count} elements exceed the budget {COSET_MAX_ELEMENTS}"
+        )
+    return count
 
 
-def coset_lattice(group, *, max_elements=2000):
+def coset_lattice(group):
     """Build the coset lattice of a finite group."""
-    count = coset_count(group)
-    if count > max_elements:
-        raise SizeLimitExceeded(f"{count} elements exceed the budget {max_elements}")
+    coset_count(group)
     cosets = {}
     for h in group.subgroups():
         for x in range(group.n):
@@ -365,10 +372,6 @@ class BrownCheck:
     shifted: DirichletSeries
     group_series: DirichletSeries
     s_max: int
-
-    @property
-    def ok(self):
-        return True
 
 
 def verify_brown_identity(group, s_max=5):

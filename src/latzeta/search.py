@@ -145,19 +145,9 @@ def _in_orbit(x, y, generators):
 
 def _has_joins(k, ups, filt):
     """Whether every old element ``a`` has a join with a new element whose
-    strict up-set is ``filt``: the least element of ``filt & ups[a]``."""
-    for a in range(k):
-        if (1 << a) & filt:
-            continue  # a is above the new element; join is a itself
-        common = filt & ups[a]
-        if not common:
-            return False
-        for z in _iter_bits(common):
-            if ups[z] & common == common:
-                break
-        else:
-            return False
-    return True
+    strict up-set is ``filt``: ``a`` itself when it lies in ``filt``, else
+    the least element of ``filt & ups[a]``."""
+    return all((filt >> a) & 1 or _has_least(filt & ups[a], ups) for a in range(k))
 
 
 def _extend_parents(m, parents):

@@ -14,17 +14,20 @@ from latzeta.errors import (
     SingularInput,
     SizeLimitExceeded,
 )
+from latzeta import families
 from latzeta.families import (
     big_omega,
     boolean_lattice,
     boolean_zeta_closed,
     chain,
+    chain_size,
     chain_zeta_closed,
     d_divisible_count,
     d_divisible_j_count,
     d_divisible_partition_lattice,
     d_divisible_partitions,
     divisibility_lattice,
+    divisibility_size,
     divisibility_zeta_closed,
     divisors,
     factorize,
@@ -41,6 +44,7 @@ from latzeta.families import (
     stirling2,
     stirling_boolean_value,
     subspace_lattice,
+    subspace_size,
     subspace_zeta_closed,
 )
 from latzeta.lattice import Lattice
@@ -230,6 +234,40 @@ def test_subspace_lattice_counts():
         subspace_lattice(2, 10)
 
 
+def test_subspace_budget_bounds_elements():
+    assert subspace_size(2, 7) == 29212
+    for q, n in ((2, 8), (2, 9), (2, 10**9)):
+        with pytest.raises(SizeLimitExceeded):
+            subspace_size(q, n)
+
+
+def test_subspace_size_builds_no_field_table(monkeypatch):
+    def refuse(q):
+        raise AssertionError("a field table was built")
+
+    monkeypatch.setattr(families, "FieldTable", refuse)
+    with pytest.raises(SizeLimitExceeded):
+        subspace_size(2003, 1)  # 2003 vectors, and 2003 is prime
+    with pytest.raises(SizeLimitExceeded):
+        subspace_size(16, 1)  # no table shipped
+    for q in (1, 6):
+        with pytest.raises(NotAPrimePower):
+            subspace_size(q, 2)
+
+
+def test_chain_and_divisor_budgets_checked_before_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice was built")
+
+    budget = families.DIVISOR_MAX_ELEMENTS
+    assert chain_size(budget) == divisibility_size(2 ** (budget - 1)) == budget
+    monkeypatch.setattr(Lattice, "_from_up", refuse)
+    for build in (lambda: chain(budget + 1),
+                  lambda: divisibility_lattice(2**budget)):
+        with pytest.raises(SizeLimitExceeded):
+            build()
+
+
 def test_subspace_lattice_is_graded_by_dimension():
     lat = subspace_lattice(3, 2)
     assert sorted(lat.height(x) for x in range(lat.n)) == [0, 1, 1, 1, 1, 2]
@@ -287,7 +325,7 @@ def test_d_divisible_j_count_matches_lattice():
 
 
 # ----------------------------------------------------------------------
-# the families' former cover builders, kept as test-only oracles: each
+# the families' former builders, kept as test-only oracles: each
 # set-family constructor must give the same lattice element by element
 
 
@@ -338,6 +376,51 @@ def divisibility_oracle(n):
     return Lattice.from_covers(len(divs), covers)
 
 
+def subspace_oracle(q, n):
+    """Subspaces of GF(q)^n as the closure of the atoms under span."""
+    gf = field(q)
+    vectors = list(itertools.product(range(q), repeat=n))
+    vec_id = {v: i for i, v in enumerate(vectors)}
+
+    def vadd(u, v):
+        return tuple(gf.add[a][b] for a, b in zip(u, v))
+
+    def vscale(c, v):
+        return tuple(gf.mul[c][a] for a in v)
+
+    zero = vectors[0]
+
+    def span(gens):
+        out = {zero}
+        for g in gens:
+            if g in out:
+                continue
+            out = {vadd(w, vscale(c, g)) for w in out for c in range(q)}
+        return frozenset(out)
+
+    zero_space = frozenset({zero})
+    atoms = {span([v]) for v in vectors[1:]}
+    known = {zero_space} | atoms
+    frontier = list(atoms)
+    while frontier:
+        new = []
+        for sub in frontier:
+            for a in atoms:
+                if a <= sub:
+                    continue
+                joined = span(sub | a)
+                if joined not in known:
+                    known.add(joined)
+                    new.append(joined)
+        frontier = new
+
+    def sort_key(sub):
+        return (len(sub), tuple(sorted(vec_id[v] for v in sub)))
+
+    subs = sorted(known, key=sort_key)
+    return Lattice.from_sets(sum(1 << vec_id[v] for v in sub) for sub in subs)
+
+
 def assert_same_lattice(got, want):
     assert got.n == want.n
     assert got.up == want.up
@@ -362,6 +445,14 @@ def test_d_divisible_lattice_matches_cover_oracle(d, n):
 def test_large_partition_lattices_match_cover_oracles():
     assert_same_lattice(partition_lattice(8), partition_oracle(8))
     assert_same_lattice(d_divisible_partition_lattice(2, 5), d_divisible_oracle(2, 5))
+
+
+@pytest.mark.parametrize("q, n", [
+    (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (3, 4),
+    (4, 2), (4, 3), (5, 2), (5, 3), (7, 2), (8, 2), (9, 2),
+])
+def test_subspace_lattice_matches_span_oracle(q, n):
+    assert_same_lattice(subspace_lattice(q, n), subspace_oracle(q, n))
 
 
 def test_boolean_chain_divisor_lattices_match_cover_oracles():
@@ -444,7 +535,7 @@ def test_divisibility_zeta_closed_small():
 
 
 def test_subspace_zeta_closed_small():
-    for q, n in ((2, 2), (3, 2), (2, 3)):
+    for q, n in ((2, 2), (3, 2), (2, 3), (2, 5), (3, 3), (4, 3), (5, 2)):
         assert (
             subspace_zeta_closed(q, n) == zeta_series(subspace_lattice(q, n)).series
         )
