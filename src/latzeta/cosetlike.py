@@ -472,11 +472,14 @@ def mainthm_witness(d, m):
     return fallback if fallback is not None else build(None)
 
 
-def mainthm_threshold(d, m_max=500):
+MAINTHM_M_MAX = 500
+
+
+def mainthm_threshold(d):
     """Least m0 such that mainthm_witness(d, m) confirms for every m in
-    [m0, m_max], or None when even m_max itself is unconfirmed."""
+    [m0, MAINTHM_M_MAX], or None when MAINTHM_M_MAX is unconfirmed."""
     m0 = None
-    for m in range(m_max, 0, -1):
+    for m in range(MAINTHM_M_MAX, 0, -1):
         if mainthm_witness(d, m).confirmed:
             m0 = m
         else:

@@ -232,6 +232,8 @@ def _check_rank(r):
 def _check_divisor_n(n):
     if n < 2:
         raise ValueError("need n >= 2 for a non-degenerate divisor lattice")
+    if n > DIVISOR_MAX_N:
+        raise SizeLimitExceeded(f"n = {n} exceeds the budget of {DIVISOR_MAX_N}")
 
 
 def _check_dimension(n):
@@ -252,6 +254,8 @@ BOOLEAN_MAX_RANK = 16
 # Chains share the divisor budget: a k-chain is the divisor lattice of
 # p^(k-1), and its up-sets make it the densest family per element.
 DIVISOR_MAX_ELEMENTS = 2000
+# Checked before n is factored: trial division then takes <= 5 * 10**5 steps.
+DIVISOR_MAX_N = 10**12
 SUBSPACE_MAX_VECTORS = 512
 # Admits GF(2)^7 (29,212 subspaces) and refuses GF(2)^8 (417,199).
 SUBSPACE_MAX_ELEMENTS = 30_000

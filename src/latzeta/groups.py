@@ -22,7 +22,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .lattice import Lattice, is_isomorphic, lower_reduced_product
-from .zeta import zeta_series
+from .zeta import DEFAULT_TUPLE_BUDGET, zeta_series
 
 MAX_GROUP_ORDER = 64
 
@@ -154,14 +154,14 @@ class FiniteGroup:
 # constructors
 
 
-def cyclic(n, name=None):
+def cyclic(n):
     if n < 1:
         raise ValueError("cyclic group order must be positive")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name or f"C{n}")
+    return FiniteGroup(table, f"C{n}")
 
 
-def symmetric(n, name=None):
+def symmetric(n):
     """Symmetric group on n letters, n <= 4 (order bound)."""
     if n < 1:
         raise ValueError("need n >= 1")
@@ -174,10 +174,10 @@ def symmetric(n, name=None):
         [index[tuple(p[q[i]] for i in range(n))] for q in perms]
         for p in perms
     ]
-    return FiniteGroup(table, name or f"S{n}")
+    return FiniteGroup(table, f"S{n}")
 
 
-def dihedral(n, name=None):
+def dihedral(n):
     """Dihedral group of order 2n (symmetries of an n-gon), n >= 2."""
     if n < 2:
         raise ValueError("need n >= 2")
@@ -193,10 +193,10 @@ def dihedral(n, name=None):
         return (r << 1) | (fa ^ fb)
 
     table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
-    return FiniteGroup(table, name or f"D{n}")
+    return FiniteGroup(table, f"D{n}")
 
 
-def direct_product(a, b, name=None):
+def direct_product(a, b):
     n = a.n * b.n
     if n > MAX_GROUP_ORDER:
         raise OrderLimitExceeded(f"order {n} exceeds the bound {MAX_GROUP_ORDER}")
@@ -213,7 +213,7 @@ def direct_product(a, b, name=None):
         for x1 in range(a.n)
         for y1 in range(b.n)
     ]
-    return FiniteGroup(table, name or f"{a.name}x{b.name}")
+    return FiniteGroup(table, f"{a.name}x{b.name}")
 
 
 # ----------------------------------------------------------------------
@@ -245,13 +245,15 @@ def group_zeta(group):
     return DirichletSeries(terms)
 
 
-def tuple_generation_probability(group, s, *, budget=2_000_000):
+def tuple_generation_probability(group, s):
     """Probability that s uniform elements generate the whole group."""
     if s < 0:
         raise ValueError("tuple length must be non-negative")
     size = group.n**s
-    if size > budget:
-        raise BudgetExceeded(f"{size} tuples exceed the budget of {budget}")
+    if size > DEFAULT_TUPLE_BUDGET:
+        raise BudgetExceeded(
+            f"{size} tuples exceed the budget of {DEFAULT_TUPLE_BUDGET}"
+        )
     full = frozenset(range(group.n))
     hits = 0
     for tup in itertools.product(range(group.n), repeat=s):
@@ -421,10 +423,10 @@ class CoprimeCheck:
     lattices_isomorphic: bool
 
 
-def verify_coprime_product(a, b, *, check_lattices=True):
-    """For gcd(|A|, |B|) = 1: P(A x B, s) = P(A, s) P(B, s), and the
-    coset lattice of the product is the lower reduced product of the
-    factors' coset lattices."""
+def verify_coprime_product(a, b):
+    """For gcd(|A|, |B|) = 1, check that P(A x B, s) = P(A, s) P(B, s)
+    and that C(A x B) is the lower reduced product of C(A) and C(B); both
+    checks always run, and a failure raises ``MismatchDetected``."""
     if math.gcd(a.n, b.n) != 1:
         raise NotCoprimeOrders(f"|{a.name}| = {a.n} and |{b.name}| = {b.n}")
     prod = direct_product(a, b)
@@ -435,22 +437,19 @@ def verify_coprime_product(a, b, *, check_lattices=True):
             f"P({prod.name}) != P({a.name}) P({b.name})",
             context={"left": left.to_json(), "right": right.to_json()},
         )
-    iso = False
-    if check_lattices:
-        cl = coset_lattice(prod).lattice
-        reduced = lower_reduced_product(
-            coset_lattice(a).lattice, coset_lattice(b).lattice
+    cl = coset_lattice(prod).lattice
+    reduced = lower_reduced_product(
+        coset_lattice(a).lattice, coset_lattice(b).lattice
+    )
+    if not is_isomorphic(cl, reduced):
+        raise MismatchDetected(
+            f"C({prod.name}) is not the lower reduced product of "
+            f"C({a.name}) and C({b.name})",
+            context={"group": prod.name},
         )
-        iso = is_isomorphic(cl, reduced)
-        if not iso:
-            raise MismatchDetected(
-                f"C({prod.name}) is not the lower reduced product of "
-                f"C({a.name}) and C({b.name})",
-                context={"group": prod.name},
-            )
     return CoprimeCheck(
         names=(a.name, b.name), product_series=left, factor_product=right,
-        lattices_isomorphic=iso,
+        lattices_isomorphic=True,
     )
 
 
@@ -547,13 +546,13 @@ def is_good_sublattice(coset_lat, sub, subgroup):
     )
 
 
-def good_sublattice_scan(group, extra_seeds=()):
+def good_sublattice_scan(group):
     """Desk-scale scan for good sublattices of C(G).
 
     Seeds are sets of group elements taken as singleton cosets: for
     every normal subgroup H, every one- and two-coset union of H-cosets
-    is tried, plus any caller-provided seeds.  Returns a list of
-    (seed, subgroup, check, sublattice) records for the good hits.
+    is tried.  Returns a list of (seed, subgroup, check, sublattice)
+    records for the good hits.
     """
     cl = coset_lattice(group)
     normals = group.normal_subgroups()
@@ -567,18 +566,9 @@ def good_sublattice_scan(group, extra_seeds=()):
             seeds.append(tuple(sorted(c)))
         for c1, c2 in itertools.combinations(h_cosets, 2):
             seeds.append(tuple(sorted(c1 | c2)))
-    seeds.extend(tuple(sorted(set(s))) for s in extra_seeds)
     out = []
-    seen = set()
-    for seed in seeds:
-        if not seed or seed in seen:
-            continue
-        seen.add(seed)
-        try:
-            gens = [cl.singleton_id[x] for x in seed]
-        except KeyError:
-            continue
-        sub = sublattice_generated(cl.lattice, gens)
+    for seed in dict.fromkeys(seeds):  # first occurrences, in order
+        sub = sublattice_generated(cl.lattice, [cl.singleton_id[x] for x in seed])
         for h in normals:
             check = is_good_sublattice(cl, sub, h)
             if check.good:

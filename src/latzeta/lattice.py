@@ -668,24 +668,28 @@ def is_isomorphic(a, b):
 # products and modifications
 
 
-def cartesian_product(a, b, *, max_elements=DEFAULT_MAX_ELEMENTS):
+def cartesian_product(a, b):
     """Componentwise-order product of two lattices; element
     ``x * b.n + y`` is ``(x, y)``, the union of ``a.down[x]`` and
     ``b.down[y]`` shifted past ``a``'s ground bits."""
     n = a.n * b.n
-    if n > max_elements:
-        raise SizeLimitExceeded(f"product would have {n} > {max_elements} elements")
+    if n > DEFAULT_MAX_ELEMENTS:
+        raise SizeLimitExceeded(
+            f"product would have {n} > {DEFAULT_MAX_ELEMENTS} elements"
+        )
     return Lattice.from_sets(dx | dy << a.n for dx in a.down for dy in b.down)
 
 
-def lower_reduced_product(a, b, *, max_elements=DEFAULT_MAX_ELEMENTS):
+def lower_reduced_product(a, b):
     """Product of ``a`` and ``b`` with both bottoms removed and a fresh
     bottom, element 0, adjoined below the resulting minimal pairs."""
     xs = [x for x in range(a.n) if x != a.bottom]
     ys = [y for y in range(b.n) if y != b.bottom]
     n = len(xs) * len(ys) + 1
-    if n > max_elements:
-        raise SizeLimitExceeded(f"product would have {n} > {max_elements} elements")
+    if n > DEFAULT_MAX_ELEMENTS:
+        raise SizeLimitExceeded(
+            f"product would have {n} > {DEFAULT_MAX_ELEMENTS} elements"
+        )
     return Lattice.from_sets(
         [0] + [a.down[x] | b.down[y] << a.n for x in xs for y in ys]
     )

@@ -26,7 +26,6 @@ An independent brute-force oracle (all naturally labeled posets,
 filtered by a direct lattice test) cross-checks the counts for small n.
 """
 
-import hashlib
 import os
 import re
 from dataclasses import dataclass
@@ -48,6 +47,7 @@ from .zeta import zeta_series
 
 __all__ = [
     "DEFAULT_MAX_N",
+    "BRUTE_FORCE_MAX_N",
     "LatticeCatalogEntry",
     "CatalogStore",
     "enumerate_lattices",
@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_N = 11
+BRUTE_FORCE_MAX_N = 6
 
 # every line of a catalog file, with runs of blanks read as one space
 _CATALOG_LINE = re.compile(
@@ -254,8 +255,16 @@ def _lattice_from_semilattice(ups, key):
     return lattice
 
 
-def enumerate_lattices(n, *, jobs=1, max_n=DEFAULT_MAX_N):
-    """Yield one lattice per isomorphism class on n elements.
+def _check_enumeration_cap(n):
+    if n > DEFAULT_MAX_N:
+        raise BudgetExceeded(
+            f"enumeration capped at n = {DEFAULT_MAX_N} (asked for {n})"
+        )
+
+
+def enumerate_lattices(n, *, jobs=1):
+    """Yield one lattice per isomorphism class on n elements, for
+    2 <= n <= ``DEFAULT_MAX_N``.
 
     Deterministic order (ascending canonical key of the bottomless
     semilattice); every emitted object passes full construction-time
@@ -266,18 +275,16 @@ def enumerate_lattices(n, *, jobs=1, max_n=DEFAULT_MAX_N):
     """
     if n < 2:
         raise ValueError("lattices need at least 2 elements")
-    if n > max_n:
-        raise BudgetExceeded(f"enumeration capped at n = {max_n} (asked for {n})")
+    _check_enumeration_cap(n)
     for key, ups, _ in _semilattice_level(n - 1, jobs=jobs):
         yield _lattice_from_semilattice(ups, key)
 
 
-def lattice_count(n, *, jobs=1, max_n=DEFAULT_MAX_N):
+def lattice_count(n, *, jobs=1):
     """Number of isomorphism classes of lattices on n elements."""
     if n < 2:
         raise ValueError("lattices need at least 2 elements")
-    if n > max_n:
-        raise BudgetExceeded(f"enumeration capped at n = {max_n} (asked for {n})")
+    _check_enumeration_cap(n)
     return len(_semilattice_level(n - 1, jobs=jobs))
 
 
@@ -351,7 +358,7 @@ def _has_least(common, masks):
     return False
 
 
-def brute_force_lattice_count(n, *, max_n=6):
+def brute_force_lattice_count(n):
     """Isomorphism classes of lattices on n elements, the slow way.
 
     Enumerates every naturally labeled poset on n points, keeps those
@@ -361,8 +368,8 @@ def brute_force_lattice_count(n, *, max_n=6):
     """
     if n < 2:
         raise ValueError("lattices need at least 2 elements")
-    if n > max_n:
-        raise BudgetExceeded(f"brute force capped at n = {max_n}")
+    if n > BRUTE_FORCE_MAX_N:
+        raise BudgetExceeded(f"brute force capped at n = {BRUTE_FORCE_MAX_N}")
     keys = set()
     for up in _naturally_labeled_posets(n):
         if _is_lattice_masks(n, list(up)):
@@ -383,7 +390,6 @@ class LatticeCatalogEntry:
     atomistic: bool
     strong: bool
     weak: bool
-    series_digest: str | None  # None when reloaded from a flags-only store
 
     @property
     def flags(self):
@@ -400,22 +406,19 @@ class LatticeCatalogEntry:
             "atomistic": self.atomistic,
             "strong": self.strong,
             "weak": self.weak,
-            "series_digest": self.series_digest,
         }
 
 
 def catalog_entry(lattice):
-    """Flags and series digest of one lattice from a single engine pass;
+    """Flags of one lattice from a single engine pass;
     ``strongly_coset_like``/``ordinary`` are ``classify``'s strong/weak."""
     report = zeta_series(lattice)
-    digest = hashlib.sha256(report.series.to_json().encode()).hexdigest()[:12]
     return LatticeCatalogEntry(
         key=lattice.canonical_form(),
         n=lattice.n,
         atomistic=lattice.is_atomistic(),
         strong=report.strongly_coset_like,
         weak=report.ordinary,
-        series_digest=digest,
     )
 
 
@@ -476,7 +479,6 @@ class CatalogStore:
                     atomistic=flags[0] == "a",
                     strong=flags[1] == "s",
                     weak=flags[2] == "w",
-                    series_digest=None,
                 )
             )
         return out
@@ -508,7 +510,7 @@ class CatalogStore:
             raise
 
 
-def level_entries(n, *, store=None, jobs=1, max_n=DEFAULT_MAX_N):
+def level_entries(n, *, store=None, jobs=1):
     """Catalog entries for every isomorphism class on n elements, sorted
     by canonical key; served from ``store`` when that level is already
     complete, recomputed (and persisted) otherwise."""
@@ -516,7 +518,7 @@ def level_entries(n, *, store=None, jobs=1, max_n=DEFAULT_MAX_N):
         return store.entries(n)
     entries = [
         catalog_entry(lattice)
-        for lattice in enumerate_lattices(n, jobs=jobs, max_n=max_n)
+        for lattice in enumerate_lattices(n, jobs=jobs)
     ]
     entries.sort(key=lambda e: e.key)
     if store is not None:
@@ -524,9 +526,9 @@ def level_entries(n, *, store=None, jobs=1, max_n=DEFAULT_MAX_N):
     return entries
 
 
-def classify_catalog(n, *, store=None, jobs=1, max_n=DEFAULT_MAX_N):
+def classify_catalog(n, *, store=None, jobs=1):
     """Classification summary for all lattices on n elements."""
-    entries = level_entries(n, store=store, jobs=jobs, max_n=max_n)
+    entries = level_entries(n, store=store, jobs=jobs)
     return {
         "n": n,
         "total": len(entries),
@@ -537,23 +539,19 @@ def classify_catalog(n, *, store=None, jobs=1, max_n=DEFAULT_MAX_N):
     }
 
 
-def find_weak_not_strong(max_n, *, store=None, jobs=1, atomistic_only=False,
-                         enum_cap=DEFAULT_MAX_N):
+def find_weak_not_strong(max_n, *, store=None, jobs=1, atomistic_only=False):
     """Weakly-but-not-strongly coset-like classes, grouped by size.
 
-    Returns {n: [entries]} for 2 <= n <= max_n; with ``atomistic_only``
-    the lists keep only atomistic classes (expected empty through the
-    sizes this artifact can sweep).
+    Returns {n: [entries]} for 2 <= n <= max_n <= ``DEFAULT_MAX_N``; with
+    ``atomistic_only`` the lists keep only atomistic classes (expected
+    empty through the sizes this artifact can sweep).
     """
-    if max_n > enum_cap:
-        raise BudgetExceeded(
-            f"enumeration capped at n = {enum_cap} (asked for {max_n})"
-        )
+    _check_enumeration_cap(max_n)
     found = {}
     for n in range(2, max_n + 1):
         found[n] = [
             e
-            for e in level_entries(n, store=store, jobs=jobs, max_n=enum_cap)
+            for e in level_entries(n, store=store, jobs=jobs)
             if e.weak and not e.strong and (e.atomistic or not atomistic_only)
         ]
     return found

@@ -97,9 +97,7 @@ def test_criterion_02_fixture_series():
 def test_criterion_03_oracle_equivalence(lattices_by_size):
     for n in range(2, 8):
         for lat in lattices_by_size[n]:
-            check = verify_series_against_oracle(
-                lat, 3, methods=("direct", "mobius")
-            )
+            check = verify_series_against_oracle(lat, 3)
             assert check.methods == ("direct", "mobius")
             series = zeta_series(lat).series
             assert sorted(check.s_values) == [1, 2, 3]

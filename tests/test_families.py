@@ -260,12 +260,24 @@ def test_chain_and_divisor_budgets_checked_before_building(monkeypatch):
         raise AssertionError("a lattice was built")
 
     budget = families.DIVISOR_MAX_ELEMENTS
-    assert chain_size(budget) == divisibility_size(2 ** (budget - 1)) == budget
+    # 5 * 5 * 5 * 2 * 2 * 2 * 2 = 2000 divisors, and n is under DIVISOR_MAX_N
+    n = 2**4 * 3**4 * 5**4 * 7 * 11 * 13 * 17
+    assert chain_size(budget) == divisibility_size(n) == budget
     monkeypatch.setattr(Lattice, "_from_up", refuse)
     for build in (lambda: chain(budget + 1),
-                  lambda: divisibility_lattice(2**budget)):
+                  lambda: divisibility_lattice(2 * n)):
         with pytest.raises(SizeLimitExceeded):
             build()
+
+
+def test_divisor_n_capped_before_factoring(monkeypatch):
+    def refuse(n):
+        raise AssertionError("n was factored")
+
+    monkeypatch.setattr(families, "factorize", refuse)
+    for check in (divisibility_size, divisibility_zeta_closed):
+        with pytest.raises(SizeLimitExceeded):
+            check(10**18 + 3)
 
 
 def test_subspace_lattice_is_graded_by_dimension():
@@ -527,7 +539,7 @@ def test_boolean_zeta_closed_small():
 
 
 def test_divisibility_zeta_closed_small():
-    for n in (4, 6, 12, 30):
+    for n in (4, 6, 12, 30, 720720):
         assert (
             divisibility_zeta_closed(n)
             == zeta_series(divisibility_lattice(n)).series

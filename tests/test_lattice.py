@@ -437,11 +437,19 @@ def test_products_match_cover_oracles(lattices_by_size, data):
     assert_same_lattice(lower_reduced_product(a, b), lower_reduced_oracle(a, b))
 
 
-def test_product_size_caps():
+def test_product_size_caps(monkeypatch):
+    # B_8 x B_8 has 65,536 elements and its lower reduced product 65,026,
+    # both over DEFAULT_MAX_ELEMENTS; the caps refuse them before building
+    a = boolean_lattice(8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(Lattice, "from_sets", refuse)
     with pytest.raises(SizeLimitExceeded):
-        cartesian_product(boolean_lattice(2), chain(3), max_elements=5)
+        cartesian_product(a, a)
     with pytest.raises(SizeLimitExceeded):
-        lower_reduced_product(boolean_lattice(2), chain(3), max_elements=5)
+        lower_reduced_product(a, a)
 
 
 def test_adjoin_atoms():

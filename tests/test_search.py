@@ -25,6 +25,8 @@ from latzeta.lattice import (
     is_isomorphic,
 )
 from latzeta.search import (
+    BRUTE_FORCE_MAX_N,
+    DEFAULT_MAX_N,
     CatalogStore,
     brute_force_lattice_count,
     catalog_entry,
@@ -49,9 +51,13 @@ def test_counts_match_independent_oracle():
         assert brute_force_lattice_count(n) == lattice_count(n)
 
 
-def test_oracle_budget():
+def test_oracle_budget(monkeypatch):
+    def refuse(n):
+        raise AssertionError("posets were enumerated")
+
+    monkeypatch.setattr(search, "_naturally_labeled_posets", refuse)
     with pytest.raises(BudgetExceeded):
-        brute_force_lattice_count(7)
+        brute_force_lattice_count(BRUTE_FORCE_MAX_N + 1)
     with pytest.raises(BudgetExceeded):
         list(enumerate_lattices(12))
     with pytest.raises(ValueError):
@@ -140,7 +146,6 @@ def test_catalog_entry_fields():
     assert entry.n == 4
     assert entry.atomistic and entry.strong and entry.weak
     assert entry.flags == "asw"
-    assert len(entry.series_digest) == 12
     doc = entry.to_doc()
     assert doc["n"] == 4 and doc["strong"] and doc["key"] == entry.key
 
@@ -181,8 +186,6 @@ def test_catalog_store_roundtrip(tmp_path):
     loaded = fresh.entries(4)
     assert [e.key for e in loaded] == [e.key for e in computed]
     assert [e.flags for e in loaded] == [e.flags for e in computed]
-    # resumed entries drop the digest (flags only are persisted)
-    assert all(e.series_digest is None for e in loaded)
 
 
 def test_catalog_store_discards_incomplete_level(tmp_path):
@@ -264,9 +267,13 @@ def test_weak_not_strong_empty_through_eight():
     assert all(v == [] for v in found.values())
 
 
-def test_weak_not_strong_budget():
+def test_weak_not_strong_budget(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was enumerated")
+
+    monkeypatch.setattr(search, "_semilattice_level", refuse)
     with pytest.raises(BudgetExceeded):
-        find_weak_not_strong(9, enum_cap=8)
+        find_weak_not_strong(DEFAULT_MAX_N + 1)
 
 
 @pytest.mark.long
