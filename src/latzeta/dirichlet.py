@@ -69,10 +69,7 @@ class DirichletSeries:
     def __add__(self, other):
         if not isinstance(other, DirichletSeries):
             return NotImplemented
-        acc = dict(self._terms)
-        for q, c in other._terms.items():
-            acc[q] = acc.get(q, 0) + c
-        return DirichletSeries(acc)
+        return DirichletSeries([*self._terms.items(), *other._terms.items()])
 
     def __neg__(self):
         return DirichletSeries({q: -c for q, c in self._terms.items()})
@@ -85,12 +82,11 @@ class DirichletSeries:
     def __mul__(self, other):
         if not isinstance(other, DirichletSeries):
             return NotImplemented
-        acc = {}
-        for q1, c1 in self._terms.items():
-            for q2, c2 in other._terms.items():
-                q = q1 * q2
-                acc[q] = acc.get(q, 0) + c1 * c2
-        return DirichletSeries(acc)
+        return DirichletSeries(
+            (q1 * q2, c1 * c2)
+            for q1, c1 in self._terms.items()
+            for q2, c2 in other._terms.items()
+        )
 
     def __eq__(self, other):
         if not isinstance(other, DirichletSeries):

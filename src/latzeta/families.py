@@ -456,11 +456,9 @@ def d_divisible_j_count(d, shape):
 def boolean_zeta_closed(r):
     """P(B_r, s) = ((-1)^r / r^s) * sum_{k=1..r} (-1)^k C(r,k) k^s."""
     _check_rank(r)
-    terms = {}
-    for k in range(1, r + 1):
-        coeff = (-1) ** (r + k) * math.comb(r, k)
-        terms[Fraction(r, k)] = terms.get(Fraction(r, k), 0) + coeff
-    return DirichletSeries(terms)
+    return DirichletSeries(
+        (Fraction(r, k), (-1) ** (r + k) * math.comb(r, k)) for k in range(1, r + 1)
+    )
 
 
 def chain_zeta_closed(k):
@@ -487,13 +485,10 @@ def divisibility_zeta_closed(n):
     _check_divisor_n(n)
     w = big_omega(n)
     r = len(factorize(n))
-    terms = {}
-    for k in range(max(w - r, 1), w + 1):
-        coeff = (-1) ** (w + k) * math.comb(r, w - k)
-        if coeff:
-            q = Fraction(w, k)
-            terms[q] = terms.get(q, 0) + coeff
-    return DirichletSeries(terms)
+    return DirichletSeries(
+        (Fraction(w, k), (-1) ** (w + k) * math.comb(r, w - k))
+        for k in range(max(w - r, 1), w + 1)
+    )
 
 
 def gaussian_binomial_poly(n, k):
@@ -534,14 +529,13 @@ def subspace_zeta_closed(q, n):
     (-1)^(n-k) [n choose k]_q q^C(n-k, 2)."""
     _check_dimension(n)
     _prime_power(q)
-    terms = {}
-    for k in range(1, n + 1):
-        coeff = (-1) ** (n - k) * gaussian_binomial(n, k, q) * q ** math.comb(
-            n - k, 2
+    return DirichletSeries(
+        (
+            Fraction(q**n - 1, q**k - 1),
+            (-1) ** (n - k) * gaussian_binomial(n, k, q) * q ** math.comb(n - k, 2),
         )
-        base = Fraction(q**n - 1, q**k - 1)
-        terms[base] = terms.get(base, 0) + coeff
-    return DirichletSeries(terms)
+        for k in range(1, n + 1)
+    )
 
 
 def partition_zeta_closed(n):
@@ -550,15 +544,14 @@ def partition_zeta_closed(n):
     C(n,2) / sum_i C(shape_i, 2)."""
     _check_partition_n(n)
     total = math.comb(n, 2)
-    terms = {}
+    terms = []
     for shape in integer_partitions(n):
         j = sum(math.comb(p, 2) for p in shape)
         if j == 0:
             continue  # the all-singletons shape is the bottom
         k = len(shape)
         coeff = shape_count(shape) * (-1) ** (k - 1) * math.factorial(k - 1)
-        q = Fraction(total, j)
-        terms[q] = terms.get(q, 0) + coeff
+        terms.append((Fraction(total, j), coeff))
     return DirichletSeries(terms)
 
 

@@ -27,6 +27,19 @@ from .zeta import DEFAULT_TUPLE_BUDGET, zeta_series
 MAX_GROUP_ORDER = 64
 
 
+def _check_order(name, factors):
+    """Raise ``OrderLimitExceeded`` if the group ``name``, of order the
+    product of ``factors``, is past ``MAX_GROUP_ORDER``; the product stops
+    at the bound, so S_n never computes n!."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > MAX_GROUP_ORDER:
+            raise OrderLimitExceeded(
+                f"{name} has order above the bound {MAX_GROUP_ORDER}"
+            )
+
+
 class FiniteGroup:
     """A group given by its full multiplication table."""
 
@@ -38,8 +51,7 @@ class FiniteGroup:
         n = len(table)
         if n < 1:
             raise ValueError("a group needs at least one element")
-        if n > MAX_GROUP_ORDER:
-            raise OrderLimitExceeded(f"order {n} exceeds the bound {MAX_GROUP_ORDER}")
+        _check_order(name, [n])
         table = tuple(tuple(row) for row in table)
         for row in table:
             if len(row) != n or sorted(row) != list(range(n)):
@@ -157,6 +169,7 @@ class FiniteGroup:
 def cyclic(n):
     if n < 1:
         raise ValueError("cyclic group order must be positive")
+    _check_order(f"C{n}", [n])
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, f"C{n}")
 
@@ -165,8 +178,7 @@ def symmetric(n):
     """Symmetric group on n letters, n <= 4 (order bound)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if math.factorial(n) > MAX_GROUP_ORDER:
-        raise OrderLimitExceeded(f"S{n} has order {math.factorial(n)} > {MAX_GROUP_ORDER}")
+    _check_order(f"S{n}", range(2, n + 1))
     perms = sorted(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     # identity is the sorted first permutation
@@ -181,6 +193,7 @@ def dihedral(n):
     """Dihedral group of order 2n (symmetries of an n-gon), n >= 2."""
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_order(f"D{n}", [2, n])
     # element 2k is rotation r^k, element 2k+1 is reflection s r^k;
     # relabelled so that 0 is the identity.
     def mul(a, b):
@@ -197,9 +210,8 @@ def dihedral(n):
 
 
 def direct_product(a, b):
-    n = a.n * b.n
-    if n > MAX_GROUP_ORDER:
-        raise OrderLimitExceeded(f"order {n} exceeds the bound {MAX_GROUP_ORDER}")
+    name = f"{a.name}x{b.name}"
+    _check_order(name, [a.n, b.n])
 
     def eid(x, y):
         return x * b.n + y
@@ -213,7 +225,7 @@ def direct_product(a, b):
         for x1 in range(a.n)
         for y1 in range(b.n)
     ]
-    return FiniteGroup(table, f"{a.name}x{b.name}")
+    return FiniteGroup(table, name)
 
 
 # ----------------------------------------------------------------------
@@ -235,14 +247,10 @@ def subgroup_lattice(group):
 
 def group_zeta(group):
     """P(G, s) = sum over subgroups H of mu(H, G) / [G : H]^s."""
-    subs = group.subgroups()
-    lat = subgroup_lattice(group)
-    mu = lat.mobius_to_top()
-    terms = {}
-    for i, h in enumerate(subs):
-        q = Fraction(group.n, len(h))
-        terms[q] = terms.get(q, 0) + mu[i]
-    return DirichletSeries(terms)
+    mu = subgroup_lattice(group).mobius_to_top()
+    return DirichletSeries(
+        (Fraction(group.n, len(h)), mu[i]) for i, h in enumerate(group.subgroups())
+    )
 
 
 def tuple_generation_probability(group, s):
@@ -369,8 +377,6 @@ def coset_lattice(group):
 
 @dataclass(frozen=True)
 class BrownCheck:
-    group_name: str
-    coset_series: DirichletSeries
     shifted: DirichletSeries
     group_series: DirichletSeries
     s_max: int
@@ -406,20 +412,11 @@ def verify_brown_identity(group, s_max=5):
                 f"P(C(G), {s + 1}) = {left} != {right} = P(G, {s})",
                 context={"group": group.name, "s": s},
             )
-    return BrownCheck(
-        group_name=group.name,
-        coset_series=coset_series,
-        shifted=shifted,
-        group_series=gz,
-        s_max=s_max,
-    )
+    return BrownCheck(shifted=shifted, group_series=gz, s_max=s_max)
 
 
 @dataclass(frozen=True)
 class CoprimeCheck:
-    names: tuple
-    product_series: DirichletSeries
-    factor_product: DirichletSeries
     lattices_isomorphic: bool
 
 
@@ -447,10 +444,7 @@ def verify_coprime_product(a, b):
             f"C({a.name}) and C({b.name})",
             context={"group": prod.name},
         )
-    return CoprimeCheck(
-        names=(a.name, b.name), product_series=left, factor_product=right,
-        lattices_isomorphic=True,
-    )
+    return CoprimeCheck(lattices_isomorphic=True)
 
 
 # ----------------------------------------------------------------------

@@ -61,17 +61,15 @@ def _transpose_masks(n, rows):
 
 
 def _order_structure(n, up, down):
-    """``(covers, covers_up, covers_down, heights)`` of the order given by
-    up/down masks: the transitive reduction as ascending pairs, each
-    element's upper and lower covers, and its longest-path height."""
-    covers = []
+    """``(covers_up, covers_down, heights)`` of the order given by up/down
+    masks: each element's upper and lower covers, ascending, and its
+    longest-path height."""
     covers_up = [[] for _ in range(n)]
     covers_down = [[] for _ in range(n)]
     for a in range(n):
         strict = up[a] & ~(1 << a)
         for b in _iter_bits(strict):
             if not (strict & down[b] & ~(1 << b)):
-                covers.append((a, b))
                 covers_up[a].append(b)
                 covers_down[b].append(a)
     # ordering by down-set size is a linear extension, so lower covers
@@ -80,7 +78,7 @@ def _order_structure(n, up, down):
     for x in sorted(range(n), key=lambda v: down[v].bit_count()):
         if covers_down[x]:
             heights[x] = 1 + max(heights[c] for c in covers_down[x])
-    return covers, covers_up, covers_down, heights
+    return covers_up, covers_down, heights
 
 
 def _check_count(n):
@@ -98,7 +96,6 @@ class Lattice:
         "n",
         "up",
         "down",
-        "covers",
         "bottom",
         "top",
         "_covers_up",
@@ -213,8 +210,7 @@ class Lattice:
         self.bottom = bottom
         self.top = top
 
-        covers, covers_up, covers_down, heights = _order_structure(n, up, down)
-        self.covers = tuple(covers)
+        covers_up, covers_down, heights = _order_structure(n, up, down)
         self._covers_up = tuple(map(tuple, covers_up))
         self._covers_down = tuple(map(tuple, covers_down))
         self._heights = tuple(heights)
@@ -254,6 +250,12 @@ class Lattice:
                     raise NotALattice(
                         f"elements {x} and {m} have no greatest lower bound"
                     )
+
+    @property
+    def covers(self):
+        """The cover relation as pairs ``(a, b)`` with ``a`` covered by
+        ``b``, ascending by ``a``, then ``b``."""
+        return tuple((a, b) for a, ups in enumerate(self._covers_up) for b in ups)
 
     # ------------------------------------------------------------------
     # order predicates and operations
@@ -440,7 +442,7 @@ def _refine_partition(n, cells, covers_up, covers_down):
 def _root_partition(n, up, down):
     """The refined seed colouring (rank, upper-cover degree, lower-cover
     degree) at the root of the canonical search, with the cover lists."""
-    _, covers_up, covers_down, heights = _order_structure(n, up, down)
+    covers_up, covers_down, heights = _order_structure(n, up, down)
     init = [(heights[x], len(covers_up[x]), len(covers_down[x])) for x in range(n)]
 
     order = sorted(range(n), key=lambda x: init[x])
@@ -659,7 +661,7 @@ def decode_canonical_key(key, n):
 
 def is_isomorphic(a, b):
     """Test lattice isomorphism by comparing canonical keys."""
-    if a.n != b.n or len(a.covers) != len(b.covers):
+    if a.n != b.n or sum(map(len, a._covers_up)) != sum(map(len, b._covers_up)):
         return False
     return a.canonical_form() == b.canonical_form()
 

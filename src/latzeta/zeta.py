@@ -9,6 +9,12 @@ with the exact rational index [J : J_x] = |J| / |J_x|.  At a positive
 integer s this equals the probability that s elements drawn uniformly
 and independently from J have join equal to the top.
 
+Two series share one engine pass (``_engine_pass``), which differs only
+in the generating set G read off each element: ``zeta_series`` sums over
+the join-irreducibles (the paper's alternative for non-atomistic
+lattices) and ``zeta_series_atom_based`` over the atoms (Brown's
+definition).
+
 ``brute_force_probability`` is the executable form of that definition
 and never reads the Moebius function: its ``direct`` path counts the
 s-tuples of J_x joining to x by folding ``Lattice.join`` over the
@@ -57,39 +63,49 @@ class ZetaReport:
         }
 
 
-def zeta_series(lattice):
-    """Full engine pass: Moebius numbers, local sums, series, flags."""
-    n = lattice.n
-    bottom = lattice.bottom
-    j_count = len(lattice.join_irreducibles())
+def _engine_pass(lattice, gen_mask):
+    """One pass over the elements above the bottom for the generating set
+    G with bitmask ``gen_mask``: ``(mu, counts, sums)`` with ``mu`` the
+    Moebius vector to the top, ``counts[x] = |G_x|`` (0 at the bottom)
+    and ``sums`` mapping each count to the sum of mu(x, top) over the
+    elements with that count, in order of first appearance."""
     mu = lattice.mobius_to_top()
+    down = lattice.down
+    bottom = lattice.bottom
+    counts = [0] * lattice.n
     sums = {}
-    j_below = [0] * n
-    strongly = True
-    for x in range(n):
+    for x in range(lattice.n):
         if x == bottom:
             continue
-        jb = lattice.count_below_irreducibles(x)
-        j_below[x] = jb
-        q = Fraction(j_count, jb)
-        if q.denominator != 1:
-            strongly = False
-        sums[q] = sums.get(q, 0) + mu[x]
-    series = DirichletSeries(sums)
+        c = (down[x] & gen_mask).bit_count()
+        counts[x] = c
+        sums[c] = sums.get(c, 0) + mu[x]
+    return mu, counts, sums
+
+
+def zeta_series(lattice):
+    """Full engine pass: Moebius numbers, local sums, series, flags."""
+    irreducibles = lattice.join_irreducibles()
+    j_count = len(irreducibles)
+    mu, j_below, sums = _engine_pass(lattice, sum(1 << j for j in irreducibles))
+    # distinct counts give distinct bases, so each base is built once
+    local_sums = {Fraction(j_count, c): total for c, total in sums.items()}
+    series = DirichletSeries(local_sums)
     return ZetaReport(
         lattice=lattice,
         series=series,
         j_count=j_count,
         j_below=tuple(j_below),
         mobius_top=tuple(mu),
-        local_sums=sums,
+        local_sums=local_sums,
         ordinary=series.is_ordinary(),
-        strongly_coset_like=strongly,
+        strongly_coset_like=all(j_count % c == 0 for c in sums),
     )
 
 
 def zeta_series_atom_based(lattice):
-    """The same series computed from atoms instead of join-irreducibles.
+    """Brown's series: the same engine pass over the atoms instead of the
+    join-irreducibles.
 
     Raises ``DegenerateGeneration`` when the atoms do not join to the
     top, in which case no tuple of atoms generates the lattice.
@@ -97,18 +113,10 @@ def zeta_series_atom_based(lattice):
     atoms = lattice.atoms()
     if lattice.join_set(atoms) != lattice.top:
         raise DegenerateGeneration("the join of all atoms is not the top")
-    amask = 0
-    for a in atoms:
-        amask |= 1 << a
-    mu = lattice.mobius_to_top()
-    sums = {}
-    for x in range(lattice.n):
-        if x == lattice.bottom:
-            continue
-        ax = (lattice.down[x] & amask).bit_count()
-        q = Fraction(len(atoms), ax)
-        sums[q] = sums.get(q, 0) + mu[x]
-    return DirichletSeries(sums)
+    _, _, sums = _engine_pass(lattice, sum(1 << a for a in atoms))
+    return DirichletSeries(
+        (Fraction(len(atoms), c), total) for c, total in sums.items()
+    )
 
 
 # ----------------------------------------------------------------------

@@ -149,10 +149,11 @@ def automorphism_count(n, up):
     sig = [(up[x].bit_count(), down[x].bit_count()) for x in range(n)]
     ends = {x for x in range(n) if n in sig[x]}  # the bottom and the top
     neighbours = [[] for _ in range(n)]
-    for a, b in _order_structure(n, up, down)[0]:
-        if a not in ends and b not in ends:
-            neighbours[a].append(b)
-            neighbours[b].append(a)
+    for a, ups in enumerate(_order_structure(n, up, down)[0]):
+        for b in ups:
+            if a not in ends and b not in ends:
+                neighbours[a].append(b)
+                neighbours[b].append(a)
     order = []
     for start in range(n):
         if start in order:

@@ -239,6 +239,13 @@ def test_rejected_group_exit_code(capsys):
     assert err.startswith("error: 'cyclic:0': ")
 
 
+def test_over_order_group_exit_code(capsys):
+    # refused before 200000! is computed or printed
+    code, out, _ = invoke(capsys, "group", "sym:200000")
+    assert code == 1
+    assert "OrderLimitExceeded" in out
+
+
 @pytest.mark.parametrize("family", [
     "chain:1", "ddiv:0,2",
     "boolean:0", "subspace:2,0", "partition:1", "divisor:1",

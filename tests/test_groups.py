@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latzeta import groups
 from latzeta.dirichlet import DirichletSeries
 from latzeta.errors import NotCoprimeOrders, OrderLimitExceeded
 from latzeta.groups import (
@@ -63,6 +64,28 @@ def test_constructors():
         dihedral(1)
     with pytest.raises(OrderLimitExceeded):
         symmetric(6)
+
+
+def refuse_tables(table, name="G"):
+    raise AssertionError(f"built a table for {name}")
+
+
+def test_order_bound_checked_before_building(monkeypatch):
+    factors = cyclic(8), cyclic(9)
+    monkeypatch.setattr(groups, "FiniteGroup", refuse_tables)
+    with pytest.raises(OrderLimitExceeded):
+        cyclic(65)
+    with pytest.raises(OrderLimitExceeded):
+        dihedral(33)
+    with pytest.raises(OrderLimitExceeded):
+        direct_product(*factors)
+
+
+def test_symmetric_order_bound_without_factorial():
+    # 200000! has more digits than an int may print; the message names
+    # the group, not its order
+    with pytest.raises(OrderLimitExceeded, match="S200000"):
+        symmetric(200000)
 
 
 def test_group_axioms_random():

@@ -176,6 +176,23 @@ def test_covers_relation():
         )
 
 
+def test_covers_are_the_reduction_of_the_up_masks(lattices_by_size):
+    for lats in lattices_by_size.values():
+        for lat in lats:
+            up = lat.up
+            reduction = tuple(
+                (a, b)
+                for a in range(lat.n)
+                for b in range(lat.n)
+                if a != b and (up[a] >> b) & 1
+                and not any(
+                    c not in (a, b) and (up[a] >> c) & 1 and (up[c] >> b) & 1
+                    for c in range(lat.n)
+                )
+            )
+            assert lat.covers == reduction
+
+
 # ----------------------------------------------------------------------
 # join-irreducibles
 

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latzeta.cosetlike import load_fixture
+from latzeta.dirichlet import DirichletSeries
 from latzeta.errors import (
     BottomTarget,
     BudgetExceeded,
@@ -18,6 +20,7 @@ from latzeta.errors import (
 from latzeta.families import (
     boolean_lattice,
     chain,
+    d_divisible_partition_lattice,
     divisibility_lattice,
     partition_lattice,
     subspace_lattice,
@@ -95,6 +98,64 @@ def test_atom_based_agrees_on_atomistic(lattices_by_size):
     for lat in lattices_by_size[7]:
         if lat.is_atomistic():
             assert zeta_series_atom_based(lat) == zeta_series(lat).series
+
+
+def reference_pass(lattice):
+    """The engine as a plain per-element loop: one ``Fraction`` base and
+    one ``count_below_irreducibles`` call per element, summed by base."""
+    j_count = len(lattice.join_irreducibles())
+    mu = lattice.mobius_to_top()
+    sums = {}
+    j_below = [0] * lattice.n
+    strongly = True
+    for x in range(lattice.n):
+        if x == lattice.bottom:
+            continue
+        j_below[x] = lattice.count_below_irreducibles(x)
+        q = Fraction(j_count, j_below[x])
+        strongly = strongly and q.denominator == 1
+        sums[q] = sums.get(q, 0) + mu[x]
+    return sums, tuple(j_below), strongly
+
+
+def test_engine_pass_matches_per_element_reference(lattices_by_size):
+    lats = [lat for lats in lattices_by_size.values() for lat in lats]
+    lats += [
+        partition_lattice(6),
+        d_divisible_partition_lattice(2, 3),
+        subspace_lattice(2, 3),
+        boolean_lattice(5),
+        load_fixture("ten_point"),
+        load_fixture("eleven_point"),
+    ]
+    for lat in lats:
+        report = zeta_series(lat)
+        sums, j_below, strongly = reference_pass(lat)
+        assert list(report.local_sums.items()) == list(sums.items())
+        assert report.j_below == j_below
+        assert report.strongly_coset_like == strongly
+        assert report.series == DirichletSeries(sums)
+
+
+def test_atom_based_counts_atom_tuples(lattices_by_size):
+    """Brown's series at s is the share of the s-tuples of atoms whose
+    join is the top, also on lattices whose atoms are not all of J."""
+    checked = non_atomistic = 0
+    for lats in lattices_by_size.values():
+        for lat in lats:
+            atoms = lat.atoms()
+            if lat.join_set(atoms) != lat.top:
+                continue
+            series = zeta_series_atom_based(lat)
+            for s in range(1, 5):
+                hits = sum(
+                    lat.join_set(t) == lat.top
+                    for t in itertools.product(atoms, repeat=s)
+                )
+                assert series.evaluate_exact(s) == Fraction(hits, len(atoms) ** s)
+            checked += 1
+            non_atomistic += not lat.is_atomistic()
+    assert checked > 0 and non_atomistic > 0
 
 
 def test_atom_based_rejects_degenerate():
