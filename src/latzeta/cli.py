@@ -10,7 +10,6 @@ byte-stable: sorted keys, no timing, exact rationals as strings.
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -301,6 +300,8 @@ def _cmd_family(args):
 
 
 def _cmd_search(args):
+    if args.max_n < 2:
+        raise UsageError(f"--max-n must be at least 2, got {args.max_n}")
     # an in-memory store when no path is given, so that the summaries
     # reread the levels the search has just classified
     store = search.CatalogStore(args.catalog)
@@ -477,31 +478,29 @@ def _cmd_verify(args):
 # parser
 
 
-def _jobs(raw):
-    """``--jobs``: a positive count, clamped to the number of CPUs so that
-    a large value cannot open that many worker processes."""
+def _count(raw):
+    """A count option's value: an integer of at least 1."""
     try:
-        jobs = int(raw)
+        value = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--smax", type=int, default=5,
-                        help="largest exponent for verification sweeps")
-    common.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET,
-                        help="cap on enumerated tuples in oracle checks")
-    common.add_argument("--max-elements", type=int, default=None,
-                        help="refuse lattices larger than this")
-    common.add_argument("--jobs", type=_jobs, default=1,
-                        help="worker processes for search, at most the CPU count")
-    common.add_argument("--format", choices=("human", "json"), default="human")
-    common.add_argument("--output", default=None, metavar="PATH",
+    # each subcommand declares only the options its handler reads
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("human", "json"), default="human")
+    output.add_argument("--output", default=None, metavar="PATH",
                         help="write the report here instead of stdout")
+    capped = argparse.ArgumentParser(add_help=False, parents=[output])
+    capped.add_argument("--max-elements", type=_count, default=None,
+                        help="refuse lattices larger than this")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[output])
+    sweep.add_argument("--smax", type=_count, default=5,
+                       help="largest exponent for verification sweeps")
 
     parser = argparse.ArgumentParser(
         prog="latzeta",
@@ -509,22 +508,22 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("zeta", parents=[common],
+    p = sub.add_parser("zeta", parents=[capped],
                        help="series and report for a lattice target")
     p.add_argument("target")
     p.set_defaults(handler=_cmd_zeta)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[capped],
                        help="strong/weak coset-likeness of a target")
     p.add_argument("target")
     p.set_defaults(handler=_cmd_classify)
 
-    p = sub.add_parser("mobius", parents=[common],
+    p = sub.add_parser("mobius", parents=[capped],
                        help="Moebius numbers mu(x, top) of a target")
     p.add_argument("target")
     p.set_defaults(handler=_cmd_mobius)
 
-    p = sub.add_parser("group", parents=[common],
+    p = sub.add_parser("group", parents=[sweep],
                        help="group zeta series and identities")
     p.add_argument("group")
     p.add_argument("--brown", action="store_true",
@@ -533,28 +532,32 @@ def build_parser():
                    help="verify the coprime product law against this group")
     p.set_defaults(handler=_cmd_group)
 
-    p = sub.add_parser("family", parents=[common],
+    p = sub.add_parser("family", parents=[capped],
                        help="closed-form series for a lattice family")
     p.add_argument("family")
     p.add_argument("--closed-form-check", action="store_true",
                    help="compare the closed form with the generic engine")
     p.set_defaults(handler=_cmd_family)
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=[output],
                        help="enumerate and classify small lattices")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--atomistic-only", action="store_true")
     p.add_argument("--catalog", default=None, metavar="PATH",
                    help="persist/resume the catalog at this path")
+    p.add_argument("--jobs", type=_count, default=1,
+                   help="worker processes, at most the CPU count")
     p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[sweep],
                        help="run a named verification suite")
     p.add_argument("--suite", required=True,
                    help=", ".join(sorted(_SUITES) + ["all"]))
+    p.add_argument("--budget-tuples", type=_count, default=DEFAULT_TUPLE_BUDGET,
+                   help="cap on enumerated tuples in oracle checks")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("fixture", parents=[common],
+    p = sub.add_parser("fixture", parents=[output],
                        help="emit a fixture lattice in .lat form")
     p.add_argument("name", choices=FIXTURE_NAMES)
     p.set_defaults(handler=_cmd_fixture)

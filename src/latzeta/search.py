@@ -546,6 +546,8 @@ def find_weak_not_strong(max_n, *, store=None, jobs=1, atomistic_only=False):
     ``atomistic_only`` the lists keep only atomistic classes (expected
     empty through the sizes this artifact can sweep).
     """
+    if max_n < 2:
+        raise ValueError("lattices need at least 2 elements")
     _check_enumeration_cap(max_n)
     found = {}
     for n in range(2, max_n + 1):

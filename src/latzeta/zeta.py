@@ -123,12 +123,10 @@ def zeta_series_atom_based(lattice):
 # brute-force oracles
 
 
-def brute_force_probability(
-    lattice, x, s, *, method="auto", budget=DEFAULT_TUPLE_BUDGET
-):
+def brute_force_probability(lattice, x, s, *, method, budget=DEFAULT_TUPLE_BUDGET):
     """Probability that s uniform draws from J_x join to exactly x.
 
-    Two independent paths are available.  ``direct`` counts the
+    ``method`` names one of two independent paths.  ``direct`` counts the
     |J_x|**s tuples by the distribution of their prefix joins: starting
     from {bottom: 1}, each of s rounds sends count[y] to join(y, j) for
     every j in J_x, and the answer is the count that lands on x.  That is
@@ -138,8 +136,7 @@ def brute_force_probability(
     enumeration costs (s - 1) * |J_x|**s.
     ``budget`` still caps |J_x|**s (``--budget-tuples`` on the CLI), and
     ``direct`` raises ``BudgetExceeded`` above it.  ``mobius`` counts
-    through inclusion-exclusion over the interval (bottom, x].  ``auto``
-    picks ``direct`` when |J_x|**s fits the budget.
+    through inclusion-exclusion over the interval (bottom, x].
 
     At s = 0 the single empty tuple joins to the bottom, so the
     probability is 0 for every x above it.
@@ -152,8 +149,6 @@ def brute_force_probability(
         return Fraction(0)
     jx = lattice.below_irreducibles(x)
     size = len(jx) ** s
-    if method == "auto":
-        method = "direct" if size <= budget else "mobius"
     if method == "direct":
         if size > budget:
             raise BudgetExceeded(f"{size} tuples exceed the budget of {budget}")
@@ -190,7 +185,10 @@ class OracleCheck:
 
 def verify_series_against_oracle(lattice, s_max, *, budget=DEFAULT_TUPLE_BUDGET):
     """Check evaluate_exact(P(L, .), s) against both oracles for
-    1 <= s <= s_max; raises ``MismatchDetected`` with both values."""
+    1 <= s <= s_max; raises ``MismatchDetected`` with both values, and
+    ``ValueError`` before any work when s_max < 1."""
+    if s_max < 1:
+        raise ValueError(f"s_max must be at least 1, got {s_max}")
     series = zeta_series(lattice).series
     top = lattice.top
     checked = {}

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from latzeta import search
-from latzeta.cli import parse_group, parse_lattice_target, run
+from latzeta.cli import build_parser, parse_group, parse_lattice_target, run
 from latzeta.cosetlike import load_fixture
 from latzeta.errors import UsageError
 from latzeta.lattice import Lattice, is_isomorphic
@@ -144,21 +144,34 @@ def test_search(capsys):
 
 
 def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
-    seen = []
-    real = search.level_entries
+    # A stand-in for multiprocessing.Pool that records the worker count and
+    # maps in this process, on a fresh level cache so that the levels are
+    # really rebuilt; no worker process is started.
+    sizes = []
 
-    def recording(n, **kwargs):
-        seen.append(kwargs["jobs"])
-        return real(n, **kwargs)
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
 
-    monkeypatch.setattr(search, "level_entries", recording)
-    for cpus, asked, expected in ((2, "3", 2), (2, "2", 2), (4, "1", 1), (None, "2", 1)):
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return [fn(chunk) for chunk in chunks]
+
+    serial = invoke(capsys, "search", "--max-n", "7")
+    first = search._SEMI_LEVELS[1]
+    monkeypatch.setattr(search, "Pool", RecordingPool)
+    for cpus, asked, expected in ((2, "3", [2]), (2, "2", [2]), (4, "1", []), (None, "2", [])):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        seen.clear()
-        code, _, _ = invoke(capsys, "search", "--max-n", "4", "--jobs", asked)
-        assert code == 0
-        # levels 2..4, each read by the search and again by its summary
-        assert seen == [expected] * 6, (cpus, asked)
+        monkeypatch.setattr(search, "_SEMI_LEVELS", {1: first})
+        sizes.clear()
+        assert invoke(capsys, "search", "--max-n", "7", "--jobs", asked) == serial
+        # only level 6, with 15 parents, is big enough to be split
+        assert sizes == expected, (cpus, asked)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", "x"])
@@ -166,6 +179,14 @@ def test_rejected_jobs_exit_code(capsys, jobs):
     code, out, err = invoke(capsys, "search", "--max-n", "3", "--jobs", jobs)
     assert code == 2 and out == ""
     assert "--jobs" in err
+
+
+@pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+def test_search_rejects_max_n_below_two(capsys, monkeypatch, max_n):
+    monkeypatch.setattr(search, "find_weak_not_strong", None)
+    code, out, err = invoke(capsys, "search", "--max-n", max_n)
+    assert code == 2 and out == ""
+    assert err == f"error: --max-n must be at least 2, got {max_n}\n"
 
 
 def test_search_catalog_resume(capsys, tmp_path):
@@ -211,6 +232,59 @@ def test_file_target(capsys, tmp_path):
     code, out, _ = invoke(capsys, "zeta", f"file:{path}")
     assert code == 0
     assert "1 - 1/2^s - 2/4^s" in out
+
+
+# ----------------------------------------------------------------------
+# option surface: each subcommand accepts only the options it reads
+
+_BASE_ARGV = {
+    "zeta": ["zeta", "boolean:2"],
+    "classify": ["classify", "boolean:2"],
+    "mobius": ["mobius", "boolean:2"],
+    "group": ["group", "sym:3", "--brown"],
+    "family": ["family", "boolean:2", "--closed-form-check"],
+    "search": ["search", "--max-n", "3"],
+    "verify": ["verify", "--suite", "stirling"],
+    "fixture": ["fixture", "ten_point"],
+}
+# option -> (value on the command line, parsed value)
+_OPTION_VALUES = {
+    "--format": ("json", "json"),
+    "--output": ("report.json", "report.json"),
+    "--max-elements": ("3", 3),
+    "--smax": ("3", 3),
+    "--budget-tuples": ("100", 100),
+    "--jobs": ("1", 1),
+}
+_READERS = {
+    "--format": set(_BASE_ARGV),
+    "--output": set(_BASE_ARGV),
+    "--max-elements": {"zeta", "classify", "mobius", "family"},
+    "--smax": {"group", "verify"},
+    "--budget-tuples": {"verify"},
+    "--jobs": {"search"},
+}
+_KEPT = [(c, o) for c in _BASE_ARGV for o in _OPTION_VALUES if c in _READERS[o]]
+_REMOVED = [(c, o) for c in _BASE_ARGV for o in _OPTION_VALUES if c not in _READERS[o]]
+
+
+def test_option_surface_size():
+    assert len(_KEPT) == len(_REMOVED) == 24
+
+
+@pytest.mark.parametrize("command, option", _KEPT)
+def test_kept_option_parses(command, option):
+    raw, parsed = _OPTION_VALUES[option]
+    args = build_parser().parse_args(_BASE_ARGV[command] + [option, raw])
+    assert getattr(args, option[2:].replace("-", "_")) == parsed
+
+
+@pytest.mark.parametrize("command, option", _REMOVED)
+def test_removed_option_exit_code(capsys, command, option):
+    raw, _ = _OPTION_VALUES[option]
+    code, out, err = invoke(capsys, *_BASE_ARGV[command], option, raw)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +423,18 @@ def test_verify_oracle_honours_smax(capsys, monkeypatch):
     assert code == 0 and "suite oracle: OK" in out
     # every lattice on up to 7 elements has |J| <= 6, so 6**5 tuples fit
     assert seen == {(5, (1, 2, 3, 4, 5), ("direct", "mobius"))}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "oracle", "--smax", "0"),
+    ("group", "sym:3", "--brown", "--smax", "-2"),
+    ("group", "sym:3", "--brown", "--smax", "0"),
+])
+def test_empty_smax_range_exit_code(capsys, argv):
+    # no check is reported as passed when the range s = 1..smax is empty
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "argument --smax: must be at least 1" in err
 
 
 def test_verify_oracle_fails_when_the_direct_count_is_skipped(capsys):

@@ -139,6 +139,13 @@ def test_library_rejects_jobs_below_one(jobs):
         find_weak_not_strong(3, jobs=jobs)
 
 
+@pytest.mark.parametrize("max_n", [1, 0, -3])
+def test_find_weak_not_strong_rejects_below_two(monkeypatch, max_n):
+    monkeypatch.setattr(search, "level_entries", None)
+    with pytest.raises(ValueError):
+        find_weak_not_strong(max_n)
+
+
 def test_catalog_entry_fields():
     from latzeta.families import boolean_lattice
 

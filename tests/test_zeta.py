@@ -171,11 +171,11 @@ def test_atom_based_rejects_degenerate():
 def test_brute_force_known_value():
     # both atoms of B_2 must appear among the s draws: 1 - 2/2^s
     lat = boolean_lattice(2)
-    assert brute_force_probability(lat, lat.top, 2) == Fraction(1, 2)
-    assert brute_force_probability(lat, lat.top, 1) == 0
+    assert brute_force_probability(lat, lat.top, 2, method="direct") == Fraction(1, 2)
+    assert brute_force_probability(lat, lat.top, 1, method="direct") == 0
     # an atom's own irreducible set is the singleton {atom}
     atom = lat.atoms()[0]
-    assert brute_force_probability(lat, atom, 3) == 1
+    assert brute_force_probability(lat, atom, 3, method="direct") == 1
 
 
 def test_brute_force_methods_agree(lattices_by_size):
@@ -192,17 +192,17 @@ def test_brute_force_methods_agree(lattices_by_size):
 
 def test_brute_force_edge_cases():
     lat = boolean_lattice(2)
-    assert brute_force_probability(lat, lat.top, 0) == 0
+    assert brute_force_probability(lat, lat.top, 0, method="direct") == 0
     with pytest.raises(BottomTarget):
-        brute_force_probability(lat, lat.bottom, 2)
+        brute_force_probability(lat, lat.bottom, 2, method="direct")
     with pytest.raises(ValueError):
-        brute_force_probability(lat, lat.top, -1)
+        brute_force_probability(lat, lat.top, -1, method="direct")
     with pytest.raises(ValueError):
         brute_force_probability(lat, lat.top, 2, method="nonsense")
     with pytest.raises(BudgetExceeded):
         brute_force_probability(lat, lat.top, 3, method="direct", budget=7)
-    # auto falls back to the closed path under the same budget
-    assert brute_force_probability(lat, lat.top, 3, budget=7) == Fraction(3, 4)
+    with pytest.raises(TypeError):  # no default method
+        brute_force_probability(lat, lat.top, 2)
 
 
 def enumerated_probability(lattice, x, s):
@@ -286,6 +286,16 @@ def test_verify_series_against_oracle():
     # three draws do so iff all distinct
     assert check.s_values[2] == 0
     assert check.s_values[3] == Fraction(2, 9)
+
+
+@pytest.mark.parametrize("s_max", [0, -1])
+def test_verify_rejects_an_empty_range(monkeypatch, s_max):
+    # an empty range would report both oracles as run; refused before any work
+    import latzeta.zeta as zeta_mod
+
+    monkeypatch.setattr(zeta_mod, "zeta_series", None)
+    with pytest.raises(ValueError):
+        verify_series_against_oracle(boolean_lattice(2), s_max)
 
 
 def test_verify_detects_planted_mismatch(monkeypatch):
