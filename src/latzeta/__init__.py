@@ -45,6 +45,7 @@ from .families import (
     chain_zeta_closed,
     d_divisible_j_count,
     d_divisible_partition_lattice,
+    ddiv_zeta_closed,
     divisibility_lattice,
     divisibility_zeta_closed,
     partition_lattice,
@@ -117,6 +118,7 @@ __all__ = [
     "divisibility_zeta_closed",
     "subspace_zeta_closed",
     "partition_zeta_closed",
+    "ddiv_zeta_closed",
     "q_to_one_limit_check",
     "FiniteGroup",
     "cyclic",

@@ -95,7 +95,7 @@ _FAMILIES = {
     "partition": (1, families.partition_size, families.partition_lattice,
                   families.partition_zeta_closed),
     "ddiv": (2, families.d_divisible_size, families.d_divisible_partition_lattice,
-             None),
+             families.ddiv_zeta_closed),
 }
 
 
@@ -255,11 +255,11 @@ def _cmd_group(args):
 
 
 def _closed_form_for(spec):
-    """The closed-form series a family spec names, or None."""
+    """The closed-form series a family spec names."""
     kind, _, rest = spec.partition(":")
-    arity, _, _, closed = _FAMILIES.get(kind, (0, None, None, None))
-    if closed is None:
-        return None
+    if kind not in _FAMILIES:
+        raise UsageError(f"no closed form for family {spec!r}")
+    arity, _, _, closed = _FAMILIES[kind]
     return closed(*_int_args(rest, arity, kind))
 
 
@@ -267,26 +267,17 @@ def _cmd_family(args):
     with _spec_errors(args.family):
         closed = _closed_form_for(args.family)
     kind, _, rest = args.family.partition(":")
-    doc = {"command": "family", "family": args.family}
-    lines = []
-    if closed is not None:
-        doc["series"] = closed.to_doc()
-        lines.append(f"P(L, s) = {closed.pretty()}")
+    doc = {"command": "family", "family": args.family, "series": closed.to_doc()}
+    lines = [f"P(L, s) = {closed.pretty()}"]
     if kind == "ddiv":
+        # the closed form has checked d and n
         d, n = _int_args(rest, 2, "ddiv")
-        with _spec_errors(args.family):
-            summary = ddiv_strong_check(d, n)
+        summary = ddiv_strong_check(d, n)
         doc["shape_strong_check"] = summary.to_doc()
         lines.append(
             f"shape-level strong check (d={d}, n={n}): {summary.strong}"
         )
-    elif closed is None:
-        raise UsageError(f"no closed form for family {args.family!r}")
     if args.closed_form_check:
-        if closed is None:
-            raise UsageError(
-                f"--closed-form-check unsupported for {args.family!r}"
-            )
         lattice = parse_lattice_target(args.family, max_elements=args.max_elements)
         engine = zeta_series(lattice).series
         if engine != closed:
@@ -367,6 +358,8 @@ def _suite_closed_forms(args):
         + ["divisor:%d" % n for n in (4, 8, 12, 30, 360)]
         + ["subspace:2,2", "subspace:2,3", "subspace:3,2", "subspace:4,2"]
         + ["partition:%d" % n for n in (3, 4, 5, 6)]
+        + ["ddiv:%d,%d" % dn for dn in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                        (4, 2), (5, 2), (6, 2))]
     )
     for spec in targets:
         closed = _closed_form_for(spec)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, MismatchDetected, UnknownFixture
-from .families import d_divisible_j_count, integer_partitions
+from .families import d_divisible_j_count, ddiv_shapes, partition_shapes
 from .lattice import Lattice
 from .zeta import zeta_series
 
@@ -140,45 +140,23 @@ class ShapeStrongSummary:
         }
 
 
-def partition_strong_check(n):
-    """Shape-level strong test for the set-partition lattice on n points.
+def _strong_summary(rows, j_total):
+    """The strong verdict over the (blocks, |J_P|) rows of one lattice."""
+    failures = tuple((blocks, jp) for blocks, jp in rows if j_total % jp)
+    return ShapeStrongSummary(strong=not failures, j_total=j_total, failures=failures)
 
-    |J_P| depends only on the multiset of block sizes (pairs inside
-    blocks), so divisibility can be settled per integer partition of n
-    without materializing any set partitions.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    j_total = math.comb(n, 2)
-    failures = []
-    for shape in integer_partitions(n):
-        jp = sum(math.comb(p, 2) for p in shape)
-        if jp and j_total % jp:
-            failures.append((tuple(shape), jp))
-    return ShapeStrongSummary(
-        strong=not failures, j_total=j_total, failures=tuple(failures)
-    )
+
+def partition_strong_check(n):
+    """Shape-level strong test for the set-partition lattice on n points:
+    |J_P| depends only on the block sizes, so one divisibility test per
+    integer partition of n decides it without building any partition."""
+    return _strong_summary(partition_shapes(n), math.comb(n, 2))
 
 
 def ddiv_strong_check(d, n):
-    """Shape-level strong test for the d-divisible partition lattice on d*n points.
-
-    Elements above the bottom have block sizes d*p_1, ..., d*p_k with
-    (p_i) an integer partition of n, and |J_P| multiplies over blocks,
-    so again one divisibility test per shape decides the verdict.
-    """
-    if d < 2 or n < 2:
-        raise ValueError("need d >= 2 and n >= 2")
-    j_total = d_divisible_j_count(d, (d * n,))
-    failures = []
-    for shape in integer_partitions(n):
-        blocks = tuple(d * p for p in shape)
-        jp = d_divisible_j_count(d, blocks)
-        if j_total % jp:
-            failures.append((blocks, jp))
-    return ShapeStrongSummary(
-        strong=not failures, j_total=j_total, failures=tuple(failures)
-    )
+    """Shape-level strong test for the d-divisible partition lattice on
+    d*n points, one divisibility test per block shape as above."""
+    return _strong_summary(ddiv_shapes(d, n), d_divisible_j_count(d, (d * n,)))
 
 
 # ----------------------------------------------------------------------

@@ -141,7 +141,9 @@ _IRREDUCIBLE = {
 
 
 def _prime_power(q):
-    """(p, e) with q = p**e; NotAPrimePower for any other q."""
+    """(p, e) with q = p**e; NotAPrimePower for any other q.  A q past
+    ``DIVISOR_MAX_N`` is refused before it is factored."""
+    _check_budget("q", q, DIVISOR_MAX_N)
     fact = factorize(q) if q > 1 else []
     if len(fact) != 1:
         raise NotAPrimePower(f"{q} is not a prime power")
@@ -232,8 +234,7 @@ def _check_rank(r):
 def _check_divisor_n(n):
     if n < 2:
         raise ValueError("need n >= 2 for a non-degenerate divisor lattice")
-    if n > DIVISOR_MAX_N:
-        raise SizeLimitExceeded(f"n = {n} exceeds the budget of {DIVISOR_MAX_N}")
+    _check_budget("n", n, DIVISOR_MAX_N)
 
 
 def _check_dimension(n):
@@ -244,6 +245,13 @@ def _check_dimension(n):
 def _check_partition_n(n):
     if n < 2:
         raise ValueError("need n >= 2 for a non-degenerate partition lattice")
+
+
+def _check_ddiv(d, n):
+    if d < 2:
+        raise ValueError("need d >= 2")
+    if n < 1:
+        raise ValueError("need n >= 1")
 
 
 # Each ``*_size`` function runs its constructor's parameter and budget
@@ -262,6 +270,20 @@ SUBSPACE_MAX_ELEMENTS = 30_000
 PARTITION_MAX_N = 8
 DDIV_MAX_GROUND = 12
 DDIV_MAX_ELEMENTS = 20_000
+
+# Closed-form budgets, checked before any work.  Shape sums walk the p(n)
+# integer partitions of n, and d * n bounds each shape's factorials.
+SHAPE_MAX_N = 40
+SHAPE_MAX_GROUND = 200
+BOOLEAN_CLOSED_MAX_RANK = 2000
+# The largest subspace coefficient, at k = 1, has about C(n, 2) log2(q)
+# bits; this keeps it under Python's 4,300-digit int -> str limit.
+SUBSPACE_CLOSED_MAX_BITS = 13_000
+
+
+def _check_budget(name, value, budget):
+    if value > budget:
+        raise SizeLimitExceeded(f"{name} = {value} exceeds the budget of {budget}")
 
 
 def _check_elements(count, budget):
@@ -307,10 +329,7 @@ def partition_size(n):
 
 
 def d_divisible_size(d, n):
-    if d < 2:
-        raise ValueError("need d >= 2")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_ddiv(d, n)
     if d * n > DDIV_MAX_GROUND:
         raise SizeLimitExceeded(
             f"ground set of {d * n} exceeds budget {DDIV_MAX_GROUND}"
@@ -412,10 +431,7 @@ def d_divisible_partitions(d, n):
 
 def d_divisible_count(d, n):
     """Number of d-divisible partitions of a dn-set, by shape counting."""
-    total = 0
-    for shape in integer_partitions(n):
-        total += shape_count(tuple(d * p for p in shape))
-    return total
+    return sum(shape_count(blocks) for blocks, _ in ddiv_shapes(d, n))
 
 
 def d_divisible_partition_lattice(d, n):
@@ -450,12 +466,39 @@ def d_divisible_j_count(d, shape):
 
 
 # ----------------------------------------------------------------------
+# block shapes: the rows that the shape-level series and strong checks
+# of Pi_n and Pi^d_n read
+
+
+def partition_shapes(n):
+    """(blocks, |J_P|) for each block shape of a partition P of an n-set
+    above the all-singletons bottom, in ``integer_partitions`` order;
+    |J_P| counts the pairs inside blocks.  Checked on the call."""
+    _check_partition_n(n)
+    _check_budget("n", n, SHAPE_MAX_N)
+    return ((shape, sum(math.comb(p, 2) for p in shape))
+            for shape in integer_partitions(n) if shape[0] > 1)
+
+
+def ddiv_shapes(d, n):
+    """(blocks, |J_P|) for each block shape d*p_1, ..., d*p_k of a
+    d-divisible partition P of a dn-set, (p_i) running over
+    ``integer_partitions(n)``.  Checked on the call."""
+    _check_ddiv(d, n)
+    _check_budget("n", n, SHAPE_MAX_N)
+    _check_budget("d * n", d * n, SHAPE_MAX_GROUND)
+    blocks = (tuple(d * p for p in shape) for shape in integer_partitions(n))
+    return ((b, d_divisible_j_count(d, b)) for b in blocks)
+
+
+# ----------------------------------------------------------------------
 # closed-form series
 
 
 def boolean_zeta_closed(r):
     """P(B_r, s) = ((-1)^r / r^s) * sum_{k=1..r} (-1)^k C(r,k) k^s."""
     _check_rank(r)
+    _check_budget("r", r, BOOLEAN_CLOSED_MAX_RANK)
     return DirichletSeries(
         (Fraction(r, k), (-1) ** (r + k) * math.comb(r, k)) for k in range(1, r + 1)
     )
@@ -491,68 +534,58 @@ def divisibility_zeta_closed(n):
     )
 
 
-def gaussian_binomial_poly(n, k):
-    """Coefficient list (ascending) of the Gaussian binomial as a
-    polynomial in q, via the q-Pascal recurrence."""
-    if k < 0 or k > n:
-        return [0]
-
-    @lru_cache(maxsize=None)
-    def rec(nn, kk):
-        if kk == 0 or kk == nn:
-            return (1,)
-        left = rec(nn - 1, kk - 1)
-        right = rec(nn - 1, kk)
-        out = [0] * max(len(left), len(right) + kk)
-        for i, c in enumerate(left):
-            out[i] += c
-        for i, c in enumerate(right):
-            out[i + kk] += c
-        return tuple(out)
-
-    return list(rec(n, k))
-
-
 def gaussian_binomial(n, k, q):
-    """Gaussian binomial coefficient evaluated at an integer or rational
-    q; q = 1 falls back to the polynomial (giving C(n, k))."""
-    poly = gaussian_binomial_poly(n, k)
+    """[n choose k]_q = prod_{i<k} (q^(n-i) - 1)/(q^(i+1) - 1) at an
+    integer or rational q, and C(n, k) at q = 1; at q = -1 only k <= 1."""
+    if not 0 <= k <= n:
+        return 0
     if q == 1:
-        return sum(poly)
+        return math.comb(n, k)
+    if q == -1 and k > 1:
+        raise SingularInput("the product divides by q^2 - 1 = 0 at q = -1")
     q = Fraction(q)
-    value = sum(c * q**i for i, c in enumerate(poly))
+    value = math.prod((q ** (n - i) - 1) / (q ** (i + 1) - 1) for i in range(k))
     return int(value) if value.denominator == 1 else value
 
 
+def _subspace_terms(q, n):
+    """(base, coefficient) of P(S(GF(q)^n), s) at any q != 1: bases
+    (q^n - 1)/(q^k - 1) and coefficients (-1)^(n-k) [n choose k]_q
+    q^C(n-k, 2), for k = 1..n."""
+    return ((Fraction(q**n - 1) / (q**k - 1),
+             (-1) ** (n - k) * gaussian_binomial(n, k, q) * q ** math.comb(n - k, 2))
+            for k in range(1, n + 1))
+
+
 def subspace_zeta_closed(q, n):
-    """P(S(GF(q)^n), s) with bases (q^n - 1)/(q^k - 1) and coefficients
-    (-1)^(n-k) [n choose k]_q q^C(n-k, 2)."""
+    """P(S(GF(q)^n), s); see ``_subspace_terms``."""
     _check_dimension(n)
+    bits = math.comb(n, 2) * (q - 1).bit_length()
+    _check_budget("coefficient bits", bits, SUBSPACE_CLOSED_MAX_BITS)
     _prime_power(q)
+    return DirichletSeries(_subspace_terms(q, n))
+
+
+def _shape_series(rows, j_total):
+    """The series summed over block shapes: a partition with k blocks has
+    mu(P, top) = (-1)^(k-1) (k-1)!, as the interval above it is Pi_k, and
+    each shape has ``shape_count(blocks)`` members at base j_total / |J_P|."""
     return DirichletSeries(
-        (
-            Fraction(q**n - 1, q**k - 1),
-            (-1) ** (n - k) * gaussian_binomial(n, k, q) * q ** math.comb(n - k, 2),
-        )
-        for k in range(1, n + 1)
+        (Fraction(j_total, jp),
+         (-1) ** (len(b) - 1) * math.factorial(len(b) - 1) * shape_count(b))
+        for b, jp in rows
     )
 
 
 def partition_zeta_closed(n):
-    """P(Pi_n, s) aggregated over block-size shapes: a shape with k
-    blocks contributes count(shape) * (-1)^(k-1) (k-1)! at base
-    C(n,2) / sum_i C(shape_i, 2)."""
-    _check_partition_n(n)
-    total = math.comb(n, 2)
-    terms = []
-    for shape in integer_partitions(n):
-        j = sum(math.comb(p, 2) for p in shape)
-        if j == 0:
-            continue  # the all-singletons shape is the bottom
-        k = len(shape)
-        coeff = shape_count(shape) * (-1) ** (k - 1) * math.factorial(k - 1)
-        terms.append((Fraction(total, j), coeff))
-    return DirichletSeries(terms)
+    """P(Pi_n, s) summed over block shapes, with |J| = C(n, 2)."""
+    return _shape_series(partition_shapes(n), math.comb(n, 2))
+
+
+def ddiv_zeta_closed(d, n):
+    """P(Pi^d_n, s) summed over block shapes, with |J| the number of
+    partitions of a dn-set into blocks of size d."""
+    return _shape_series(ddiv_shapes(d, n), _d_block_count(d, n))
 
 
 def stirling_boolean_value(r, s):
@@ -582,14 +615,6 @@ def q_to_one_limit_check(n, s, h):
     h = Fraction(h)
     if h == 0:
         raise SingularInput("the closed form divides by q - 1 at q = 1")
-    q = 1 + h
-    value = Fraction(0)
-    for k in range(1, n + 1):
-        gauss = sum(
-            c * q**i for i, c in enumerate(gaussian_binomial_poly(n, k))
-        )
-        coeff = (-1) ** (n - k) * gauss * q ** math.comb(n - k, 2)
-        base = (q**n - 1) / (q**k - 1)
-        value += coeff * base ** (-s)
+    value = sum(coeff * base ** -s for base, coeff in _subspace_terms(1 + h, n))
     boolean = boolean_zeta_closed(n).evaluate_exact(s)
     return LimitCheck(n=n, s=s, h=h, subspace_value=value, boolean_value=boolean)

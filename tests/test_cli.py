@@ -12,6 +12,7 @@ from latzeta import search
 from latzeta.cli import build_parser, parse_group, parse_lattice_target, run
 from latzeta.cosetlike import load_fixture
 from latzeta.errors import UsageError
+from latzeta.families import ddiv_zeta_closed
 from latzeta.lattice import Lattice, is_isomorphic
 
 
@@ -128,6 +129,33 @@ def test_family_ddiv(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["shape_strong_check"]["strong"] is False
+    assert doc["series"] == ddiv_zeta_closed(2, 4).to_doc()
+
+
+def test_family_ddiv_closed_form_check(capsys):
+    code, out, _ = invoke(capsys, "family", "ddiv:2,4", "--closed-form-check")
+    assert code == 0
+    assert out.startswith(f"P(L, s) = {ddiv_zeta_closed(2, 4).pretty()}\n")
+    assert "shape-level strong check (d=2, n=4): False" in out
+    assert "closed form matches the engine series" in out
+
+
+def test_verify_closed_forms_covers_ddiv(capsys):
+    code, out, _ = invoke(capsys, "verify", "--suite", "closed-forms")
+    assert code == 0 and "FAIL" not in out
+    for spec in ("ddiv:2,2", "ddiv:2,3", "ddiv:2,4", "ddiv:3,2", "ddiv:3,3",
+                 "ddiv:4,2", "ddiv:5,2", "ddiv:6,2"):
+        assert f"OK  closed {spec}\n" in out
+
+
+@pytest.mark.parametrize("family", [
+    "partition:200", "ddiv:2,200", "ddiv:6,34", "subspace:2,500",
+    "subspace:1000000000000000003,2", "boolean:20000",
+])
+def test_over_budget_closed_form_exit_code(capsys, family):
+    code, out, err = invoke(capsys, "family", family)
+    assert code == 1 and err == ""
+    assert out.startswith("error (SizeLimitExceeded): ")
 
 
 def test_family_unknown(capsys):

@@ -1,13 +1,17 @@
 """Combinatorial helpers, classical lattice families, and their
 closed-form series."""
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latzeta.cosetlike import ddiv_strong_check, partition_strong_check
 from latzeta.errors import (
     NotAPrimePower,
     PartNotDivisible,
@@ -26,6 +30,8 @@ from latzeta.families import (
     d_divisible_j_count,
     d_divisible_partition_lattice,
     d_divisible_partitions,
+    ddiv_shapes,
+    ddiv_zeta_closed,
     divisibility_lattice,
     divisibility_size,
     divisibility_zeta_closed,
@@ -33,10 +39,10 @@ from latzeta.families import (
     factorize,
     field,
     gaussian_binomial,
-    gaussian_binomial_poly,
     integer_partitions,
     number_mobius,
     partition_lattice,
+    partition_shapes,
     partition_zeta_closed,
     q_to_one_limit_check,
     set_partitions,
@@ -480,17 +486,54 @@ def test_boolean_chain_divisor_lattices_match_cover_oracles():
 # Gaussian binomials
 
 
+def gaussian_binomial_oracle(n, k):
+    """Ascending coefficients of [n choose k]_q as a polynomial in q, by
+    the q-Pascal recurrence [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    if k < 0 or k > n:
+        return [0]
+    if k == 0 or k == n:
+        return [1]
+    left = gaussian_binomial_oracle(n - 1, k - 1)
+    right = gaussian_binomial_oracle(n - 1, k)
+    out = [0] * max(len(left), len(right) + k)
+    for i, c in enumerate(left):
+        out[i] += c
+    for i, c in enumerate(right):
+        out[i + k] += c
+    return out
+
+
 def test_gaussian_binomial_poly():
-    assert gaussian_binomial_poly(4, 2) == [1, 1, 2, 1, 1]
-    assert gaussian_binomial_poly(3, 1) == [1, 1, 1]
-    assert gaussian_binomial_poly(3, 5) == [0]
+    assert gaussian_binomial_oracle(4, 2) == [1, 1, 2, 1, 1]
+    assert gaussian_binomial_oracle(3, 1) == [1, 1, 1]
+    assert gaussian_binomial_oracle(3, 5) == [0]
     # symmetry and the q = 1 specialisation
     rng = random.Random(4007)
     for _ in range(40):
         n = rng.randrange(0, 10)
         k = rng.randrange(0, n + 1)
-        assert gaussian_binomial_poly(n, k) == gaussian_binomial_poly(n, n - k)
+        assert gaussian_binomial_oracle(n, k) == gaussian_binomial_oracle(n, n - k)
         assert gaussian_binomial(n, k, 1) == math.comb(n, k)
+        assert gaussian_binomial(n, k, 2) == sum(
+            c * 2**i for i, c in enumerate(gaussian_binomial_oracle(n, k))
+        )
+
+
+def test_gaussian_binomial_matches_q_pascal_oracle():
+    qs = [1, *range(2, 10), Fraction(3, 2), 1 + Fraction(1, 10**6)]
+    for n in range(9):
+        for k in range(-1, n + 2):
+            poly = gaussian_binomial_oracle(n, k)
+            for q in qs:
+                want = sum(c * Fraction(q) ** i for i, c in enumerate(poly))
+                got = gaussian_binomial(n, k, q)
+                assert got == want, (n, k, q)
+                # an integral value comes back as an int
+                assert isinstance(got, int) == (want.denominator == 1), (n, k, q)
+    # the product divides by zero at q = -1 once k >= 2
+    assert gaussian_binomial(5, 1, -1) == 1
+    with pytest.raises(SingularInput):
+        gaussian_binomial(4, 2, -1)
 
 
 def test_gaussian_binomial_counts_subspaces():
@@ -518,7 +561,9 @@ def test_chain_zeta_closed():
     (divisibility_zeta_closed, divisibility_lattice, (1,)),
     (subspace_zeta_closed, subspace_lattice, (2, 0)),
     (partition_zeta_closed, partition_lattice, (1,)),
-], ids=["chain", "boolean", "divisor", "subspace", "partition"])
+    (ddiv_zeta_closed, d_divisible_partition_lattice, (1, 3)),
+    (ddiv_zeta_closed, d_divisible_partition_lattice, (2, 0)),
+], ids=["chain", "boolean", "divisor", "subspace", "partition", "ddiv-d", "ddiv-n"])
 def test_closed_form_rejects_what_the_constructor_rejects(closed, build, args):
     with pytest.raises(ValueError) as from_closed:
         closed(*args)
@@ -574,3 +619,145 @@ def test_q_to_one_limit():
     assert check.difference < 1e-3
     with pytest.raises(SingularInput):
         q_to_one_limit_check(2, 2, 0)
+
+
+# ----------------------------------------------------------------------
+# block shapes and the shape-level series of Pi^d_n
+
+# the n <= 30 with an ordinary series P(Pi^d_n, s), for d = 2..5
+ORDINARY_DDIV = {
+    2: [2, 3, 5],
+    3: [2, 3, 4, 7],
+    4: [2, 3, 4, 5, 7, 9],
+    5: [2, 3, 5, 6, 7],
+}
+
+
+def _ordinary_ddiv(d, n_max):
+    return [n for n in range(2, n_max + 1) if ddiv_zeta_closed(d, n).is_ordinary()]
+
+
+@pytest.mark.parametrize("d, n", [
+    (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2), (6, 2),
+])
+def test_ddiv_zeta_closed_matches_engine(d, n):
+    lattice = d_divisible_partition_lattice(d, n)
+    assert ddiv_zeta_closed(d, n) == zeta_series(lattice).series
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("d, n", [(2, 5), (4, 3)])
+def test_large_ddiv_zeta_closed_matches_engine(d, n):
+    lattice = d_divisible_partition_lattice(d, n)
+    assert ddiv_zeta_closed(d, n) == zeta_series(lattice).series
+
+
+@pytest.mark.parametrize("d", sorted(ORDINARY_DDIV))
+def test_ddiv_ordinary_cases_through_20(d):
+    want = [n for n in ORDINARY_DDIV[d] if n <= 20]
+    assert _ordinary_ddiv(d, 20) == want
+    # strong implies weak
+    for n in range(2, 21):
+        if ddiv_strong_check(d, n).strong:
+            assert n in want, (d, n)
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("d", sorted(ORDINARY_DDIV))
+def test_ddiv_ordinary_cases_through_30(d):
+    assert _ordinary_ddiv(d, 30) == ORDINARY_DDIV[d]
+
+
+@pytest.mark.long
+def test_partition_ordinary_only_through_4():
+    ordinary = [n for n in range(2, families.SHAPE_MAX_N + 1)
+                if partition_zeta_closed(n).is_ordinary()]
+    assert ordinary == [2, 3, 4]
+
+
+def test_partition_shapes_skip_the_bottom():
+    rows = list(partition_shapes(4))
+    assert rows == [((4,), 6), ((3, 1), 3), ((2, 2), 2), ((2, 1, 1), 1)]
+    assert sum(shape_count(blocks) for blocks, _ in rows) == BELL[4] - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _ddiv_by_shape(d, n):
+    """The d-divisible partitions of a dn-set grouped by block shape."""
+    groups = {}
+    for p in d_divisible_partitions(d, n):
+        groups.setdefault(tuple(sorted(map(len, p), reverse=True)), []).append(p)
+    return groups
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(d, n) for d in range(2, 11) for n in range(1, 6)
+                        if d * n <= 10]),
+       st.data())
+def test_ddiv_shapes_match_the_partitions(dn, data):
+    d, n = dn
+    groups = _ddiv_by_shape(d, n)
+    atoms = groups[(d,) * n]
+    rows = list(ddiv_shapes(d, n))
+    assert sorted(blocks for blocks, _ in rows) == sorted(groups)
+    for blocks, jp in rows:
+        members = groups[blocks]
+        assert len(members) == shape_count(blocks)
+        part = data.draw(st.sampled_from(members))
+        block_of = {x: i for i, block in enumerate(part) for x in block}
+        # an atom refines the partition when each of its blocks lies
+        # inside one block of it
+        below = sum(all(len({block_of[x] for x in block}) == 1 for block in atom)
+                    for atom in atoms)
+        assert jp == below
+    assert d_divisible_count(d, n) == sum(map(len, groups.values()))
+
+
+# ----------------------------------------------------------------------
+# closed-form budgets, each checked before any work
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work was done past a budget")
+
+
+def test_shape_budgets_checked_before_any_shape(monkeypatch):
+    n = families.SHAPE_MAX_N
+    d = families.SHAPE_MAX_GROUND // n
+    monkeypatch.setattr(families, "integer_partitions", lambda n: iter(()))
+    # the budgets themselves are admitted
+    assert not partition_zeta_closed(n)
+    assert not ddiv_zeta_closed(d, n)
+    assert ddiv_strong_check(d, n).strong
+    monkeypatch.setattr(families, "integer_partitions", _refuse)
+    for check in (
+        lambda: partition_zeta_closed(n + 1),
+        lambda: partition_strong_check(n + 1),
+        lambda: ddiv_zeta_closed(2, n + 1),
+        lambda: ddiv_strong_check(2, n + 1),
+        lambda: ddiv_zeta_closed(d + 1, n),  # over the ground budget only
+        lambda: ddiv_strong_check(d + 1, n),
+    ):
+        with pytest.raises(SizeLimitExceeded):
+            check()
+
+
+def test_subspace_closed_form_budgets_checked_first(monkeypatch):
+    # at the bit budget every coefficient still prints
+    assert subspace_zeta_closed(2, 161).to_doc()
+    assert subspace_zeta_closed(3, 114).to_doc()
+    monkeypatch.setattr(families, "factorize", _refuse)
+    monkeypatch.setattr(families, "_subspace_terms", _refuse)
+    # C(162, 2) = 13,041 bits at q = 2; a q past DIVISOR_MAX_N is not
+    # trial-divided
+    for q, n in ((2, 162), (2, 500), (3, 115), (10**18 + 3, 2)):
+        with pytest.raises(SizeLimitExceeded):
+            subspace_zeta_closed(q, n)
+
+
+def test_boolean_closed_form_rank_budget(monkeypatch):
+    r = families.BOOLEAN_CLOSED_MAX_RANK
+    assert len(boolean_zeta_closed(r).to_doc()["terms"]) == r
+    monkeypatch.setattr(math, "comb", _refuse)
+    with pytest.raises(SizeLimitExceeded):
+        boolean_zeta_closed(r + 1)
