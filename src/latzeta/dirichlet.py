@@ -2,12 +2,11 @@
 
 A series here is a finite sum ``sum c_q / q^s`` over rational bases
 ``q >= 1`` with nonzero integer coefficients ``c_q``.  All arithmetic is
-exact; numeric evaluation is offered separately for plotting-style use.
+exact.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 from fractions import Fraction
 
@@ -33,9 +32,11 @@ class DirichletSeries:
         items = terms.items() if isinstance(terms, dict) else terms
         for q, c in items:
             q = _as_base(q)
-            c = int(c)
-            if c:
-                acc[q] = acc.get(q, 0) + c
+            k = int(c)
+            if k != c:
+                raise ValueError(f"coefficient {c} at base {q} is not an integer")
+            if k:
+                acc[q] = acc.get(q, 0) + k
                 if not acc[q]:
                     del acc[q]
         self._terms = dict(sorted(acc.items()))
@@ -105,13 +106,6 @@ class DirichletSeries:
             raise TypeError("exact evaluation needs an integer exponent")
         return sum((c * q ** (-s) for q, c in self._terms.items()), Fraction(0))
 
-    def evaluate_numeric(self, s):
-        """Complex value at an arbitrary float/complex exponent."""
-        acc = complex(0)
-        for q, c in self._terms.items():
-            acc += c * cmath.exp(-complex(s) * cmath.log(complex(q)))
-        return acc
-
     def shift_exponent(self, k=1):
         """The series for ``s -> s + k``; needs every coefficient to stay
         integral (base q contributes a factor q**-k), else ValueError."""
@@ -170,20 +164,8 @@ class DirichletSeries:
             ]
         }
 
-    @classmethod
-    def from_doc(cls, doc):
-        return cls((Fraction(t["q"]), int(t["c"])) for t in doc["terms"])
-
     def to_json(self):
         return json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_doc(json.loads(text))
-
     def __repr__(self):
         return f"DirichletSeries({self.pretty(collapse=False)!r})"
-
-
-ZERO = DirichletSeries()
-ONE = DirichletSeries({Fraction(1): 1})

@@ -15,14 +15,13 @@ from fractions import Fraction
 
 from .dirichlet import DirichletSeries
 from .errors import (
-    BudgetExceeded,
     MismatchDetected,
     NotCoprimeOrders,
     OrderLimitExceeded,
     SizeLimitExceeded,
 )
 from .lattice import Lattice, is_isomorphic, lower_reduced_product
-from .zeta import DEFAULT_TUPLE_BUDGET, zeta_series
+from .zeta import zeta_series
 
 MAX_GROUP_ORDER = 64
 
@@ -88,9 +87,6 @@ class FiniteGroup:
 
     def mul(self, a, b):
         return self.table[a][b]
-
-    def inv(self, a):
-        return self.inverse[a]
 
     def conjugate(self, g, a):
         """g a g^-1."""
@@ -253,23 +249,6 @@ def group_zeta(group):
     )
 
 
-def tuple_generation_probability(group, s):
-    """Probability that s uniform elements generate the whole group."""
-    if s < 0:
-        raise ValueError("tuple length must be non-negative")
-    size = group.n**s
-    if size > DEFAULT_TUPLE_BUDGET:
-        raise BudgetExceeded(
-            f"{size} tuples exceed the budget of {DEFAULT_TUPLE_BUDGET}"
-        )
-    full = frozenset(range(group.n))
-    hits = 0
-    for tup in itertools.product(range(group.n), repeat=s):
-        if group.generated_subgroup(tup) == full:
-            hits += 1
-    return Fraction(hits, size)
-
-
 # ----------------------------------------------------------------------
 # coset lattices
 
@@ -316,22 +295,6 @@ class CosetLattice:
             )
             self._translations[g] = perm
         return perm
-
-    def coset_join(self, i, j):
-        """Join via the explicit formula x1<x1^-1 x2, H1, H2> rather
-        than through the order; used to cross-check the lattice's join."""
-        g = self.group
-        if not self.members[i]:
-            return j
-        if not self.members[j]:
-            return i
-        x1 = min(self.members[i])
-        x2 = min(self.members[j])
-        h1 = self.subgroup_of[i]
-        h2 = self.subgroup_of[j]
-        gens = set(h1) | set(h2) | {g.table[g.inverse[x1]][x2]}
-        sub = g.generated_subgroup(gens)
-        return self.find(frozenset(g.table[x1][h] for h in sub))
 
 
 #: Element budget of ``coset_lattice``, checked by ``coset_count``.

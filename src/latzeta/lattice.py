@@ -8,16 +8,17 @@ Conventions used throughout:
 - The order is stored as bitmasks: ``up[x]`` has bit ``y`` set iff
   ``x <= y``, and ``down[y]`` has bit ``x`` set iff ``x <= y``.
 - There are two public constructors.  ``Lattice.from_sets`` takes
-  distinct ground-set bitmasks ordered by inclusion; the families, both
-  products, subgroup and coset lattices and generated sublattices are
-  built with it.  ``Lattice.from_covers`` takes a below/above relation
-  and checks it is acyclic; it serves input that arrives as covers
-  (``.lat`` files, fixtures, ``decode_canonical_key``, ``adjoin_atoms``).
-  Both hand the principal filters to one kernel, ``Lattice._from_up``,
-  which derives the rest and validates eagerly: existence of a unique
-  bottom and top, and existence of the meet of every element with every
-  meet-irreducible (an element with exactly one upper cover).  That
-  suffices for all meets, hence all joins (see
+  distinct ground-set bitmasks ordered by inclusion; the families, the
+  lower reduced product, subgroup and coset lattices and generated
+  sublattices are built with it.  ``Lattice.from_covers`` takes a
+  below/above relation and checks it is acyclic; it serves input that
+  arrives as covers (``.lat`` files, fixtures, ``decode_canonical_key``).
+  Both check the element count against ``DEFAULT_MAX_ELEMENTS`` before
+  they build the principal filters, and both hand those to one kernel,
+  ``Lattice._from_up``, which derives the rest and validates eagerly:
+  existence of a unique bottom and top, and existence of the meet of
+  every element with every meet-irreducible (an element with exactly one
+  upper cover).  That suffices for all meets, hence all joins (see
   ``Lattice._check_meets``), so a ``Lattice`` that exists is a lattice.
 
 Instances are immutable apart from internal memo caches (Moebius vectors
@@ -38,7 +39,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 
-#: Default ceiling for product constructions.
+#: Element cap of every constructor, checked before the filters are built.
 DEFAULT_MAX_ELEMENTS = 50_000
 
 
@@ -82,11 +83,16 @@ def _order_structure(n, up, down):
 
 
 def _check_count(n):
-    """Reject an element count that cannot make a lattice."""
+    """Reject an element count that cannot make a lattice or is over
+    ``DEFAULT_MAX_ELEMENTS``."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"element count must be a positive integer, got {n!r}")
     if n == 1:
         raise DegenerateLattice("the one-element order has bottom == top")
+    if n > DEFAULT_MAX_ELEMENTS:
+        raise SizeLimitExceeded(
+            f"{n} elements exceed the cap of {DEFAULT_MAX_ELEMENTS}"
+        )
 
 
 class Lattice:
@@ -99,7 +105,6 @@ class Lattice:
         "bottom",
         "top",
         "_covers_up",
-        "_covers_down",
         "_heights",
         "_filter_index",
         "_ideal_index",
@@ -122,10 +127,10 @@ class Lattice:
 
         ``covers`` is any iterable of pairs ``(a, b)`` meaning ``a < b``;
         it does not have to be reduced, the transitive reduction is
-        re-derived.  Raises ``CyclicCovers``, ``NoBoundedStructure``,
-        ``DegenerateLattice`` or ``NotALattice`` as appropriate; the
-        lattice test looks up ``meet(x, m)`` for every element ``x`` and
-        every meet-irreducible ``m``, not every pair.
+        re-derived.  Raises ``SizeLimitExceeded``, ``CyclicCovers``,
+        ``NoBoundedStructure``, ``DegenerateLattice`` or ``NotALattice``
+        as appropriate; the lattice test looks up ``meet(x, m)`` for every
+        element ``x`` and every meet-irreducible ``m``, not every pair.
         """
         _check_count(n)
         succ = [set() for _ in range(n)]  # a -> {b : a < b given}
@@ -212,7 +217,6 @@ class Lattice:
 
         covers_up, covers_down, heights = _order_structure(n, up, down)
         self._covers_up = tuple(map(tuple, covers_up))
-        self._covers_down = tuple(map(tuple, covers_down))
         self._heights = tuple(heights)
         self._desc_height = tuple(sorted(range(n), key=lambda x: -heights[x]))
 
@@ -279,26 +283,11 @@ class Lattice:
             acc = self.join(acc, x)
         return acc
 
-    def meet_set(self, xs):
-        acc = self.top
-        for x in xs:
-            acc = self.meet(acc, x)
-        return acc
-
     def height(self, x):
         return self._heights[x]
 
     def atoms(self):
         return self._covers_up[self.bottom]
-
-    def coatoms(self):
-        return self._covers_down[self.top]
-
-    def upper_covers(self, x):
-        return self._covers_up[x]
-
-    def lower_covers(self, x):
-        return self._covers_down[x]
 
     # ------------------------------------------------------------------
     # join-irreducibles
@@ -387,11 +376,6 @@ class Lattice:
 
     def to_lat(self, comment=None):
         return render_lat(self, comment=comment)
-
-    @classmethod
-    def from_lat(cls, text):
-        n, covers = parse_lat(text)
-        return cls.from_covers(n, covers)
 
 
 # ----------------------------------------------------------------------
@@ -667,19 +651,7 @@ def is_isomorphic(a, b):
 
 
 # ----------------------------------------------------------------------
-# products and modifications
-
-
-def cartesian_product(a, b):
-    """Componentwise-order product of two lattices; element
-    ``x * b.n + y`` is ``(x, y)``, the union of ``a.down[x]`` and
-    ``b.down[y]`` shifted past ``a``'s ground bits."""
-    n = a.n * b.n
-    if n > DEFAULT_MAX_ELEMENTS:
-        raise SizeLimitExceeded(
-            f"product would have {n} > {DEFAULT_MAX_ELEMENTS} elements"
-        )
-    return Lattice.from_sets(dx | dy << a.n for dx in a.down for dy in b.down)
+# the lower reduced product
 
 
 def lower_reduced_product(a, b):
@@ -695,21 +667,6 @@ def lower_reduced_product(a, b):
     return Lattice.from_sets(
         [0] + [a.down[x] | b.down[y] << a.n for x in xs for y in ys]
     )
-
-
-def adjoin_atoms(lattice, k):
-    """Adjoin ``k`` new atoms, each covering bottom and covered by top."""
-    if k < 0:
-        raise ValueError("cannot adjoin a negative number of atoms")
-    if k == 0:
-        return lattice
-    n = lattice.n + k
-    pairs = list(lattice.covers)
-    for i in range(k):
-        new = lattice.n + i
-        pairs.append((lattice.bottom, new))
-        pairs.append((new, lattice.top))
-    return Lattice.from_covers(n, pairs)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from latzeta.cli import build_parser, parse_group, parse_lattice_target, run
 from latzeta.cosetlike import load_fixture
 from latzeta.errors import UsageError
 from latzeta.families import ddiv_zeta_closed
-from latzeta.lattice import Lattice, is_isomorphic
+from latzeta.lattice import Lattice, is_isomorphic, parse_lat
 
 
 def invoke(capsys, *argv):
@@ -241,7 +241,7 @@ def test_search_malformed_catalog_exit_code(capsys, tmp_path, bad):
 def test_fixture_roundtrip(capsys):
     code, out, _ = invoke(capsys, "fixture", "eleven_point")
     assert code == 0
-    rebuilt = Lattice.from_lat(out.split("# P(L, s)")[0])
+    rebuilt = Lattice.from_covers(*parse_lat(out.split("# P(L, s)")[0]))
     assert is_isomorphic(rebuilt, load_fixture("eleven_point"))
 
 
@@ -407,6 +407,18 @@ def test_max_elements_checked_before_reading_covers(capsys, monkeypatch, tmp_pat
     code, _, err = invoke(capsys, "zeta", f"file:{path}", "--max-elements", "10")
     assert code == 2
     assert err == "error: target has 1000 elements, over the --max-elements cap 10\n"
+
+
+def test_file_over_the_element_cap_exits_1(capsys, tmp_path):
+    # with no --max-elements, the library's element cap refuses the file
+    # before its principal filters are allocated
+    path = tmp_path / "big.lat"
+    path.write_text("n 1000000000\n")
+    code, out, _ = invoke(capsys, "zeta", f"file:{path}")
+    assert code == 1
+    assert out == (
+        "error (SizeLimitExceeded): 1000000000 elements exceed the cap of 50000\n"
+    )
 
 
 @pytest.mark.parametrize("target", ["chain:5", "partition:3", "group:cyclic:2"])

@@ -591,7 +591,7 @@ def test_adjoined_atom_families():
     # to bases (8+k)/4, (8+k)/2 and adds the new atoms' own term at
     # base 8+k, so ordinariness needs 4 | 8+k, i.e. k = 0 (mod 4);
     # strongness additionally needs 3 | 8+k (the |J_x| = 3 element)
-    from latzeta.lattice import adjoin_atoms
+    from builders import adjoin_atoms
 
     base = load_fixture("ten_point")
     for k in range(1, 14):

@@ -1,5 +1,6 @@
 """Core lattice representation: validation, order operations, Möbius
-numbers, canonical forms, products, and the .lat text format."""
+numbers, canonical forms, the lower reduced product, and the .lat text
+format."""
 
 import hashlib
 import json
@@ -19,6 +20,7 @@ from latzeta.errors import (
     NotComparable,
     SizeLimitExceeded,
 )
+from latzeta import lattice as lattice_mod
 from latzeta import search
 from latzeta.families import (
     boolean_lattice,
@@ -30,14 +32,14 @@ from latzeta.families import (
 from latzeta.groups import coset_lattice, cyclic, symmetric
 from latzeta.lattice import (
     Lattice,
-    adjoin_atoms,
     canonical_key_from_up,
-    cartesian_product,
     decode_canonical_key,
     is_isomorphic,
     lower_reduced_product,
     parse_lat,
 )
+
+from builders import adjoin_atoms
 
 DIAMOND = (4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 PENTAGON = (5, [(0, 1), (0, 2), (2, 3), (1, 4), (3, 4)])
@@ -66,7 +68,6 @@ def test_from_covers_diamond():
     assert lat.join(1, 2) == 3 and lat.meet(1, 2) == 0
     assert lat.leq(0, 3) and not lat.leq(1, 2)
     assert sorted(lat.atoms()) == [1, 2]
-    assert sorted(lat.coatoms()) == [1, 2]
     assert lat.covers == ((0, 1), (0, 2), (1, 3), (2, 3))
 
 
@@ -116,6 +117,22 @@ def test_out_of_range_cover_rejected():
         Lattice.from_covers(3, [(0, 3)])
 
 
+def test_element_cap_checked_before_work(monkeypatch):
+    monkeypatch.setattr(lattice_mod, "DEFAULT_MAX_ELEMENTS", 10)
+
+    def unread():
+        raise AssertionError("the covers were read")
+        yield
+
+    with pytest.raises(SizeLimitExceeded):
+        Lattice.from_covers(11, unread())
+    with pytest.raises(SizeLimitExceeded):
+        Lattice.from_sets((1 << i) - 1 for i in range(11))
+    # a chain at the cap still builds
+    assert Lattice.from_covers(10, [(i, i + 1) for i in range(9)]).n == 10
+    assert Lattice.from_sets((1 << i) - 1 for i in range(10)).n == 10
+
+
 # ----------------------------------------------------------------------
 # order operations
 
@@ -150,9 +167,11 @@ def test_join_meet_set_fold(lattices_by_size):
             j = lat.join(j, x)
             m = lat.meet(m, x)
         assert lat.join_set(xs) == j
-        assert lat.meet_set(xs) == m
+        ideal = lat.down[xs[0]]
+        for x in xs[1:]:
+            ideal &= lat.down[x]
+        assert lat.down[m] == ideal
     assert lattices_by_size[6][0].join_set([]) == lattices_by_size[6][0].bottom
-    assert lattices_by_size[6][0].meet_set([]) == lattices_by_size[6][0].top
 
 
 def test_heights():
@@ -163,16 +182,13 @@ def test_heights():
 
 def test_covers_relation():
     lat = boolean_lattice(3)
-    for x in range(lat.n):
-        for y in lat.upper_covers(x):
-            assert lat.leq(x, y) and x != y
-            # nothing strictly between
-            assert not any(
-                lat.leq(x, z) and lat.leq(z, y) and z not in (x, y)
-                for z in range(lat.n)
-            )
-        assert sorted(lat.lower_covers(x)) == sorted(
-            y for y in range(lat.n) if x in lat.upper_covers(y)
+    assert len(lat.covers) == 12  # three directions at each of 8 corners, halved
+    for x, y in lat.covers:
+        assert lat.leq(x, y) and x != y
+        # nothing strictly between
+        assert not any(
+            lat.leq(x, z) and lat.leq(z, y) and z not in (x, y)
+            for z in range(lat.n)
         )
 
 
@@ -210,13 +226,15 @@ def test_join_irreducibles_chain():
 
 
 def test_join_irreducible_definition(lattices_by_size):
-    for lat in lattices_by_size[7]:
-        irr = set(lat.join_irreducibles())
-        for x in range(lat.n):
-            if x == lat.bottom:
-                assert x not in irr
-            else:
-                assert (x in irr) == (len(lat.lower_covers(x)) == 1)
+    # join-irreducible: exactly one lower cover; the bottom has none
+    for lats in lattices_by_size.values():
+        for lat in lats:
+            below = [0] * lat.n
+            for _, b in lat.covers:
+                below[b] += 1
+            assert lat.join_irreducibles() == tuple(
+                x for x in range(lat.n) if below[x] == 1
+            )
 
 
 def test_below_irreducibles_counts(lattices_by_size):
@@ -378,30 +396,7 @@ def test_large_keys_are_pinned(name):
 
 
 # ----------------------------------------------------------------------
-# products and atom adjoining
-
-
-def test_cartesian_product_shape():
-    a, b = boolean_lattice(2), chain(3)
-    prod = cartesian_product(a, b)
-    assert prod.n == a.n * b.n
-    assert is_isomorphic(
-        cartesian_product(boolean_lattice(1), boolean_lattice(1)),
-        boolean_lattice(2),
-    )
-
-
-def test_cartesian_product_order():
-    a, b = chain(3), chain(3)
-    prod = cartesian_product(a, b)
-    # componentwise: (x1,y1) <= (x2,y2) iff both coordinates compare
-    for x1 in range(3):
-        for y1 in range(3):
-            for x2 in range(3):
-                for y2 in range(3):
-                    assert prod.leq(x1 * 3 + y1, x2 * 3 + y2) == (
-                        x1 <= x2 and y1 <= y2
-                    )
+# the lower reduced product and atom adjoining
 
 
 def test_lower_reduced_product_shape():
@@ -412,14 +407,6 @@ def test_lower_reduced_product_shape():
     assert is_isomorphic(
         lower_reduced_product(chain(2), chain(2)), chain(2)
     )
-
-
-def cartesian_oracle(a, b):
-    """The former pair loop: each cover of one factor, beside every
-    element of the other."""
-    pairs = [(x * b.n + y, xx * b.n + y) for x, xx in a.covers for y in range(b.n)]
-    pairs += [(x * b.n + y, x * b.n + yy) for y, yy in b.covers for x in range(a.n)]
-    return Lattice.from_covers(a.n * b.n, pairs)
 
 
 def lower_reduced_oracle(a, b):
@@ -450,21 +437,18 @@ def test_products_match_cover_oracles(lattices_by_size, data):
     census = [lat for n in range(2, 7) for lat in lattices_by_size[n]]
     a = data.draw(st.sampled_from(census))
     b = data.draw(st.sampled_from(census))
-    assert_same_lattice(cartesian_product(a, b), cartesian_oracle(a, b))
     assert_same_lattice(lower_reduced_product(a, b), lower_reduced_oracle(a, b))
 
 
 def test_product_size_caps(monkeypatch):
-    # B_8 x B_8 has 65,536 elements and its lower reduced product 65,026,
-    # both over DEFAULT_MAX_ELEMENTS; the caps refuse them before building
+    # the lower reduced product of B_8 with itself has 65,026 elements,
+    # over DEFAULT_MAX_ELEMENTS; the cap refuses it before building
     a = boolean_lattice(8)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a product was built")
 
     monkeypatch.setattr(Lattice, "from_sets", refuse)
-    with pytest.raises(SizeLimitExceeded):
-        cartesian_product(a, a)
     with pytest.raises(SizeLimitExceeded):
         lower_reduced_product(a, a)
 
@@ -476,9 +460,6 @@ def test_adjoin_atoms():
     # 0 < {2,3,4} < 1: the direct bottom-top cover is no longer a cover
     assert len(lat.atoms()) == 3
     assert lat.is_atomistic()
-    assert adjoin_atoms(base, 0) is base
-    with pytest.raises(ValueError):
-        adjoin_atoms(base, -1)
 
 
 # ----------------------------------------------------------------------
@@ -490,7 +471,7 @@ def test_lat_roundtrip(lattices_by_size):
         text = lat.to_lat(comment="test")
         n, covers = parse_lat(text)
         assert n == lat.n and tuple(covers) == lat.covers
-        again = Lattice.from_lat(text)
+        again = Lattice.from_covers(*parse_lat(text))
         assert again.covers == lat.covers
 
 
