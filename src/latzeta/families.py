@@ -111,14 +111,6 @@ def big_omega(n):
     return sum(e for _, e in factorize(n))
 
 
-def number_mobius(n):
-    """Classical Moebius function of a positive integer."""
-    fact = factorize(n)
-    if any(e > 1 for _, e in fact):
-        return 0
-    return -1 if len(fact) % 2 else 1
-
-
 def divisors(n):
     fact = factorize(n)
     out = [1]

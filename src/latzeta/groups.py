@@ -259,15 +259,13 @@ class CosetLattice:
     bottom, ordered by inclusion.
 
     ``members[i]`` is the underlying set of element ids (empty for the
-    bottom), ``subgroup_of[i]`` the subgroup the coset belongs to.
-    ``_translations`` memoises ``translate`` and takes no part in
-    equality.
+    bottom).  ``_translations`` memoises ``translate`` and takes no part
+    in equality.
     """
 
     group: FiniteGroup
     lattice: Lattice
     members: tuple
-    subgroup_of: tuple
     singleton_id: dict
     member_index: dict
     _translations: dict = field(
@@ -316,19 +314,13 @@ def coset_count(group):
 def coset_lattice(group):
     """Build the coset lattice of a finite group."""
     coset_count(group)
-    cosets = {}
-    for h in group.subgroups():
-        for x in range(group.n):
-            c = group.left_coset(x, h)
-            cosets.setdefault(c, h)
+    cosets = {group.left_coset(x, h) for h in group.subgroups() for x in range(group.n)}
     ordered = sorted(cosets, key=lambda c: (len(c), tuple(sorted(c))))
     members = (frozenset(),) + tuple(ordered)
-    subgroup_of = (None,) + tuple(cosets[c] for c in ordered)
     return CosetLattice(
         group=group,
         lattice=Lattice.from_sets(map(_mask, members)),
         members=members,
-        subgroup_of=subgroup_of,
         singleton_id={min(m): i for i, m in enumerate(members) if len(m) == 1},
         member_index={m: i for i, m in enumerate(members)},
     )

@@ -15,11 +15,17 @@ Conventions used throughout:
   arrives as covers (``.lat`` files, fixtures, ``decode_canonical_key``).
   Both check the element count against ``DEFAULT_MAX_ELEMENTS`` before
   they build the principal filters, and both hand those to one kernel,
-  ``Lattice._from_up``, which derives the rest and validates eagerly:
-  existence of a unique bottom and top, and existence of the meet of
-  every element with every meet-irreducible (an element with exactly one
-  upper cover).  That suffices for all meets, hence all joins (see
-  ``Lattice._check_meets``), so a ``Lattice`` that exists is a lattice.
+  ``Lattice._from_up``, which derives the down-masks and validates
+  eagerly: existence of a unique bottom and top, and existence of the
+  meet of every element with every meet-irreducible (an element whose
+  strict principal filter is itself a principal filter).  That suffices
+  for all meets, hence all joins (see ``Lattice._check_meets``), so a
+  ``Lattice`` that exists is a lattice.
+- A ``Lattice`` stores only the masks, the bounds, the filter and ideal
+  indexes and its join-irreducibles; every other order fact is an index
+  lookup.  The cover relation and heights are derived in one place,
+  ``_order_structure``, which the ``covers`` property and the canonical
+  labelling call on demand.
 
 Instances are immutable apart from internal memo caches (Moebius vectors
 and the canonical key).  Each cache value is fully computed before it is
@@ -104,11 +110,8 @@ class Lattice:
         "down",
         "bottom",
         "top",
-        "_covers_up",
-        "_heights",
         "_filter_index",
         "_ideal_index",
-        "_desc_height",
         "_irreducibles",
         "_irr_mask",
         "_mobius_cache",
@@ -126,11 +129,13 @@ class Lattice:
         """Build and validate a lattice from a below/above relation.
 
         ``covers`` is any iterable of pairs ``(a, b)`` meaning ``a < b``;
-        it does not have to be reduced, the transitive reduction is
-        re-derived.  Raises ``SizeLimitExceeded``, ``CyclicCovers``,
-        ``NoBoundedStructure``, ``DegenerateLattice`` or ``NotALattice``
-        as appropriate; the lattice test looks up ``meet(x, m)`` for every
-        element ``x`` and every meet-irreducible ``m``, not every pair.
+        it does not have to be reduced: only its transitive closure is
+        kept, and the ``covers`` property derives the transitive
+        reduction on demand.  Raises ``SizeLimitExceeded``,
+        ``CyclicCovers``, ``NoBoundedStructure``, ``DegenerateLattice`` or
+        ``NotALattice`` as appropriate; the lattice test looks up
+        ``meet(x, m)`` for every element ``x`` and every meet-irreducible
+        ``m``, not every pair.
         """
         _check_count(n)
         succ = [set() for _ in range(n)]  # a -> {b : a < b given}
@@ -214,17 +219,13 @@ class Lattice:
         self.down = tuple(down)
         self.bottom = bottom
         self.top = top
-
-        covers_up, covers_down, heights = _order_structure(n, up, down)
-        self._covers_up = tuple(map(tuple, covers_up))
-        self._heights = tuple(heights)
-        self._desc_height = tuple(sorted(range(n), key=lambda x: -heights[x]))
-
         self._filter_index = {up[x]: x for x in range(n)}
-        self._ideal_index = {down[x]: x for x in range(n)}
+        self._ideal_index = ideals = {down[x]: x for x in range(n)}
         self._check_meets()
 
-        irr = tuple(x for x in range(n) if x != bottom and len(covers_down[x]) == 1)
+        # x has one lower cover iff its strict ideal is principal; the
+        # bottom's strict ideal is empty, which no element's ideal is
+        irr = tuple(x for x in range(n) if down[x] ^ (1 << x) in ideals)
         self._irreducibles = irr
         self._irr_mask = sum(1 << x for x in irr)
 
@@ -234,7 +235,8 @@ class Lattice:
 
     def _check_meets(self):
         """Raise ``NotALattice`` unless ``meet(x, m)`` exists for every
-        element ``x`` and every meet-irreducible ``m``.
+        element ``x`` and every meet-irreducible ``m``, an element whose
+        strict filter is the filter of its one upper cover.
 
         That is enough for a bounded order.  Going down from the top, an
         element ``y`` with two upper covers ``a != b`` is their meet, so
@@ -243,10 +245,12 @@ class Lattice:
         trivially.  A finite meet-semilattice with a top is a lattice, so
         joins exist too.
         """
+        up = self.up
         down = self.down
+        filters = self._filter_index
         ideals = self._ideal_index
         for m in range(self.n):
-            if len(self._covers_up[m]) != 1:
+            if up[m] ^ (1 << m) not in filters:
                 continue
             dm = down[m]
             for x in range(self.n):
@@ -258,8 +262,9 @@ class Lattice:
     @property
     def covers(self):
         """The cover relation as pairs ``(a, b)`` with ``a`` covered by
-        ``b``, ascending by ``a``, then ``b``."""
-        return tuple((a, b) for a, ups in enumerate(self._covers_up) for b in ups)
+        ``b``, ascending by ``a``, then ``b``; derived on each read."""
+        covers_up = _order_structure(self.n, self.up, self.down)[0]
+        return tuple((a, b) for a, ups in enumerate(covers_up) for b in ups)
 
     # ------------------------------------------------------------------
     # order predicates and operations
@@ -283,11 +288,10 @@ class Lattice:
             acc = self.join(acc, x)
         return acc
 
-    def height(self, x):
-        return self._heights[x]
-
     def atoms(self):
-        return self._covers_up[self.bottom]
+        """The elements whose strict ideal is just the bottom, ascending."""
+        floor = 1 << self.bottom
+        return tuple(x for x in self._irreducibles if self.down[x] ^ (1 << x) == floor)
 
     # ------------------------------------------------------------------
     # join-irreducibles
@@ -321,7 +325,10 @@ class Lattice:
         """Tuple ``v`` with ``v[x] = mu(x, target)`` for ``x <= target``.
 
         Entries for elements not below ``target`` are ``None``.  Computed
-        once per target by the defining recursion and memoised.
+        once per target by the defining recursion and memoised.  The
+        interval below ``target`` is walked by ascending filter size:
+        ``x < y`` implies ``|up[y]| < |up[x]|``, so each ``y`` comes after
+        every element above it.
         """
         cached = self._mobius_cache.get(target)
         if cached is not None:
@@ -330,10 +337,9 @@ class Lattice:
         vals = [None] * self.n
         vals[target] = 1
         up = self.up
-        for y in self._desc_height:
+        below = _iter_bits(members ^ (1 << target))
+        for y in sorted(below, key=lambda v: up[v].bit_count()):
             bit = 1 << y
-            if not (members & bit) or y == target:
-                continue
             acc = 0
             m = up[y] & members & ~bit
             while m:
@@ -372,7 +378,7 @@ class Lattice:
     # misc
 
     def __repr__(self):
-        return f"<Lattice n={self.n} covers={len(self.covers)}>"
+        return f"<Lattice n={self.n}>"
 
     def to_lat(self, comment=None):
         return render_lat(self, comment=comment)
@@ -645,7 +651,10 @@ def decode_canonical_key(key, n):
 
 def is_isomorphic(a, b):
     """Test lattice isomorphism by comparing canonical keys."""
-    if a.n != b.n or sum(map(len, a._covers_up)) != sum(map(len, b._covers_up)):
+    if a.n != b.n:
+        return False
+    # isomorphic orders have equally many comparable pairs
+    if sum(x.bit_count() for x in a.up) != sum(x.bit_count() for x in b.up):
         return False
     return a.canonical_form() == b.canonical_form()
 

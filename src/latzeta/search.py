@@ -21,9 +21,6 @@ and a child is kept only if its new element lies in the automorphism
 orbit of ``m*``; so every class is kept exactly once, from one parent
 and one antichain, and at most one canonical labelling is made per
 orbit-distinct child whose new element has the largest up-set.
-
-An independent brute-force oracle (all naturally labeled posets,
-filtered by a direct lattice test) cross-checks the counts for small n.
 """
 
 import os
@@ -47,12 +44,10 @@ from .zeta import zeta_series
 
 __all__ = [
     "DEFAULT_MAX_N",
-    "BRUTE_FORCE_MAX_N",
     "LatticeCatalogEntry",
     "CatalogStore",
     "enumerate_lattices",
     "lattice_count",
-    "brute_force_lattice_count",
     "catalog_entry",
     "level_entries",
     "classify_catalog",
@@ -60,7 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_N = 11
-BRUTE_FORCE_MAX_N = 6
 
 # every line of a catalog file, with runs of blanks read as one space
 _CATALOG_LINE = re.compile(
@@ -141,6 +135,18 @@ def _in_orbit(x, y, generators):
             if w not in orbit:
                 orbit.add(w)
                 stack.append(w)
+    return False
+
+
+def _has_least(common, ups):
+    """Whether the set ``common`` holds an element whose up-mask covers
+    all of ``common``."""
+    rest = common
+    while rest:
+        low = rest & -rest
+        if ups[low.bit_length() - 1] & common == common:
+            return True
+        rest ^= low
     return False
 
 
@@ -286,95 +292,6 @@ def lattice_count(n, *, jobs=1):
         raise ValueError("lattices need at least 2 elements")
     _check_enumeration_cap(n)
     return len(_semilattice_level(n - 1, jobs=jobs))
-
-
-# ----------------------------------------------------------------------
-# independent brute-force oracle
-
-
-def _naturally_labeled_posets(n):
-    """Up-mask tuples of every naturally labeled poset on n points.
-
-    Element k is inserted above an order ideal of the elements before
-    it, which produces each naturally labeled poset exactly once (the
-    ideal is forced: it is the new element's strict down-set).
-    """
-    def ideals(k, down):
-        found = []
-        for mask in range(1 << k):
-            closed = True
-            rest = mask
-            while rest:
-                low = rest & -rest
-                if down[low.bit_length() - 1] & ~mask:
-                    closed = False
-                    break
-                rest ^= low
-            if closed:
-                found.append(mask)
-        return found
-
-    def rec(k, up, down):
-        if k == n:
-            yield tuple(up)
-            return
-        bit = 1 << k
-        for ideal in ideals(k, down):
-            new_up = list(up)
-            rest = ideal
-            while rest:
-                low = rest & -rest
-                new_up[low.bit_length() - 1] |= bit
-                rest ^= low
-            new_up.append(bit)
-            yield from rec(k + 1, new_up, down + [ideal | bit])
-
-    yield from rec(0, [], [])
-
-
-def _is_lattice_masks(n, up):
-    """Direct lattice test on up-masks: every pair needs a least common
-    upper bound and a greatest common lower bound."""
-    down = _transpose_masks(n, list(up))
-    for x in range(n):
-        for y in range(x + 1, n):
-            if not _has_least(up[x] & up[y], up):
-                return False
-            if not _has_least(down[x] & down[y], down):
-                return False
-    return True
-
-
-def _has_least(common, masks):
-    """Whether the set ``common`` holds an element whose mask covers all
-    of ``common``: a least element for up-masks, a greatest for
-    down-masks."""
-    rest = common
-    while rest:
-        low = rest & -rest
-        if masks[low.bit_length() - 1] & common == common:
-            return True
-        rest ^= low
-    return False
-
-
-def brute_force_lattice_count(n):
-    """Isomorphism classes of lattices on n elements, the slow way.
-
-    Enumerates every naturally labeled poset on n points, keeps those
-    passing the direct pairwise join/meet test, and deduplicates by
-    canonical key.  Exists purely to cross-check the semilattice
-    enumerator on small n.
-    """
-    if n < 2:
-        raise ValueError("lattices need at least 2 elements")
-    if n > BRUTE_FORCE_MAX_N:
-        raise BudgetExceeded(f"brute force capped at n = {BRUTE_FORCE_MAX_N}")
-    keys = set()
-    for up in _naturally_labeled_posets(n):
-        if _is_lattice_masks(n, list(up)):
-            keys.add(canonical_key_from_up(n, list(up)))
-    return len(keys)
 
 
 # ----------------------------------------------------------------------

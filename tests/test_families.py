@@ -40,7 +40,6 @@ from latzeta.families import (
     field,
     gaussian_binomial,
     integer_partitions,
-    number_mobius,
     partition_lattice,
     partition_shapes,
     partition_zeta_closed,
@@ -55,6 +54,8 @@ from latzeta.families import (
 )
 from latzeta.lattice import Lattice
 from latzeta.zeta import zeta_series
+
+from builders import heights, number_mobius
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -288,7 +289,7 @@ def test_divisor_n_capped_before_factoring(monkeypatch):
 
 def test_subspace_lattice_is_graded_by_dimension():
     lat = subspace_lattice(3, 2)
-    assert sorted(lat.height(x) for x in range(lat.n)) == [0, 1, 1, 1, 1, 2]
+    assert sorted(heights(lat)) == [0, 1, 1, 1, 1, 2]
     assert lat.is_atomistic()
 
 
@@ -296,7 +297,7 @@ def test_partition_lattice_structure():
     lat = partition_lattice(4)
     assert lat.n == BELL[4]
     parts = set_partitions(4)
-    assert lat.height(lat.top) == 3
+    assert heights(lat)[lat.top] == 3
     # refinement: finer below coarser
     i_fine = parts.index(tuple((x,) for x in range(4)))
     assert i_fine == lat.bottom

@@ -201,7 +201,8 @@ def test_coset_lattice_structure():
 
 def coset_join(cl, i, j):
     """Join of coset ids ``i`` and ``j`` of the coset lattice ``cl`` by the
-    formula x1<x1^-1 x2, H1, H2>, not through the order."""
+    formula x1<x1^-1 x2, H1, H2>, not through the order; the subgroup of
+    a coset C is x^-1 C with x = min(C)."""
     g = cl.group
     if not cl.members[i]:
         return j
@@ -209,9 +210,9 @@ def coset_join(cl, i, j):
         return i
     x1 = min(cl.members[i])
     x2 = min(cl.members[j])
-    h1 = cl.subgroup_of[i]
-    h2 = cl.subgroup_of[j]
-    gens = set(h1) | set(h2) | {g.table[g.inverse[x1]][x2]}
+    h1 = {g.table[g.inverse[x1]][c] for c in cl.members[i]}
+    h2 = {g.table[g.inverse[x2]][c] for c in cl.members[j]}
+    gens = h1 | h2 | {g.table[g.inverse[x1]][x2]}
     sub = g.generated_subgroup(gens)
     return cl.find(frozenset(g.table[x1][h] for h in sub))
 

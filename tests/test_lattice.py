@@ -39,7 +39,7 @@ from latzeta.lattice import (
     parse_lat,
 )
 
-from builders import adjoin_atoms
+from builders import adjoin_atoms, heights
 
 DIAMOND = (4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 PENTAGON = (5, [(0, 1), (0, 2), (2, 3), (1, 4), (3, 4)])
@@ -176,8 +176,9 @@ def test_join_meet_set_fold(lattices_by_size):
 
 def test_heights():
     lat = Lattice.from_covers(*PENTAGON)
-    assert lat.height(lat.bottom) == 0
-    assert lat.height(lat.top) == 3  # longest chain 0 < 2 < 3 < 4
+    height = heights(lat)
+    assert height[lat.bottom] == 0
+    assert height[lat.top] == 3  # longest chain 0 < 2 < 3 < 4
 
 
 def test_covers_relation():
@@ -281,8 +282,9 @@ def test_mobius_boolean():
     r = 4
     lat = boolean_lattice(r)
     mu = lat.mobius_to_top()
+    height = heights(lat)
     for x in range(lat.n):
-        k = r - lat.height(x)  # corank
+        k = r - height[x]  # corank
         assert mu[x] == (-1) ** k
 
 

@@ -25,10 +25,8 @@ from latzeta.lattice import (
     is_isomorphic,
 )
 from latzeta.search import (
-    BRUTE_FORCE_MAX_N,
     DEFAULT_MAX_N,
     CatalogStore,
-    brute_force_lattice_count,
     catalog_entry,
     classify_catalog,
     enumerate_lattices,
@@ -36,6 +34,8 @@ from latzeta.search import (
     lattice_count,
     level_entries,
 )
+
+from builders import brute_force_lattice_count
 
 # isomorphism classes of lattices on n elements, n = 2..10
 KNOWN_COUNTS = [1, 1, 2, 5, 15, 53, 222, 1078, 5994]
@@ -51,13 +51,7 @@ def test_counts_match_independent_oracle():
         assert brute_force_lattice_count(n) == lattice_count(n)
 
 
-def test_oracle_budget(monkeypatch):
-    def refuse(n):
-        raise AssertionError("posets were enumerated")
-
-    monkeypatch.setattr(search, "_naturally_labeled_posets", refuse)
-    with pytest.raises(BudgetExceeded):
-        brute_force_lattice_count(BRUTE_FORCE_MAX_N + 1)
+def test_oracle_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_lattices(12))
     with pytest.raises(ValueError):

@@ -2,12 +2,14 @@
 
 ``Lattice.from_covers`` only looks up the meet of every element with
 every meet-irreducible.  These tests hold it to the deliberately naive
-pairwise test ``search._is_lattice_masks``, exhaustively on small posets
+pairwise test ``builders.is_lattice_masks``, exhaustively on small posets
 and on random cover sets, and check ``join``/``meet`` against a direct
-least-upper-bound / greatest-lower-bound search.  ``Lattice.from_sets``
-is held to ``from_covers`` on the pairwise inclusions of random set
-families, and its ``join``/``meet`` to union and intersection on random
-intersection-closed families.
+least-upper-bound / greatest-lower-bound search.  On the random lattices,
+the covers, join-irreducibles and atoms read off the indexes are held to
+the transitive reduction, and every Moebius vector to its defining sum.
+``Lattice.from_sets`` is held to ``from_covers`` on the pairwise
+inclusions of random set families, and its ``join``/``meet`` to union
+and intersection on random intersection-closed families.
 """
 
 import pytest
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 
 from latzeta.errors import LatZetaError, NoBoundedStructure, NotALattice
 from latzeta.lattice import Lattice
-from latzeta.search import _is_lattice_masks, _naturally_labeled_posets
+
+from builders import is_lattice_masks, naturally_labeled_posets
 
 
 def _strict_pairs(up):
@@ -41,7 +44,7 @@ def _agrees_with_naive(n, pairs):
     """from_covers accepts exactly the lattices, rejecting the rest with
     a typed error; returns whether ``pairs`` generate a lattice."""
     up = _closure(n, pairs)
-    if _is_lattice_masks(n, up):
+    if is_lattice_masks(n, up):
         assert list(Lattice.from_covers(n, pairs).up) == up
         return True
     with pytest.raises((NotALattice, NoBoundedStructure)):
@@ -80,7 +83,7 @@ def test_exhaustive_agreement_with_pairwise_test(n):
     # labels are a linear extension in one case and its opposite in the
     # other.
     lattices = 0
-    for up in _naturally_labeled_posets(n):
+    for up in naturally_labeled_posets(n):
         pairs = _strict_pairs(up)
         reverse = [(n - 1 - a, n - 1 - b) for a, b in pairs]
         verdicts = {_agrees_with_naive(n, p) for p in (pairs, reverse)}
@@ -121,6 +124,42 @@ def test_random_covers_agree_with_pairwise_test(case):
     n, pairs = case
     if _agrees_with_naive(n, pairs):
         _assert_operations(n, pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_sets())
+def test_order_facts_match_naive_reduction(case):
+    # Covers, join-irreducibles and atoms against the transitive reduction
+    # of the closure, and every Moebius vector against its defining sum,
+    # with labels in random order.
+    n, pairs = case
+    try:
+        lattice = Lattice.from_covers(n, pairs)
+    except (NotALattice, NoBoundedStructure):
+        return
+    up = _closure(n, pairs)
+
+    def below(a, b):
+        return a != b and (up[a] >> b) & 1
+
+    covers = [(a, b) for a in range(n) for b in range(n)
+              if below(a, b) and not any(below(a, c) and below(c, b) for c in range(n))]
+    lower = [[a for a, b in covers if b == x] for x in range(n)]
+    bottom = up.index((1 << n) - 1)
+    assert lattice.covers == tuple(covers)
+    assert lattice.join_irreducibles() == tuple(
+        x for x in range(n) if len(lower[x]) == 1
+    )
+    assert lattice.atoms() == tuple(x for x in range(n) if lower[x] == [bottom])
+    for t in range(n):
+        mu = lattice.mobius_vector(t)
+        for x in range(n):
+            if x == t or below(x, t):
+                total = sum(mu[y] for y in range(n)
+                            if (x == y or below(x, y)) and (y == t or below(y, t)))
+                assert total == (1 if x == t else 0)
+            else:
+                assert mu[x] is None
 
 
 @st.composite
@@ -221,7 +260,7 @@ def test_meet_irreducible_pairs_alone_do_not_suffice():
     covers += [(w, m1), (u, m1), (w, m2), (v, m2), (u, m3), (v, m3)]
     covers += [(m, top) for m in (m1, m2, m3)]
     for pairs in (covers, [(9 - a, 9 - b) for a, b in covers]):
-        assert not _is_lattice_masks(10, _closure(10, pairs))
+        assert not is_lattice_masks(10, _closure(10, pairs))
         with pytest.raises(NotALattice):
             Lattice.from_covers(10, pairs)
 
