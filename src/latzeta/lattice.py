@@ -12,15 +12,16 @@ Conventions used throughout:
   lower reduced product, subgroup and coset lattices and generated
   sublattices are built with it.  ``Lattice.from_covers`` takes a
   below/above relation and checks it is acyclic; it serves input that
-  arrives as covers (``.lat`` files, fixtures, ``decode_canonical_key``).
+  arrives as covers (``.lat`` files and fixtures).
   Both check the element count against ``DEFAULT_MAX_ELEMENTS`` before
   they build the principal filters, and both hand those to one kernel,
   ``Lattice._from_up``, which derives the down-masks and validates
   eagerly: existence of a unique bottom and top, and existence of the
-  meet of every element with every meet-irreducible (an element whose
-  strict principal filter is itself a principal filter).  That suffices
-  for all meets, hence all joins (see ``Lattice._check_meets``), so a
-  ``Lattice`` that exists is a lattice.
+  join of every element with every join-irreducible (an element whose
+  strict principal ideal is itself a principal ideal).  That suffices
+  for all joins, hence all meets (see ``Lattice._check_joins``), so a
+  ``Lattice`` that exists is a lattice.  The census enumerator checks
+  each new element with the same predicate, ``_join_failure``.
 - A ``Lattice`` stores only the masks, the bounds, the filter and ideal
   indexes and its join-irreducibles; every other order fact is an index
   lookup.  The cover relation and heights are derived in one place,
@@ -88,6 +89,16 @@ def _order_structure(n, up, down):
     return covers_up, covers_down, heights
 
 
+def _join_failure(up, filters, mask):
+    """The first element ``x`` of ``up`` that has no join with the element
+    whose principal filter is ``mask``, or None; the join exists iff
+    ``up[x] & mask`` is in ``filters``, the principal filters.
+    ``Lattice._check_joins`` asks this for each join-irreducible, and the
+    census enumerator for each new minimal element, passing its strict
+    filter, since no element of ``up`` lies below it."""
+    return next((x for x, ux in enumerate(up) if ux & mask not in filters), None)
+
+
 def _check_count(n):
     """Reject an element count that cannot make a lattice or is over
     ``DEFAULT_MAX_ELEMENTS``."""
@@ -134,8 +145,8 @@ class Lattice:
         reduction on demand.  Raises ``SizeLimitExceeded``,
         ``CyclicCovers``, ``NoBoundedStructure``, ``DegenerateLattice`` or
         ``NotALattice`` as appropriate; the lattice test looks up
-        ``meet(x, m)`` for every element ``x`` and every meet-irreducible
-        ``m``, not every pair.
+        ``join(x, j)`` for every element ``x`` and every join-irreducible
+        ``j``, not every pair.
         """
         _check_count(n)
         succ = [set() for _ in range(n)]  # a -> {b : a < b given}
@@ -221,43 +232,34 @@ class Lattice:
         self.top = top
         self._filter_index = {up[x]: x for x in range(n)}
         self._ideal_index = ideals = {down[x]: x for x in range(n)}
-        self._check_meets()
 
-        # x has one lower cover iff its strict ideal is principal; the
-        # bottom's strict ideal is empty, which no element's ideal is
+        # in any finite order, x has one lower cover iff its strict ideal
+        # is principal; the bottom's strict ideal is empty, which no
+        # element's ideal is
         irr = tuple(x for x in range(n) if down[x] ^ (1 << x) in ideals)
         self._irreducibles = irr
         self._irr_mask = sum(1 << x for x in irr)
+        self._check_joins()
 
         self._mobius_cache = {}
         self._canonical_key = None
         return self
 
-    def _check_meets(self):
-        """Raise ``NotALattice`` unless ``meet(x, m)`` exists for every
-        element ``x`` and every meet-irreducible ``m``, an element whose
-        strict filter is the filter of its one upper cover.
+    def _check_joins(self):
+        """Raise ``NotALattice`` unless ``join(x, j)`` exists for every
+        element ``x`` and every join-irreducible ``j``.
 
-        That is enough for a bounded order.  Going down from the top, an
-        element ``y`` with two upper covers ``a != b`` is their meet, so
-        ``down[x] & down[y] == down[meet(meet(x, a), b)]`` by the meets
-        already established above ``y``; the top meets everything
-        trivially.  A finite meet-semilattice with a top is a lattice, so
-        joins exist too.
+        That is enough for a bounded order.  Going up from the bottom, an
+        element ``y`` with two lower covers ``a != b`` is their join, so
+        ``up[x] & up[y] == up[join(join(x, a), b)]`` by the joins already
+        established below ``y``; the bottom joins everything trivially.
+        A finite join-semilattice with a bottom is a lattice, so meets
+        exist too.
         """
-        up = self.up
-        down = self.down
-        filters = self._filter_index
-        ideals = self._ideal_index
-        for m in range(self.n):
-            if up[m] ^ (1 << m) not in filters:
-                continue
-            dm = down[m]
-            for x in range(self.n):
-                if down[x] & dm not in ideals:
-                    raise NotALattice(
-                        f"elements {x} and {m} have no greatest lower bound"
-                    )
+        for j in self._irreducibles:
+            x = _join_failure(self.up, self._filter_index, self.up[j])
+            if x is not None:
+                raise NotALattice(f"elements {x} and {j} have no least upper bound")
 
     @property
     def covers(self):
@@ -381,7 +383,11 @@ class Lattice:
         return f"<Lattice n={self.n}>"
 
     def to_lat(self, comment=None):
-        return render_lat(self, comment=comment)
+        """The lattice in the ``.lat`` format, one line per cover."""
+        lines = [f"# {part}" for part in str(comment or "").splitlines()]
+        lines.append(f"n {self.n}")
+        lines += [f"c {a} {b}" for a, b in self.covers]
+        return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -637,18 +643,6 @@ def _hex_to_columns(n, key):
     return cols
 
 
-def decode_canonical_key(key, n):
-    """Rebuild a lattice from a canonical key and its element count."""
-    cols = _hex_to_columns(n, key)
-    pairs = []
-    for j in range(1, n):
-        col = cols[j]
-        for i in range(j):
-            if (col >> (j - 1 - i)) & 1:
-                pairs.append((i, j))
-    return Lattice.from_covers(n, pairs)
-
-
 def is_isomorphic(a, b):
     """Test lattice isomorphism by comparing canonical keys."""
     if a.n != b.n:
@@ -712,14 +706,3 @@ def parse_lat(text):
     if n is None:
         raise ValueError("missing element count line 'n <count>'")
     return n, covers
-
-
-def render_lat(lattice, comment=None):
-    lines = []
-    if comment:
-        for part in str(comment).splitlines():
-            lines.append(f"# {part}")
-    lines.append(f"n {lattice.n}")
-    for a, b in lattice.covers:
-        lines.append(f"c {a} {b}")
-    return "\n".join(lines) + "\n"

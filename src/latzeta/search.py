@@ -7,7 +7,8 @@ elements, and conversely adjoining a bottom to one yields a lattice, so
 the isomorphism classes correspond one to one.  Each level is built
 from the previous one by adding a new minimal element whose upper
 covers form an antichain; only joins against the new element need
-checking.
+checking, with the predicate that construction uses,
+``lattice._join_failure``.
 
 Duplicates are never generated, by canonical augmentation (McKay,
 *Isomorph-free exhaustive generation*, J. Algorithms 1998; Heitzig &
@@ -37,6 +38,7 @@ from .lattice import (
     _columns_to_hex,
     _hex_to_columns,
     _iter_bits,
+    _join_failure,
     _transpose_masks,
     canonical_key_from_up,
 )
@@ -138,25 +140,6 @@ def _in_orbit(x, y, generators):
     return False
 
 
-def _has_least(common, ups):
-    """Whether the set ``common`` holds an element whose up-mask covers
-    all of ``common``."""
-    rest = common
-    while rest:
-        low = rest & -rest
-        if ups[low.bit_length() - 1] & common == common:
-            return True
-        rest ^= low
-    return False
-
-
-def _has_joins(k, ups, filt):
-    """Whether every old element ``a`` has a join with a new element whose
-    strict up-set is ``filt``: ``a`` itself when it lies in ``filt``, else
-    the least element of ``filt & ups[a]``."""
-    return all((filt >> a) & 1 or _has_least(filt & ups[a], ups) for a in range(k))
-
-
 def _extend_parents(m, parents):
     """The classes on m elements whose canonical parent is among the
     given (m-1)-element semilattices, as ``(key, up_masks, generators)``.
@@ -176,13 +159,16 @@ def _extend_parents(m, parents):
         down = _transpose_masks(k, list(ups))
         comp = [ups[i] | down[i] for i in range(k)]
         minimal = [(i, ups[i].bit_count()) for i in range(k) if down[i] == 1 << i]
+        filters = set(ups)
         for amask in _orbit_representatives(_antichain_masks(k, comp), generators):
             filt = 0
             for a in _iter_bits(amask):
                 filt |= ups[a]
             size = filt.bit_count() + 1
             others = [(i, s) for i, s in minimal if not (filt >> i) & 1]
-            if any(s > size for _, s in others) or not _has_joins(k, ups, filt):
+            if any(s > size for _, s in others):
+                continue
+            if _join_failure(ups, filters, filt) is not None:
                 continue
             child = ups + (filt | newbit,)
             key, perm, child_gens = _canonical_labelling(m, list(child))
@@ -354,7 +340,6 @@ class CatalogStore:
     def __init__(self, path=None):
         self.path = None if path is None else str(path)
         self._levels = {}
-        self._complete = set()
         self._load()
 
     def _load(self):
@@ -374,15 +359,14 @@ class CatalogStore:
                 if key is not None:
                     pending.setdefault(int(n), {})[key] = flags
                 elif level is not None:
-                    self._complete.add(int(level))
                     self._levels[int(level)] = pending.pop(int(level), {})
         # drop entries for levels that never saw their marker
 
     def is_complete(self, n):
-        return n in self._complete
+        return n in self._levels
 
     def complete_levels(self):
-        return sorted(self._complete)
+        return sorted(self._levels)
 
     def entries(self, n):
         level = self._levels.get(n, {})
@@ -402,7 +386,6 @@ class CatalogStore:
 
     def write_level(self, n, entries):
         self._levels[n] = {e.key: e.flags for e in entries}
-        self._complete.add(n)
         if self.path is None:
             return
         # A fresh temp file beside the catalog: O_EXCL never clobbers an
@@ -412,10 +395,7 @@ class CatalogStore:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="ascii") as handle:
-                for level in sorted(self._levels):
-                    if level not in self._complete:
-                        continue
-                    data = self._levels[level]
+                for level, data in sorted(self._levels.items()):
                     for key in sorted(data):
                         handle.write(f"{key} {level} {data[key]}\n")
                     handle.write(f"# complete {level}\n")

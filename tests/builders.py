@@ -6,7 +6,7 @@ longest chains found over every comparable pair, not over covers.
 """
 
 from latzeta.families import factorize
-from latzeta.lattice import Lattice, canonical_key_from_up
+from latzeta.lattice import Lattice, _hex_to_columns, canonical_key_from_up
 
 
 def adjoin_atoms(lattice, k):
@@ -17,6 +17,18 @@ def adjoin_atoms(lattice, k):
     for new in range(n, n + k):
         pairs += [(lattice.bottom, new), (new, lattice.top)]
     return Lattice.from_covers(n + k, pairs)
+
+
+def decode_canonical_key(key, n):
+    """Rebuild a lattice from a canonical key and its element count."""
+    cols = _hex_to_columns(n, key)
+    pairs = []
+    for j in range(1, n):
+        col = cols[j]
+        for i in range(j):
+            if (col >> (j - 1 - i)) & 1:
+                pairs.append((i, j))
+    return Lattice.from_covers(n, pairs)
 
 
 def heights(lattice):

@@ -33,13 +33,12 @@ from latzeta.groups import coset_lattice, cyclic, symmetric
 from latzeta.lattice import (
     Lattice,
     canonical_key_from_up,
-    decode_canonical_key,
     is_isomorphic,
     lower_reduced_product,
     parse_lat,
 )
 
-from builders import adjoin_atoms, heights
+from builders import adjoin_atoms, decode_canonical_key, heights
 
 DIAMOND = (4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 PENTAGON = (5, [(0, 1), (0, 2), (2, 3), (1, 4), (3, 4)])

@@ -283,6 +283,24 @@ def test_eleven_element_count():
     assert classify_catalog(11)["weak_not_strong"] == 451
 
 
+def has_joins(k, ups, filt):
+    """Whether every old element ``a`` has a join with a new element whose
+    strict up-set is ``filt``: ``a`` itself when it lies in ``filt``, else
+    the least element of ``filt & ups[a]``, found by a scan of its
+    members; the enumerator looks joins up in the filter set instead."""
+
+    def has_least(common):
+        rest = common
+        while rest:
+            low = rest & -rest
+            if ups[low.bit_length() - 1] & common == common:
+                return True
+            rest ^= low
+        return False
+
+    return all((filt >> a) & 1 or has_least(filt & ups[a]) for a in range(k))
+
+
 def oracle_children(m, parents):
     """Every one-minimal-element extension of the given semilattices on
     m - 1 elements, labelled and deduplicated by canonical key: the
@@ -297,7 +315,7 @@ def oracle_children(m, parents):
             for a in range(k):
                 if (amask >> a) & 1:
                     filt |= ups[a]
-            if not search._has_joins(k, ups, filt):
+            if not has_joins(k, ups, filt):
                 continue
             child = ups + (filt | 1 << k,)
             out.setdefault(canonical_key_from_up(m, list(child)), child)

@@ -1,7 +1,7 @@
-"""Lattice validation against meet-irreducibles, checked differentially.
+"""Lattice validation against join-irreducibles, checked differentially.
 
-``Lattice.from_covers`` only looks up the meet of every element with
-every meet-irreducible.  These tests hold it to the deliberately naive
+``Lattice.from_covers`` only looks up the join of every element with
+every join-irreducible.  These tests hold it to the deliberately naive
 pairwise test ``builders.is_lattice_masks``, exhaustively on small posets
 and on random cover sets, and check ``join``/``meet`` against a direct
 least-upper-bound / greatest-lower-bound search.  On the random lattices,
@@ -248,19 +248,37 @@ def test_from_sets_reads_any_iterable():
     assert lattice.atoms() == (1, 3)
 
 
+def _three_meet_irreducibles():
+    """Covers of a bounded non-lattice on 10 points whose meet-irreducibles
+    m1, m2, m3 pairwise have meets."""
+    bottom, p, q, w, u, v, m1, m2, m3, top = range(10)
+    covers = [(bottom, p), (bottom, q)]
+    covers += [(a, b) for a in (p, q) for b in (w, u, v)]
+    covers += [(w, m1), (u, m1), (w, m2), (v, m2), (u, m3), (v, m3)]
+    return covers + [(m, top) for m in (m1, m2, m3)]
+
+
 def test_meet_irreducible_pairs_alone_do_not_suffice():
     # Atoms p, q lie under each of w, u, v; the meet-irreducibles m1, m2,
     # m3 cover {w, u}, {w, v} and {u, v}.  Every two meet-irreducibles
     # have a meet (w, u or v), yet meet(w, m3) and join(p, q) do not
     # exist: the check must pair each meet-irreducible with every
     # element, in either labelling direction.
-    bottom, p, q, w, u, v, m1, m2, m3, top = range(10)
-    covers = [(bottom, p), (bottom, q)]
-    covers += [(a, b) for a in (p, q) for b in (w, u, v)]
-    covers += [(w, m1), (u, m1), (w, m2), (v, m2), (u, m3), (v, m3)]
-    covers += [(m, top) for m in (m1, m2, m3)]
+    covers = _three_meet_irreducibles()
     for pairs in (covers, [(9 - a, 9 - b) for a, b in covers]):
         assert not is_lattice_masks(10, _closure(10, pairs))
         with pytest.raises(NotALattice):
             Lattice.from_covers(10, pairs)
 
+
+def test_join_irreducible_pairs_alone_do_not_suffice():
+    # The order dual of the case above, every cover reversed: m1, m2, m3
+    # become atoms and the only join-irreducibles.  Every two of them
+    # have a join (w, u or v), yet join(w, m3) and meet(p, q) do not
+    # exist: the check must pair each join-irreducible with every
+    # element, in either labelling direction.
+    covers = [(b, a) for a, b in _three_meet_irreducibles()]
+    for pairs in (covers, [(9 - a, 9 - b) for a, b in covers]):
+        assert not is_lattice_masks(10, _closure(10, pairs))
+        with pytest.raises(NotALattice):
+            Lattice.from_covers(10, pairs)
