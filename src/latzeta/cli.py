@@ -147,16 +147,23 @@ def parse_lattice_target(spec, *, max_elements=None):
 # output
 
 
-def _emit(doc, args, human_lines):
+def _emit(doc, args, human_lines, code):
+    """Write the document to stdout or ``--output`` and return ``code``,
+    or 2 when the output file cannot be written."""
     if args.format == "json":
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     else:
         text = "\n".join(human_lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output!r}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
+    return code
 
 
 def _frac(q):
@@ -290,12 +297,25 @@ def _cmd_family(args):
     return doc, lines, 0
 
 
+class _Catalog(search.CatalogStore):
+    """The search's catalog store, whose failed writes are usage errors."""
+
+    def write_level(self, n, entries):
+        try:
+            super().write_level(n, entries)
+        except OSError as exc:
+            raise UsageError(f"cannot write {self.path!r}: {exc}") from None
+
+
 def _cmd_search(args):
     if args.max_n < 2:
         raise UsageError(f"--max-n must be at least 2, got {args.max_n}")
     # an in-memory store when no path is given, so that the summaries
     # reread the levels the search has just classified
-    store = search.CatalogStore(args.catalog)
+    try:
+        store = _Catalog(args.catalog)
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.catalog!r}: {exc}") from None
     found = search.find_weak_not_strong(
         args.max_n, store=store, jobs=args.jobs,
         atomistic_only=args.atomistic_only,
@@ -572,14 +592,11 @@ def run(argv=None):
     except MismatchDetected as exc:
         doc = {"error": "MismatchDetected", "message": str(exc),
                "context": exc.context}
-        _emit(doc, args, [f"MISMATCH: {exc}"])
-        return 1
+        return _emit(doc, args, [f"MISMATCH: {exc}"], 1)
     except LatZetaError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc)}
-        _emit(doc, args, [f"error ({type(exc).__name__}): {exc}"])
-        return 1
-    _emit(doc, args, lines)
-    return code
+        return _emit(doc, args, [f"error ({type(exc).__name__}): {exc}"], 1)
+    return _emit(doc, args, lines, code)
 
 
 def main():

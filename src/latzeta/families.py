@@ -250,7 +250,7 @@ def _check_ddiv(d, n):
 # checks and returns the element count the constructor would build, so a
 # caller can refuse an oversized lattice before any of it is built.
 
-BOOLEAN_MAX_RANK = 16
+BOOLEAN_MAX_RANK = 15
 # Chains share the divisor budget: a k-chain is the divisor lattice of
 # p^(k-1), and its up-sets make it the densest family per element.
 DIVISOR_MAX_ELEMENTS = 2000

@@ -339,7 +339,10 @@ class BrownCheck:
 
 def verify_brown_identity(group, s_max=5):
     """P(C(G), s+1) = P(G, s): checked as a term-map identity after an
-    exponent shift and pointwise at integers 0..s_max."""
+    exponent shift and pointwise at integers 0..s_max; ``ValueError``
+    before any work when s_max < 0."""
+    if s_max < 0:
+        raise ValueError(f"s_max must be at least 0, got {s_max}")
     cl = coset_lattice(group)
     coset_series = zeta_series(cl.lattice).series
     try:

@@ -36,6 +36,8 @@ constructed lattice to several threads is safe.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .errors import (
     BottomHasNoIrreducibles,
     CyclicCovers,
@@ -394,20 +396,54 @@ class Lattice:
 # canonical labelling
 
 
+def _split(cells, key):
+    """Each cell stably sorted by ``key`` and cut into runs of equal key,
+    which stay in the cell's slot; one-member cells pass through."""
+    out = []
+    for members in cells:
+        if len(members) == 1:
+            out.append(members)
+        else:
+            out += [list(run) for _, run in groupby(sorted(members, key=key), key)]
+    return out
+
+
+def _orbit_firsts(points, maps):
+    """The first of ``points`` in the orbit of each point, as a dict,
+    under the group generated by ``maps``; each map (a list, ``bytes`` or
+    dict indexed by point) sends every point to a point."""
+    root = {x: x for x in points}
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for gamma in maps:
+        for x in points:
+            a, b = find(x), find(gamma[x])
+            if a != b:
+                root[a] = b
+    first = {}
+    return {x: first.setdefault(find(x), x) for x in points}
+
+
 def _refine_partition(n, cells, covers_up, covers_down):
     """Refine a partition to stability under iterated cover colouring.
 
     Each round recolours an element by (its cell, the multiset of cells
     of its upper covers, the multiset of cells of its lower covers) and
-    splits cells accordingly.  Splitting keeps sub-cells in key order
-    inside the parent cell's slot, so the dominant component of the
-    seed ordering (rank) keeps dominating the global cell order.
+    splits cells accordingly; a round that splits no cell is stable.
+    Splitting keeps sub-cells in key order inside the parent cell's
+    slot, so the dominant component of the seed ordering (rank) keeps
+    dominating the global cell order.
     """
     cell_of = [0] * n
-    for idx, members in enumerate(cells):
-        for x in members:
-            cell_of[x] = idx
     while True:
+        for idx, members in enumerate(cells):
+            for x in members:
+                cell_of[x] = idx
         keys = [
             (
                 cell_of[x],
@@ -416,23 +452,10 @@ def _refine_partition(n, cells, covers_up, covers_down):
             )
             for x in range(n)
         ]
-        new_cells = []
-        changed = False
-        for members in cells:
-            members = sorted(members, key=lambda x: keys[x])
-            start = 0
-            for i in range(1, len(members) + 1):
-                if i == len(members) or keys[members[i]] != keys[members[start]]:
-                    new_cells.append(members[start:i])
-                    if i - start != len(members):
-                        changed = True
-                    start = i
-        cells = new_cells
-        if not changed:
+        split = _split(cells, keys.__getitem__)
+        if len(split) == len(cells):
             return cells
-        for idx, members in enumerate(cells):
-            for x in members:
-                cell_of[x] = idx
+        cells = split
 
 
 def _root_partition(n, up, down):
@@ -440,14 +463,7 @@ def _root_partition(n, up, down):
     degree) at the root of the canonical search, with the cover lists."""
     covers_up, covers_down, heights = _order_structure(n, up, down)
     init = [(heights[x], len(covers_up[x]), len(covers_down[x])) for x in range(n)]
-
-    order = sorted(range(n), key=lambda x: init[x])
-    seed = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or init[order[i]] != init[order[start]]:
-            seed.append(order[start:i])
-            start = i
+    seed = _split([list(range(n))], init.__getitem__)
     return _refine_partition(n, seed, covers_up, covers_down), covers_up, covers_down
 
 
@@ -513,8 +529,9 @@ def _canonical_labelling(n, up):
       individualised one; one branch per twin class is the cheap special
       case, checked first.
 
-    The orbits at a node are recomputed only when the list of found
-    automorphisms has grown.
+    At a node, ``_orbit_firsts`` computes the orbits of the branching
+    cell under the recorded automorphisms that fix every individualised
+    element, again only when the list of found automorphisms has grown.
 
     ``generators`` (lists ``g`` with ``g[x]`` the image of ``x``) are the
     recorded leaf automorphisms plus one transposition per adjacent pair
@@ -559,26 +576,6 @@ def _canonical_labelling(n, up):
                 gamma[x] = y
             automorphisms.append(gamma)
 
-    def orbits(members, prefix):
-        """Orbit representative of each member under the automorphisms
-        found so far that fix every element of ``prefix``."""
-        root = {x: x for x in members}
-
-        def find(x):
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
-        for gamma in automorphisms:
-            if any(gamma[v] != v for v in prefix):
-                continue
-            for x in members:
-                a, b = find(x), find(gamma[x])
-                if a != b:
-                    root[a] = b
-        return {x: find(x) for x in members}
-
     def rec(cells, prefix):
         for idx, members in enumerate(cells):
             if len(members) > 1:
@@ -596,7 +593,8 @@ def _canonical_labelling(n, up):
                 continue
             if len(automorphisms) > known:
                 known = len(automorphisms)
-                orbit = orbits(members, prefix)
+                fixing = [g for g in automorphisms if all(g[u] == u for u in prefix)]
+                orbit = _orbit_firsts(members, fixing)
             if orbit is not None and any(orbit[v] == orbit[u] for u in searched):
                 continue
             seen_twins.add(key)

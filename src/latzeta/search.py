@@ -21,7 +21,9 @@ parent is extended by one antichain per orbit of its automorphism group,
 and a child is kept only if its new element lies in the automorphism
 orbit of ``m*``; so every class is kept exactly once, from one parent
 and one antichain, and at most one canonical labelling is made per
-orbit-distinct child whose new element has the largest up-set.
+orbit-distinct child whose new element has the largest up-set.  Both
+orbit questions, on antichains and on the child's elements, go to
+``lattice._orbit_firsts``, the routine that prunes the canonical search.
 """
 
 import os
@@ -39,6 +41,7 @@ from .lattice import (
     _hex_to_columns,
     _iter_bits,
     _join_failure,
+    _orbit_firsts,
     _transpose_masks,
     canonical_key_from_up,
 )
@@ -100,44 +103,17 @@ def _antichain_masks(m, comp):
 def _orbit_representatives(masks, generators):
     """The first of ``masks`` in each orbit of the group generated by
     ``generators``, which must map the set of masks to itself."""
-    if not generators:
-        return masks
-    seen = set()
-    reps = []
-    for mask in masks:
-        if mask in seen:
-            continue
-        reps.append(mask)
-        seen.add(mask)
-        stack = [mask]
-        while stack:
-            x = stack.pop()
-            for g in generators:
-                y = 0
-                for i in _iter_bits(x):
-                    y |= 1 << g[i]
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return reps
-
-
-def _in_orbit(x, y, generators):
-    """Whether ``y`` is in the orbit of ``x`` under the generated group."""
-    if x == y:
-        return True
-    orbit = {x}
-    stack = [x]
-    while stack:
-        z = stack.pop()
-        for g in generators:
-            w = g[z]
-            if w == y:
-                return True
-            if w not in orbit:
-                orbit.add(w)
-                stack.append(w)
-    return False
+    images = []
+    for g in generators:
+        image = {}
+        for x in masks:
+            y = 0
+            for i in _iter_bits(x):
+                y |= 1 << g[i]
+            image[x] = y
+        images.append(image)
+    firsts = _orbit_firsts(masks, images)
+    return [x for x in masks if firsts[x] == x]
 
 
 def _extend_parents(m, parents):
@@ -174,7 +150,8 @@ def _extend_parents(m, parents):
             key, perm, child_gens = _canonical_labelling(m, list(child))
             ties = {k} | {i for i, s in others if s == size}
             star = next(x for x in perm if x in ties)
-            if _in_orbit(star, k, child_gens):
+            orbit = _orbit_firsts(range(m), child_gens)
+            if orbit[star] == orbit[k]:
                 gens = tuple(shared.setdefault(g, g) for g in map(bytes, child_gens))
                 out.append((key, child, shared.setdefault(gens, gens)))
     return out

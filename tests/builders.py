@@ -1,8 +1,10 @@
 """Lattice builders and oracles that more than one test module uses.
 
 The oracles share no code with the library paths they check: the
-pairwise lattice test has its own least-element search, and heights are
-longest chains found over every comparable pair, not over covers.
+pairwise lattice test has its own least-element search, heights are
+longest chains found over every comparable pair, not over covers, orbits
+are searched breadth first rather than merged in a union-find, and the
+refinement cuts its runs by hand rather than through ``lattice._split``.
 """
 
 from latzeta.families import factorize
@@ -101,3 +103,92 @@ def brute_force_lattice_count(n):
     deduplicated by canonical key."""
     return len({canonical_key_from_up(n, list(up))
                 for up in naturally_labeled_posets(n) if is_lattice_masks(n, up)})
+
+
+def moved_mask(mask, g):
+    """The set ``mask`` moved point by point by the permutation ``g``."""
+    return sum(1 << g[i] for i in range(len(g)) if (mask >> i) & 1)
+
+
+def orbit_representatives_bfs(masks, generators):
+    """The first of ``masks`` in each orbit of the generated group, by a
+    search out of each mask that no earlier orbit reached."""
+    seen = set()
+    reps = []
+    for mask in masks:
+        if mask in seen:
+            continue
+        reps.append(mask)
+        seen.add(mask)
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for g in generators:
+                y = moved_mask(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return reps
+
+
+def in_orbit_bfs(x, y, generators):
+    """Whether ``y`` is in the orbit of ``x`` under the generated group."""
+    orbit = {x}
+    stack = [x]
+    while stack:
+        z = stack.pop()
+        for g in generators:
+            if g[z] not in orbit:
+                orbit.add(g[z])
+                stack.append(g[z])
+    return y in orbit
+
+
+def refine_partition_loop(n, cells, covers_up, covers_down):
+    """Cover-colour refinement with its own run loop: each round sorts
+    each cell by (cell, upper-cover cells, lower-cover cells), cuts it
+    into runs of equal key in place, and stops when no cell was cut."""
+    cell_of = [0] * n
+    for idx, members in enumerate(cells):
+        for x in members:
+            cell_of[x] = idx
+    while True:
+        keys = [
+            (
+                cell_of[x],
+                tuple(sorted(cell_of[y] for y in covers_up[x])),
+                tuple(sorted(cell_of[y] for y in covers_down[x])),
+            )
+            for x in range(n)
+        ]
+        new_cells = []
+        changed = False
+        for members in cells:
+            members = sorted(members, key=lambda x: keys[x])
+            start = 0
+            for i in range(1, len(members) + 1):
+                if i == len(members) or keys[members[i]] != keys[members[start]]:
+                    new_cells.append(members[start:i])
+                    if i - start != len(members):
+                        changed = True
+                    start = i
+        cells = new_cells
+        if not changed:
+            return cells
+        for idx, members in enumerate(cells):
+            for x in members:
+                cell_of[x] = idx
+
+
+def root_partition_loop(n, covers_up, covers_down, height):
+    """The seed colouring (height, upper-cover degree, lower-cover
+    degree) cut into runs by hand, then refined by the loop above."""
+    init = [(height[x], len(covers_up[x]), len(covers_down[x])) for x in range(n)]
+    order = sorted(range(n), key=lambda x: init[x])
+    seed = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or init[order[i]] != init[order[start]]:
+            seed.append(order[start:i])
+            start = i
+    return refine_partition_loop(n, seed, covers_up, covers_down)

@@ -12,20 +12,27 @@ are not automorphic images of each other.
 The generators the search returns must generate the whole automorphism
 group: checked against a backtracking count of order automorphisms on
 every semilattice up to 7 elements and on the lattices above.
+
+The oracle shares the refinement with the search, so the refinement and
+the orbit routine are checked against their earlier hand-written forms
+in ``builders``, and the maps the search prunes with must fix the path.
 """
 
 import functools
+import random
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latzeta.groups import coset_lattice, cyclic, symmetric
-from latzeta import search
+from latzeta import lattice, search
 from latzeta.lattice import (
     Lattice,
     _canonical_labelling,
     _columns_to_hex,
     _leaf_columns,
+    _orbit_firsts,
     _order_structure,
     _refine_partition,
     _root_partition,
@@ -33,6 +40,14 @@ from latzeta.lattice import (
     canonical_key_from_up,
 )
 from latzeta.search import enumerate_lattices
+
+from builders import (
+    in_orbit_bfs,
+    moved_mask,
+    orbit_representatives_bfs,
+    refine_partition_loop,
+    root_partition_loop,
+)
 
 
 def unpruned_key(n, up):
@@ -112,11 +127,11 @@ def oracle_key(lattice):
     return unpruned_key(lattice.n, list(lattice.up))
 
 
-def relabelled_up(lattice, perm):
-    """Up-masks of the lattice with element x renamed perm[x]."""
-    up = [0] * lattice.n
-    for x, mask in enumerate(lattice.up):
-        for y in range(lattice.n):
+def relabel_masks(ups, perm):
+    """Up-masks with element x renamed perm[x]."""
+    up = [0] * len(ups)
+    for x, mask in enumerate(ups):
+        for y in range(len(ups)):
             if (mask >> y) & 1:
                 up[perm[x]] |= 1 << perm[y]
     return up
@@ -135,7 +150,7 @@ def test_pruned_search_matches_unpruned_after_relabelling(data):
     # the class is the key every relabelling must get.
     lat = data.draw(st.sampled_from(census()) | st.sampled_from(wide()))
     perm = data.draw(st.permutations(range(lat.n)))
-    assert canonical_key_from_up(lat.n, relabelled_up(lat, perm)) == oracle_key(lat)
+    assert canonical_key_from_up(lat.n, relabel_masks(lat.up, perm)) == oracle_key(lat)
 
 
 def automorphism_count(n, up):
@@ -225,3 +240,87 @@ def test_generators_give_the_whole_group_on_wide_lattices():
         assert key == lat.canonical_form()
         assert sorted(best_perm) == list(range(lat.n))
         assert group_order(lat.n, up, generators) == automorphism_count(lat.n, up)
+
+
+# ----------------------------------------------------------------------
+# the orbit routine and the cell splitter against their earlier forms
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_orbit_firsts_matches_breadth_first_orbits(data):
+    n = data.draw(st.integers(1, 10))
+    generators = data.draw(st.lists(st.permutations(range(n)), max_size=3))
+    points = data.draw(st.permutations(range(n)))
+    firsts = _orbit_firsts(points, generators)
+    for x in points:
+        assert firsts[x] == next(y for y in points if in_orbit_bfs(y, x, generators))
+        for y in points:
+            assert (firsts[x] == firsts[y]) == in_orbit_bfs(x, y, generators)
+    # on a set of masks that the generators map to itself, in any order
+    closed = set(data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6)))
+    stack = list(closed)
+    while stack:
+        x = stack.pop()
+        for g in generators:
+            y = moved_mask(x, g)
+            if y not in closed:
+                closed.add(y)
+                stack.append(y)
+    masks = data.draw(st.permutations(sorted(closed)))
+    assert search._orbit_representatives(masks, generators) == orbit_representatives_bfs(
+        masks, generators
+    )
+
+
+def test_refinement_matches_the_run_loop_on_every_semilattice():
+    # The unpruned oracle above refines with the search's own
+    # _refine_partition, so it cannot catch a change to refinement: here
+    # every node of the unpruned tree is refined by both, after a random
+    # relabelling, and the ordered cells must agree.
+    rng = random.Random(20)
+    for m in range(1, 8):
+        for _key, ups, _ in search._semilattice_level(m):
+            perm = list(range(m))
+            rng.shuffle(perm)
+            up = relabel_masks(ups, perm)
+            down = _transpose_masks(m, up)
+            covers_up, covers_down, height = _order_structure(m, up, down)
+            cells = root_partition_loop(m, covers_up, covers_down, height)
+            assert _root_partition(m, up, down)[0] == cells
+            stack = [cells]
+            while stack:
+                cells = stack.pop()
+                idx = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+                if idx is None:
+                    continue
+                for v in cells[idx]:
+                    rest = [w for w in cells[idx] if w != v]
+                    child = cells[:idx] + [[v], rest] + cells[idx + 1 :]
+                    refined = refine_partition_loop(m, child, covers_up, covers_down)
+                    assert _refine_partition(m, child, covers_up, covers_down) == refined
+                    stack.append(refined)
+
+
+def test_pruning_maps_fix_the_individualised_elements(monkeypatch):
+    # A child is pruned by automorphisms that fix every element
+    # individualised on the way to its node (see _canonical_labelling).
+    # Pruning with every recorded automorphism, with orbits merged over
+    # all elements, gave the same keys on every lattice tried (ROADMAP
+    # item 7), so the maps handed to the orbit routine are checked here.
+    calls = []
+
+    def recording(points, maps):
+        # ``prefix`` in the caller is the node's path of individualised elements
+        prefix = list(sys._getframe(1).f_locals["prefix"])
+        calls.append((list(points), [list(g) for g in maps], prefix))
+        return _orbit_firsts(points, maps)
+
+    monkeypatch.setattr(lattice, "_orbit_firsts", recording)
+    for lat in wide() + census()[-300:]:
+        _canonical_labelling(lat.n, list(lat.up))
+    assert any(prefix and maps for _, maps, prefix in calls)
+    for points, maps, prefix in calls:
+        for g in maps:
+            assert all(g[u] == u for u in prefix)
+            assert sorted(g[x] for x in points) == sorted(points)

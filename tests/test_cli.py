@@ -238,6 +238,20 @@ def test_search_malformed_catalog_exit_code(capsys, tmp_path, bad):
     assert err == f"error: {path}, line 2: malformed catalog line {bad!r}\n"
 
 
+def test_search_catalog_directory_exit_code(capsys, tmp_path):
+    code, out, err = invoke(capsys, "search", "--max-n", "3", "--catalog", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {str(tmp_path)!r}: ")
+
+
+def test_search_catalog_in_missing_directory_exit_code(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "cat.txt")
+    code, out, err = invoke(capsys, "search", "--max-n", "3", "--catalog", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path!r}: ")
+    assert list(tmp_path.rglob("*")) == []  # no temp file left behind
+
+
 def test_fixture_roundtrip(capsys):
     code, out, _ = invoke(capsys, "fixture", "eleven_point")
     assert code == 0
@@ -252,6 +266,17 @@ def test_output_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert json.loads(path.read_text())["n"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv", [("zeta", "partition:4"), ("fixture", "ten_point")], ids=["zeta", "fixture"]
+)
+@pytest.mark.parametrize("where", ["missing/x.json", "."], ids=["missing", "directory"])
+def test_unwritable_output_exit_code(capsys, tmp_path, argv, where):
+    path = str(tmp_path / where)
+    code, out, err = invoke(capsys, *argv, "--output", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path!r}: ")
 
 
 def test_file_target(capsys, tmp_path):

@@ -18,9 +18,10 @@ from latzeta.errors import (
     SingularInput,
     SizeLimitExceeded,
 )
-from latzeta import families
+from latzeta import families, groups
 from latzeta.families import (
     big_omega,
+    boolean_size,
     boolean_lattice,
     boolean_zeta_closed,
     chain,
@@ -41,6 +42,7 @@ from latzeta.families import (
     gaussian_binomial,
     integer_partitions,
     partition_lattice,
+    partition_size,
     partition_shapes,
     partition_zeta_closed,
     q_to_one_limit_check,
@@ -52,7 +54,7 @@ from latzeta.families import (
     subspace_size,
     subspace_zeta_closed,
 )
-from latzeta.lattice import Lattice
+from latzeta.lattice import DEFAULT_MAX_ELEMENTS, Lattice
 from latzeta.zeta import zeta_series
 
 from builders import heights, number_mobius
@@ -275,6 +277,19 @@ def test_chain_and_divisor_budgets_checked_before_building(monkeypatch):
                   lambda: divisibility_lattice(2 * n)):
         with pytest.raises(SizeLimitExceeded):
             build()
+
+
+def test_every_budget_fits_under_the_element_cap(monkeypatch):
+    # A size a family's budget admits is one its constructor can build, so
+    # an over-cap spec fails on the budget before anything is listed.
+    assert boolean_size(families.BOOLEAN_MAX_RANK) <= DEFAULT_MAX_ELEMENTS
+    assert partition_size(families.PARTITION_MAX_N) <= DEFAULT_MAX_ELEMENTS
+    for budget in (families.DIVISOR_MAX_ELEMENTS, families.SUBSPACE_MAX_ELEMENTS,
+                   families.DDIV_MAX_ELEMENTS, groups.COSET_MAX_ELEMENTS):
+        assert budget <= DEFAULT_MAX_ELEMENTS
+    monkeypatch.setattr(Lattice, "from_sets", None)
+    with pytest.raises(SizeLimitExceeded, match="^rank 16 exceeds the budget of 15$"):
+        boolean_lattice(16)
 
 
 def test_divisor_n_capped_before_factoring(monkeypatch):

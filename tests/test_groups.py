@@ -247,6 +247,14 @@ def test_brown_identity():
         assert check.shifted == check.group_series
 
 
+def test_brown_identity_rejects_negative_smax(monkeypatch):
+    # refused before the coset lattice is built; s_max = 0 still checks s = 0
+    assert verify_brown_identity(cyclic(2), s_max=0).s_max == 0
+    monkeypatch.setattr(groups, "coset_lattice", None)
+    with pytest.raises(ValueError, match="s_max must be at least 0, got -1"):
+        verify_brown_identity(cyclic(2), s_max=-1)
+
+
 def test_brown_identity_z2_series():
     # C(Z/2) is the diamond: P = 1 - 2/2^s, so shifting gives 1 - 1/2^s
     cl = coset_lattice(cyclic(2))
