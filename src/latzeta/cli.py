@@ -298,13 +298,16 @@ def _cmd_family(args):
 
 
 class _Catalog(search.CatalogStore):
-    """The search's catalog store, whose failed writes are usage errors."""
+    """The search's catalog store, whose failed writes are usage errors.
+
+    The error names the catalog and the reason only: the OSError itself
+    names the random temp file the write went through."""
 
     def write_level(self, n, entries):
         try:
             super().write_level(n, entries)
         except OSError as exc:
-            raise UsageError(f"cannot write {self.path!r}: {exc}") from None
+            raise UsageError(f"cannot write {self.path!r}: {exc.strerror}") from None
 
 
 def _cmd_search(args):

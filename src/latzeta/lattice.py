@@ -375,7 +375,7 @@ class Lattice:
         lattices are isomorphic iff their keys are equal.
         """
         if self._canonical_key is None:
-            self._canonical_key = canonical_key_from_up(self.n, self.up)
+            self._canonical_key = canonical_key_from_up(self.n, self.up, self.down)
         return self._canonical_key
 
     # ------------------------------------------------------------------
@@ -432,26 +432,29 @@ def _orbit_firsts(points, maps):
 def _refine_partition(n, cells, covers_up, covers_down):
     """Refine a partition to stability under iterated cover colouring.
 
-    Each round recolours an element by (its cell, the multiset of cells
-    of its upper covers, the multiset of cells of its lower covers) and
-    splits cells accordingly; a round that splits no cell is stable.
-    Splitting keeps sub-cells in key order inside the parent cell's
-    slot, so the dominant component of the seed ordering (rank) keeps
-    dominating the global cell order.
+    Each round recolours each member of a cell with more than one member
+    by (the multiset of cells of its upper covers, the multiset of cells
+    of its lower covers) and splits cells accordingly; a round that
+    splits no cell is stable.  One-member cells cannot split, so their
+    members get no key, and a member's own cell is left out of its key,
+    since ``_split`` only compares members of one cell.  Splitting keeps
+    sub-cells in key order inside the parent cell's slot, so the
+    dominant component of the seed ordering (rank) keeps dominating the
+    global cell order.
     """
     cell_of = [0] * n
+    keys = [None] * n
     while True:
         for idx, members in enumerate(cells):
             for x in members:
                 cell_of[x] = idx
-        keys = [
-            (
-                cell_of[x],
-                tuple(sorted(cell_of[y] for y in covers_up[x])),
-                tuple(sorted(cell_of[y] for y in covers_down[x])),
-            )
-            for x in range(n)
-        ]
+        for members in cells:
+            if len(members) > 1:
+                for x in members:
+                    keys[x] = (
+                        sorted([cell_of[y] for y in covers_up[x]]),
+                        sorted([cell_of[y] for y in covers_down[x]]),
+                    )
         split = _split(cells, keys.__getitem__)
         if len(split) == len(cells):
             return cells
@@ -480,7 +483,7 @@ def _leaf_columns(n, up, perm):
     return cols
 
 
-def canonical_key_from_up(n, up):
+def canonical_key_from_up(n, up, down=None):
     """Canonical hex key of the order given by up-masks.
 
     The key is the least strict upper triangle of the order matrix over
@@ -488,13 +491,24 @@ def canonical_key_from_up(n, up):
     ``_canonical_labelling``, which also returns the best leaf ordering
     and generators of the automorphism group, and whose docstring shows
     why those generate the whole group.
+
+    The down-masks ``down`` are transposed from ``up`` unless given;
+    ``Lattice.canonical_form`` passes its stored ones, so the search of
+    every built lattice still starts here.
     """
-    return _canonical_labelling(n, up)[0]
+    if down is None:
+        down = _transpose_masks(n, up)
+    return _canonical_labelling(n, up, down)[0]
 
 
-def _canonical_labelling(n, up):
+def _canonical_labelling(n, up, down):
     """Search behind ``canonical_key_from_up``: ``(key, best_perm,
-    generators)``.
+    generators)`` of the order with up-masks ``up`` and down-masks
+    ``down``.
+
+    The caller passes ``down`` because it usually has it already: a
+    ``Lattice`` stores it, and the census enumerator builds each child's
+    down-masks from its parent's.  It must be the transpose of ``up``.
 
     Elements are coloured by (rank, upper-cover degree, lower-cover
     degree) and the colouring is refined by iterated cover multisets.
@@ -558,7 +572,6 @@ def _canonical_labelling(n, up):
     """
     if n == 1:
         return _columns_to_hex(1, [0]), [0], []
-    down = _transpose_masks(n, up)
     base, covers_up, covers_down = _root_partition(n, up, down)
     twin = [(up[x] & ~(1 << x), down[x] & ~(1 << x)) for x in range(n)]
     best = best_perm = None

@@ -45,7 +45,8 @@ from .lattice import (
     _transpose_masks,
     canonical_key_from_up,
 )
-from .zeta import zeta_series
+from .zeta import _engine_pass, _verdicts
+from .zeta import zeta_series  # noqa: F401 -- bench/spans.py traces search.zeta_series
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -147,7 +148,12 @@ def _extend_parents(m, parents):
             if _join_failure(ups, filters, filt) is not None:
                 continue
             child = ups + (filt | newbit,)
-            key, perm, child_gens = _canonical_labelling(m, list(child))
+            # the new element is below exactly the elements of its filter
+            child_down = [
+                d | newbit if (filt >> i) & 1 else d for i, d in enumerate(down)
+            ]
+            child_down.append(newbit)
+            key, perm, child_gens = _canonical_labelling(m, child, child_down)
             ties = {k} | {i for i, s in others if s == size}
             star = next(x for x in perm if x in ties)
             orbit = _orbit_firsts(range(m), child_gens)
@@ -290,15 +296,19 @@ class LatticeCatalogEntry:
 
 
 def catalog_entry(lattice):
-    """Flags of one lattice from a single engine pass;
-    ``strongly_coset_like``/``ordinary`` are ``classify``'s strong/weak."""
-    report = zeta_series(lattice)
+    """Flags of one lattice from a single engine pass over the
+    join-irreducibles; ``strong``/``weak`` are ``zeta_series``'s
+    ``strongly_coset_like``/``ordinary``, decided from the integer counts
+    and sums by ``zeta._verdicts`` without building the series."""
+    irreducibles = lattice.join_irreducibles()
+    _, _, sums = _engine_pass(lattice, sum(1 << j for j in irreducibles))
+    ordinary, strong = _verdicts(len(irreducibles), sums)
     return LatticeCatalogEntry(
         key=lattice.canonical_form(),
         n=lattice.n,
         atomistic=lattice.is_atomistic(),
-        strong=report.strongly_coset_like,
-        weak=report.ordinary,
+        strong=strong,
+        weak=ordinary,
     )
 
 

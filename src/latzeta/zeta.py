@@ -83,6 +83,19 @@ def _engine_pass(lattice, gen_mask):
     return mu, counts, sums
 
 
+def _verdicts(j_count, sums):
+    """``(ordinary, strongly_coset_like)`` from an engine pass over the
+    join-irreducibles, without building the series.
+
+    The base of count c is |J| / c, so distinct counts give distinct
+    bases, and a base is a term of the series iff its sum is nonzero.
+    The series is ordinary iff every such count divides |J|, and the
+    lattice is strongly coset-like iff every count does.
+    """
+    ordinary = all(j_count % c == 0 for c, total in sums.items() if total)
+    return ordinary, all(j_count % c == 0 for c in sums)
+
+
 def zeta_series(lattice):
     """Full engine pass: Moebius numbers, local sums, series, flags."""
     irreducibles = lattice.join_irreducibles()
@@ -90,16 +103,16 @@ def zeta_series(lattice):
     mu, j_below, sums = _engine_pass(lattice, sum(1 << j for j in irreducibles))
     # distinct counts give distinct bases, so each base is built once
     local_sums = {Fraction(j_count, c): total for c, total in sums.items()}
-    series = DirichletSeries(local_sums)
+    ordinary, strong = _verdicts(j_count, sums)
     return ZetaReport(
         lattice=lattice,
-        series=series,
+        series=DirichletSeries(local_sums),
         j_count=j_count,
         j_below=tuple(j_below),
         mobius_top=tuple(mu),
         local_sums=local_sums,
-        ordinary=series.is_ordinary(),
-        strongly_coset_like=all(j_count % c == 0 for c in sums),
+        ordinary=ordinary,
+        strongly_coset_like=strong,
     )
 
 

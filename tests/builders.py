@@ -145,9 +145,12 @@ def in_orbit_bfs(x, y, generators):
 
 
 def refine_partition_loop(n, cells, covers_up, covers_down):
-    """Cover-colour refinement with its own run loop: each round sorts
-    each cell by (cell, upper-cover cells, lower-cover cells), cuts it
-    into runs of equal key in place, and stops when no cell was cut."""
+    """Cover-colour refinement with its own run loop: each round keys
+    every element, one-member cells included, by (its cell, upper-cover
+    cells, lower-cover cells), sorts each cell by that key, cuts it into
+    runs of equal key in place, and stops when no cell was cut.  This is
+    the all-element refinement that ``lattice._refine_partition``
+    replaced by keying only the members of cells that can split."""
     cell_of = [0] * n
     for idx, members in enumerate(cells):
         for x in members:

@@ -15,7 +15,10 @@ every semilattice up to 7 elements and on the lattices above.
 
 The oracle shares the refinement with the search, so the refinement and
 the orbit routine are checked against their earlier hand-written forms
-in ``builders``, and the maps the search prunes with must fix the path.
+in ``builders`` (the refinement also on random orders and seed
+partitions), and the maps the search prunes with must fix the path.
+The down-masks the census enumerator builds for each child must be the
+transpose of its up-masks and give the same labelling.
 """
 
 import functools
@@ -236,7 +239,7 @@ def test_generators_give_the_whole_group_on_semilattices():
 def test_generators_give_the_whole_group_on_wide_lattices():
     for lat in wide():
         up = list(lat.up)
-        key, best_perm, generators = _canonical_labelling(lat.n, up)
+        key, best_perm, generators = _canonical_labelling(lat.n, up, lat.down)
         assert key == lat.canonical_form()
         assert sorted(best_perm) == list(range(lat.n))
         assert group_order(lat.n, up, generators) == automorphism_count(lat.n, up)
@@ -302,6 +305,67 @@ def test_refinement_matches_the_run_loop_on_every_semilattice():
                     stack.append(refined)
 
 
+@st.composite
+def orders_with_seeds(draw):
+    """A random order on up to 12 points under a random labelling, with
+    a random ordered seed partition: ``(n, up, cells)``."""
+    n = draw(st.integers(1, 12))
+    above = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    # point i lies below the drawn points after it, closed transitively
+    closed = [0] * n
+    for i in range(n - 1, -1, -1):
+        closed[i] = 1 << i
+        for j in range(i + 1, n):
+            if (above[i] >> j) & 1:
+                closed[i] |= closed[j]
+    perm = draw(st.permutations(range(n)))
+    up = relabel_masks(closed, perm)
+    colour = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    cells = [[x for x in order if colour[x] == c] for c in sorted(set(colour))]
+    return n, up, cells
+
+
+@settings(max_examples=400, deadline=None)
+@given(orders_with_seeds())
+def test_refinement_matches_the_all_element_loop_on_random_orders(drawn):
+    # _refine_partition keys only the members of cells that can split;
+    # the all-element loop keys every element, with its own cell too.
+    n, up, cells = drawn
+    covers_up, covers_down, _ = _order_structure(n, up, _transpose_masks(n, up))
+    refined = _refine_partition(n, [list(c) for c in cells], covers_up, covers_down)
+    assert refined == refine_partition_loop(n, cells, covers_up, covers_down)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_labelling_with_the_enumerators_child_down(data):
+    # _extend_parents builds each child's down-masks from its parent's;
+    # they must be the transpose of the child's up-masks, and the search
+    # must give what it gives from the transpose.
+    k = data.draw(st.integers(1, 7))
+    _, ups, _ = data.draw(st.sampled_from(search._semilattice_level(k)))
+    moved = tuple(relabel_masks(ups, data.draw(st.permutations(range(k)))))
+    generators = _canonical_labelling(k, moved, _transpose_masks(k, moved))[2]
+    calls = []
+
+    def recording(n, up, down):
+        result = _canonical_labelling(n, up, down)
+        calls.append((n, up, down, result))
+        return result
+
+    search._canonical_labelling = recording
+    try:
+        search._extend_parents(k + 1, [(moved, generators)])
+    finally:
+        search._canonical_labelling = _canonical_labelling
+    assert calls
+    for n, up, down, result in calls:
+        transposed = _transpose_masks(n, list(up))
+        assert list(down) == transposed
+        assert result == _canonical_labelling(n, up, transposed)
+
+
 def test_pruning_maps_fix_the_individualised_elements(monkeypatch):
     # A child is pruned by automorphisms that fix every element
     # individualised on the way to its node (see _canonical_labelling).
@@ -318,7 +382,7 @@ def test_pruning_maps_fix_the_individualised_elements(monkeypatch):
 
     monkeypatch.setattr(lattice, "_orbit_firsts", recording)
     for lat in wide() + census()[-300:]:
-        _canonical_labelling(lat.n, list(lat.up))
+        _canonical_labelling(lat.n, lat.up, lat.down)
     assert any(prefix and maps for _, maps, prefix in calls)
     for points, maps, prefix in calls:
         for g in maps:

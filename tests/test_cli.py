@@ -1,6 +1,7 @@
 """Command-line interface: target parsing, output formats, exit codes,
 and the verification suites."""
 
+import errno
 import json
 import os
 import subprocess
@@ -250,6 +251,17 @@ def test_search_catalog_in_missing_directory_exit_code(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {path!r}: ")
     assert list(tmp_path.rglob("*")) == []  # no temp file left behind
+
+
+def test_search_catalog_write_error_is_the_same_every_run(capsys, tmp_path):
+    # the reason names the catalog, not the random temp file beside it
+    path = str(tmp_path / "missing" / "cat.txt")
+    runs = [invoke(capsys, "search", "--max-n", "3", "--catalog", path) for _ in range(2)]
+    assert runs[0] == runs[1]
+    code, _, err = runs[0]
+    assert code == 2
+    assert err == f"error: cannot write {path!r}: {os.strerror(errno.ENOENT)}\n"
+    assert ".tmp" not in err
 
 
 def test_fixture_roundtrip(capsys):

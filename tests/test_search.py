@@ -34,6 +34,7 @@ from latzeta.search import (
     lattice_count,
     level_entries,
 )
+from latzeta.zeta import zeta_series
 
 from builders import brute_force_lattice_count
 
@@ -159,6 +160,46 @@ def test_catalog_flags_match_classify(lattices_by_size):
             entry = catalog_entry(lattice)
             verdict = classify(lattice)
             assert (entry.strong, entry.weak) == (verdict.strong, verdict.weak)
+
+
+def test_flags_from_counts_match_the_series():
+    # catalog_entry and zeta_series decide both flags from the integer
+    # counts and sums; the series and the counts are the oracles.  On
+    # 10 elements the 29 weak-not-strong classes are ordinary only
+    # because a non-dividing count has a zero sum.
+    zero_sum_decided = 0
+    for n in range(2, 11):
+        for lattice in enumerate_lattices(n):
+            report = zeta_series(lattice)
+            entry = catalog_entry(lattice)
+            ordinary = report.series.is_ordinary()
+            counts = [c for x, c in enumerate(report.j_below) if x != lattice.bottom]
+            strong = all(report.j_count % c == 0 for c in counts)
+            assert entry.weak == report.ordinary == ordinary, entry.key
+            assert entry.strong == report.strongly_coset_like == strong, entry.key
+            zero_sum_decided += ordinary and not strong
+    assert zero_sum_decided == 29
+
+
+@pytest.mark.parametrize(
+    "n,total,strong,weak,atomistic,weak_not_strong",
+    [
+        (6, 15, 5, 5, 2, 0),
+        (7, 53, 6, 6, 4, 0),
+        (8, 222, 33, 33, 9, 0),
+        (9, 1078, 135, 135, 22, 0),
+        (10, 5994, 380, 409, 59, 29),
+    ],
+)
+def test_catalog_summaries_are_pinned(n, total, strong, weak, atomistic, weak_not_strong):
+    assert classify_catalog(n) == {
+        "n": n,
+        "total": total,
+        "strong": strong,
+        "weak": weak,
+        "atomistic": atomistic,
+        "weak_not_strong": weak_not_strong,
+    }
 
 
 def test_level_entries_and_summary():
@@ -356,7 +397,7 @@ def test_kept_children_do_not_depend_on_the_parent_labelling(data):
     _, ups, generators = data.draw(st.sampled_from(search._semilattice_level(k)))
     perm = data.draw(st.permutations(range(k)))
     moved = relabel_masks(ups, perm)
-    _, _, moved_generators = _canonical_labelling(k, list(moved))
+    _, _, moved_generators = _canonical_labelling(k, moved, _transpose_masks(k, moved))
     kept = {key for key, _, _ in search._extend_parents(k + 1, [(ups, generators)])}
     again = search._extend_parents(k + 1, [(moved, moved_generators)])
     assert {key for key, _, _ in again} == kept
