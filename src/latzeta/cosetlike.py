@@ -527,15 +527,10 @@ def load_fixture(name):
     n, covers, expected_terms = _FIXTURES[name]
     lattice = Lattice.from_covers(n, covers)
     report = zeta_series(lattice)
-    counts = {
-        lattice.count_below_irreducibles(x)
-        for x in range(lattice.n)
-        if x != lattice.bottom
-    }
     if (
         report.series.term_map() != expected_terms
         or report.j_count != 8
-        or 3 not in counts
+        or 3 not in report.j_below
     ):
         raise MismatchDetected(
             f"fixture {name} failed its load-time signature check",

@@ -70,7 +70,7 @@ class OrderLimitExceeded(LatZetaError):
 
 
 class BudgetExceeded(LatZetaError):
-    """An enumeration or tuple count would exceed its configured budget."""
+    """The census enumeration or the prime table would exceed its cap."""
 
 
 class NotCoprimeOrders(LatZetaError):

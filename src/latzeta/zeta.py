@@ -27,11 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dirichlet import DirichletSeries
-from .errors import BottomTarget, BudgetExceeded, DegenerateGeneration, MismatchDetected
+from .errors import BottomTarget, DegenerateGeneration, MismatchDetected
 from .lattice import Lattice
-
-#: Default cap on |J_x|**s for the direct tuple-counting oracle.
-DEFAULT_TUPLE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -136,7 +133,7 @@ def zeta_series_atom_based(lattice):
 # brute-force oracles
 
 
-def brute_force_probability(lattice, x, s, *, method, budget=DEFAULT_TUPLE_BUDGET):
+def brute_force_probability(lattice, x, s, *, method):
     """Probability that s uniform draws from J_x join to exactly x.
 
     ``method`` names one of two independent paths.  ``direct`` counts the
@@ -146,10 +143,9 @@ def brute_force_probability(lattice, x, s, *, method, budget=DEFAULT_TUPLE_BUDGE
     the left fold of ``join`` over every tuple, grouped by the running
     join, so the count is the integer that enumerating the tuples would
     give; it costs at most s * |[bottom, x]| * |J_x| joins, where
-    enumeration costs (s - 1) * |J_x|**s.
-    ``budget`` still caps |J_x|**s (``--budget-tuples`` on the CLI), and
-    ``direct`` raises ``BudgetExceeded`` above it.  ``mobius`` counts
-    through inclusion-exclusion over the interval (bottom, x].
+    enumeration costs (s - 1) * |J_x|**s, so no exponent is refused.
+    ``mobius`` counts through inclusion-exclusion over the interval
+    (bottom, x].
 
     At s = 0 the single empty tuple joins to the bottom, so the
     probability is 0 for every x above it.
@@ -163,8 +159,6 @@ def brute_force_probability(lattice, x, s, *, method, budget=DEFAULT_TUPLE_BUDGE
     jx = lattice.below_irreducibles(x)
     size = len(jx) ** s
     if method == "direct":
-        if size > budget:
-            raise BudgetExceeded(f"{size} tuples exceed the budget of {budget}")
         join = lattice.join
         # count[y]: how many prefixes drawn so far have running join y
         count = {lattice.bottom: 1}
@@ -193,11 +187,11 @@ class OracleCheck:
     """Per-exponent agreement between the series and the oracles."""
 
     s_values: dict  # s -> exact series value (verified)
-    methods: tuple  # oracle paths that were exercised
+    methods: tuple  # oracle paths checked at every s: always both
 
 
-def verify_series_against_oracle(lattice, s_max, *, budget=DEFAULT_TUPLE_BUDGET):
-    """Check evaluate_exact(P(L, .), s) against both oracles for
+def verify_series_against_oracle(lattice, s_max):
+    """Check evaluate_exact(P(L, .), s) against both oracles for every
     1 <= s <= s_max; raises ``MismatchDetected`` with both values, and
     ``ValueError`` before any work when s_max < 1."""
     if s_max < 1:
@@ -205,19 +199,10 @@ def verify_series_against_oracle(lattice, s_max, *, budget=DEFAULT_TUPLE_BUDGET)
     series = zeta_series(lattice).series
     top = lattice.top
     checked = {}
-    used = []
-    for method in ("direct", "mobius"):
-        size_ok = True
-        for s in range(1, s_max + 1):
-            if method == "direct":
-                size = len(lattice.below_irreducibles(top)) ** s
-                if size > budget:
-                    size_ok = False
-                    continue
-            want = series.evaluate_exact(s)
-            got = brute_force_probability(
-                lattice, top, s, method=method, budget=budget
-            )
+    for s in range(1, s_max + 1):
+        want = series.evaluate_exact(s)
+        for method in ("direct", "mobius"):
+            got = brute_force_probability(lattice, top, s, method=method)
             if want != got:
                 raise MismatchDetected(
                     f"series value {want} != {method} oracle value {got} at s={s}",
@@ -228,7 +213,5 @@ def verify_series_against_oracle(lattice, s_max, *, budget=DEFAULT_TUPLE_BUDGET)
                         "method": method,
                     },
                 )
-            checked[s] = want
-        if size_ok or method != "direct":
-            used.append(method)
-    return OracleCheck(s_values=checked, methods=tuple(used))
+        checked[s] = want
+    return OracleCheck(s_values=checked, methods=("direct", "mobius"))

@@ -326,7 +326,7 @@ _READERS = {
     "--output": set(_BASE_ARGV),
     "--max-elements": {"zeta", "classify", "mobius", "family"},
     "--smax": {"group", "verify"},
-    "--budget-tuples": {"verify"},
+    "--budget-tuples": set(),  # removed: the direct oracle counts any s
     "--jobs": {"search"},
 }
 _KEPT = [(c, o) for c in _BASE_ARGV for o in _OPTION_VALUES if c in _READERS[o]]
@@ -334,7 +334,7 @@ _REMOVED = [(c, o) for c in _BASE_ARGV for o in _OPTION_VALUES if c not in _READ
 
 
 def test_option_surface_size():
-    assert len(_KEPT) == len(_REMOVED) == 24
+    assert (len(_KEPT), len(_REMOVED)) == (23, 25)
 
 
 @pytest.mark.parametrize("command, option", _KEPT)
@@ -484,21 +484,27 @@ def test_verify_suites(capsys):
         assert "FAIL" not in out
 
 
-def test_verify_oracle_honours_smax(capsys, monkeypatch):
+def _record_oracle_checks(monkeypatch):
+    """Wrap the CLI's oracle check; returns the set of (s_max, checked
+    exponents, methods) it sees."""
     import latzeta.cli as cli_mod
 
     real = cli_mod.verify_series_against_oracle
     seen = set()
 
-    def recording(lattice, s_max, **kwargs):
-        check = real(lattice, s_max, **kwargs)
+    def recording(lattice, s_max):
+        check = real(lattice, s_max)
         seen.add((s_max, tuple(sorted(check.s_values)), check.methods))
         return check
 
     monkeypatch.setattr(cli_mod, "verify_series_against_oracle", recording)
+    return seen
+
+
+def test_verify_oracle_honours_smax(capsys, monkeypatch):
+    seen = _record_oracle_checks(monkeypatch)
     code, out, _ = invoke(capsys, "verify", "--suite", "oracle", "--smax", "5")
     assert code == 0 and "suite oracle: OK" in out
-    # every lattice on up to 7 elements has |J| <= 6, so 6**5 tuples fit
     assert seen == {(5, (1, 2, 3, 4, 5), ("direct", "mobius"))}
 
 
@@ -514,17 +520,19 @@ def test_empty_smax_range_exit_code(capsys, argv):
     assert "argument --smax: must be at least 1" in err
 
 
-def test_verify_oracle_fails_when_the_direct_count_is_skipped(capsys):
-    # the 7-element lattices with |J| = 6 need 6**9 > 2,000,000 tuples at
-    # s = 9, so only the Moebius oracle runs there
+def test_verify_oracle_checks_both_methods_at_smax_9(capsys, monkeypatch):
+    # the 7-element lattices with |J| = 6 have 6**9 tuples at s = 9; both
+    # oracles still check every lattice at every s
+    seen = _record_oracle_checks(monkeypatch)
     code, out, _ = invoke(
         capsys, "verify", "--suite", "oracle", "--smax", "9", "--format", "json"
     )
-    assert code == 1
+    assert code == 0
     doc = json.loads(out)
-    assert doc["ok"] is False
+    assert doc["ok"] is True
     verdicts = {c["name"]: c["ok"] for c in doc["checks"]}
-    assert verdicts == {f"oracle n={n}": n < 7 for n in range(2, 8)}
+    assert verdicts == {f"oracle n={n}": True for n in range(2, 8)}
+    assert seen == {(9, tuple(range(1, 10)), ("direct", "mobius"))}
 
 
 def test_verify_json(capsys):

@@ -1,19 +1,19 @@
 """Series engine: exact values on known lattices, report structure, and
 agreement with the two brute-force oracles."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latzeta.cosetlike import load_fixture
 from latzeta.dirichlet import DirichletSeries
 from latzeta.errors import (
     BottomTarget,
-    BudgetExceeded,
     DegenerateGeneration,
     MismatchDetected,
 )
@@ -26,6 +26,7 @@ from latzeta.families import (
     subspace_lattice,
 )
 from latzeta.lattice import Lattice
+from latzeta.search import enumerate_lattices
 from latzeta.zeta import (
     brute_force_probability,
     verify_series_against_oracle,
@@ -199,8 +200,6 @@ def test_brute_force_edge_cases():
         brute_force_probability(lat, lat.top, -1, method="direct")
     with pytest.raises(ValueError):
         brute_force_probability(lat, lat.top, 2, method="nonsense")
-    with pytest.raises(BudgetExceeded):
-        brute_force_probability(lat, lat.top, 3, method="direct", budget=7)
     with pytest.raises(TypeError):  # no default method
         brute_force_probability(lat, lat.top, 2)
 
@@ -286,6 +285,23 @@ def test_verify_series_against_oracle():
     # three draws do so iff all distinct
     assert check.s_values[2] == 0
     assert check.s_values[3] == Fraction(2, 9)
+
+
+@functools.cache
+def _census(n):
+    return tuple(enumerate_lattices(n))
+
+
+# the example is the 7-element chain at s = 9: 6**9 tuples, which the
+# prefix-join count handles like any other exponent
+@settings(max_examples=200, deadline=None)
+@given(lat=st.integers(2, 7).flatmap(lambda n: st.sampled_from(_census(n))),
+       s=st.integers(1, 12))
+@example(lat=chain(7), s=9)
+def test_oracles_match_the_series_at_every_exponent(lat, s):
+    direct = brute_force_probability(lat, lat.top, s, method="direct")
+    mobius = brute_force_probability(lat, lat.top, s, method="mobius")
+    assert direct == mobius == zeta_series(lat).series.evaluate_exact(s)
 
 
 @pytest.mark.parametrize("s_max", [0, -1])
