@@ -70,7 +70,8 @@ class OrderLimitExceeded(LatZetaError):
 
 
 class BudgetExceeded(LatZetaError):
-    """The census enumeration or the prime table would exceed its cap."""
+    """The census enumeration, the prime table or an oracle's exponent
+    range would exceed its cap."""
 
 
 class NotCoprimeOrders(LatZetaError):

@@ -21,7 +21,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .lattice import Lattice, is_isomorphic, lower_reduced_product
-from .zeta import zeta_series
+from .zeta import _check_exponent_cap, zeta_series
 
 MAX_GROUP_ORDER = 64
 
@@ -339,10 +339,12 @@ class BrownCheck:
 
 def verify_brown_identity(group, s_max=5):
     """P(C(G), s+1) = P(G, s): checked as a term-map identity after an
-    exponent shift and pointwise at integers 0..s_max; ``ValueError``
-    before any work when s_max < 0."""
+    exponent shift and pointwise at integers 0..s_max; before any work,
+    ``ValueError`` when s_max < 0 and ``BudgetExceeded`` when s_max >
+    ``zeta.ORACLE_MAX_S``."""
     if s_max < 0:
         raise ValueError(f"s_max must be at least 0, got {s_max}")
+    _check_exponent_cap(s_max)
     cl = coset_lattice(group)
     coset_series = zeta_series(cl.lattice).series
     try:

@@ -96,8 +96,9 @@ def _join_failure(up, filters, mask):
     whose principal filter is ``mask``, or None; the join exists iff
     ``up[x] & mask`` is in ``filters``, the principal filters.
     ``Lattice._check_joins`` asks this for each join-irreducible, and the
-    census enumerator for each new minimal element, passing its strict
-    filter, since no element of ``up`` lies below it."""
+    census enumerator for each new atom, passing its strict filter and
+    the up-masks of the elements other than the bottom, none of which
+    lies below the atom."""
     return next((x for x, ux in enumerate(up) if ux & mask not in filters), None)
 
 
@@ -483,21 +484,18 @@ def _leaf_columns(n, up, perm):
     return cols
 
 
-def canonical_key_from_up(n, up, down=None):
-    """Canonical hex key of the order given by up-masks.
+def canonical_key_from_up(n, up, down):
+    """Canonical hex key of the order given by up-masks ``up`` and their
+    transpose, the down-masks ``down``.
 
     The key is the least strict upper triangle of the order matrix over
     the leaves of an individualisation-refinement search; see
     ``_canonical_labelling``, which also returns the best leaf ordering
     and generators of the automorphism group, and whose docstring shows
-    why those generate the whole group.
-
-    The down-masks ``down`` are transposed from ``up`` unless given;
-    ``Lattice.canonical_form`` passes its stored ones, so the search of
-    every built lattice still starts here.
+    why those generate the whole group.  ``Lattice.canonical_form``
+    passes its stored masks, so the search of every built lattice still
+    starts here.
     """
-    if down is None:
-        down = _transpose_masks(n, up)
     return _canonical_labelling(n, up, down)[0]
 
 
@@ -570,8 +568,6 @@ def _canonical_labelling(n, up, down):
     pruning records nothing, hence the transpositions: three atoms of
     one height give a single leaf and no recorded automorphism.
     """
-    if n == 1:
-        return _columns_to_hex(1, [0]), [0], []
     base, covers_up, covers_down = _root_partition(n, up, down)
     twin = [(up[x] & ~(1 << x), down[x] & ~(1 << x)) for x in range(n)]
     best = best_perm = None
@@ -640,18 +636,6 @@ def _columns_to_hex(n, cols):
     acc <<= pad
     nbytes = (total + pad) // 8
     return acc.to_bytes(max(nbytes, 1), "big").hex()
-
-
-def _hex_to_columns(n, key):
-    """Inverse of ``_columns_to_hex``."""
-    total = n * (n - 1) // 2
-    acc = int.from_bytes(bytes.fromhex(key), "big")
-    acc >>= (-total) % 8
-    cols = [0] * n
-    for p in range(n - 1, 0, -1):
-        cols[p] = acc & ((1 << p) - 1)
-        acc >>= p
-    return cols
 
 
 def is_isomorphic(a, b):

@@ -1,29 +1,28 @@
 """Exhaustive enumeration of finite lattices up to isomorphism, with
 classification and a line-oriented catalog store.
 
-The enumerator walks join-semilattices-with-top: removing the bottom of
-a lattice on n elements leaves exactly such an object on n - 1
-elements, and conversely adjoining a bottom to one yields a lattice, so
-the isomorphism classes correspond one to one.  Each level is built
-from the previous one by adding a new minimal element whose upper
-covers form an antichain; only joins against the new element need
+Each level holds the lattices on n elements, with the bottom as element
+0, and is built from the previous one by adding a new atom whose upper
+covers form an antichain of elements other than the bottom.  Removing an
+atom from a lattice leaves a lattice, since no join of two other
+elements can be that atom; so only joins against the new atom need
 checking, with the predicate that construction uses,
 ``lattice._join_failure``.
 
 Duplicates are never generated, by canonical augmentation (McKay,
 *Isomorph-free exhaustive generation*, J. Algorithms 1998; Heitzig &
-Reinhold, *Counting finite lattices*, Algebra Universalis 2002).
-Removing any minimal element of a semilattice-with-top leaves one, so
-every class on m elements has a canonical parent: the class without its
-canonical minimal element ``m*``, the first element of the best leaf
-ordering among the minimal elements with the largest up-set.  Each
-parent is extended by one antichain per orbit of its automorphism group,
-and a child is kept only if its new element lies in the automorphism
-orbit of ``m*``; so every class is kept exactly once, from one parent
-and one antichain, and at most one canonical labelling is made per
-orbit-distinct child whose new element has the largest up-set.  Both
-orbit questions, on antichains and on the child's elements, go to
-``lattice._orbit_firsts``, the routine that prunes the canonical search.
+Reinhold, *Counting finite lattices*, Algebra Universalis 2002).  Every
+class on n elements has a canonical parent: the class without its
+canonical atom ``m*``, the first element of the best leaf ordering among
+the atoms with the largest up-set.  Each parent is extended by one
+antichain per orbit of its automorphism group, and a child is kept only
+if its new atom lies in the automorphism orbit of ``m*``; so every class
+is kept exactly once, from one parent and one antichain, and at most one
+canonical labelling is made per orbit-distinct child whose new atom has
+the largest up-set.  That labelling also gives the child's canonical
+key.  Both orbit questions, on antichains and on the child's elements,
+go to ``lattice._orbit_firsts``, the routine that prunes the canonical
+search.
 """
 
 import os
@@ -37,8 +36,6 @@ from .errors import BudgetExceeded, CatalogCorrupt
 from .lattice import (
     Lattice,
     _canonical_labelling,
-    _columns_to_hex,
-    _hex_to_columns,
     _iter_bits,
     _join_failure,
     _orbit_firsts,
@@ -71,17 +68,18 @@ _CATALOG_LINE = re.compile(
 
 
 # ----------------------------------------------------------------------
-# join-semilattice levels
+# lattice levels
 
-# m -> list of (canonical_key, up_masks, generators) sorted by key; level m
-# holds the semilattices on m elements, i.e. the lattices on m + 1 minus
-# bottoms.  ``generators`` is a tuple of bytes, each a permutation of the
-# m elements, that generates the automorphism group of ``up_masks``.
-_SEMI_LEVELS = {1: [(canonical_key_from_up(1, [1]), (1,), ())]}
+# n -> list of (canonical_key, up_masks, generators) sorted by key: the
+# lattices on n elements, with the bottom as element 0.  ``generators``
+# is a tuple of bytes, each a permutation of the n elements, that
+# generates the automorphism group of ``up_masks``.
+_LEVELS = {2: [(canonical_key_from_up(2, (3, 2), (1, 3)), (3, 2), ())]}
 
 
-def _antichain_masks(m, comp):
-    """Nonempty antichain masks of a poset, via DFS over sorted elements.
+def _antichain_masks(n, comp):
+    """Nonempty antichain masks of a lattice's elements other than the
+    bottom (element 0), via DFS over sorted elements.
 
     ``comp[i]`` is the bitmask of elements comparable to i (including
     i itself); a set is an antichain iff no member's mask hits another
@@ -90,14 +88,14 @@ def _antichain_masks(m, comp):
     out = []
 
     def rec(mask, start, forbidden):
-        for i in range(start, m):
+        for i in range(start, n):
             bit = 1 << i
             if forbidden & bit:
                 continue
             out.append(mask | bit)
             rec(mask | bit, i + 1, forbidden | comp[i])
 
-    rec(0, 0, 0)
+    rec(0, 1, 0)
     return out
 
 
@@ -117,46 +115,52 @@ def _orbit_representatives(masks, generators):
     return [x for x in masks if firsts[x] == x]
 
 
-def _extend_parents(m, parents):
-    """The classes on m elements whose canonical parent is among the
-    given (m-1)-element semilattices, as ``(key, up_masks, generators)``.
+def _extend_parents(n, parents):
+    """The classes on n elements whose canonical parent is among the
+    given (n-1)-element lattices, as ``(key, up_masks, generators)``.
 
-    ``parents`` holds ``(up_masks, generators)`` pairs.  For each parent,
-    one antichain per automorphism orbit becomes the upper covers of a new
-    minimal element; a child whose joins fail, or whose new element has a
-    smaller up-set than another minimal element, is dropped before it is
-    labelled, and a labelled child is kept only if its new element is in
-    the orbit of its canonical minimal element ``m*``.
+    ``parents`` holds ``(up_masks, generators)`` pairs, each lattice with
+    its bottom as element 0.  For each parent, one antichain of non-bottom
+    elements per automorphism orbit becomes the upper covers of a new
+    atom; a child whose joins fail, or whose new atom has a smaller
+    up-set than another atom, is dropped before it is labelled, and a
+    labelled child is kept only if its new atom is in the orbit of its
+    canonical atom ``m*``.  The key and generators are those of that
+    labelling.
     """
     out = []
     shared = {}  # equal permutations and generator tuples share one object
-    k = m - 1
+    k = n - 1
     newbit = 1 << k
+    full = (1 << n) - 1
     for ups, generators in parents:
-        down = _transpose_masks(k, list(ups))
+        down = _transpose_masks(k, ups)
         comp = [ups[i] | down[i] for i in range(k)]
-        minimal = [(i, ups[i].bit_count()) for i in range(k) if down[i] == 1 << i]
+        atoms = [
+            (i, ups[i].bit_count()) for i in range(1, k) if down[i] == (1 << i) | 1
+        ]
         filters = set(ups)
+        above_bottom = ups[1:]
         for amask in _orbit_representatives(_antichain_masks(k, comp), generators):
             filt = 0
             for a in _iter_bits(amask):
                 filt |= ups[a]
             size = filt.bit_count() + 1
-            others = [(i, s) for i, s in minimal if not (filt >> i) & 1]
+            others = [(i, s) for i, s in atoms if not (filt >> i) & 1]
             if any(s > size for _, s in others):
                 continue
-            if _join_failure(ups, filters, filt) is not None:
+            if _join_failure(above_bottom, filters, filt) is not None:
                 continue
-            child = ups + (filt | newbit,)
-            # the new element is below exactly the elements of its filter
+            child = (full,) + above_bottom + (filt | newbit,)
+            # the new atom is below exactly the elements of its filter
             child_down = [
                 d | newbit if (filt >> i) & 1 else d for i, d in enumerate(down)
             ]
-            child_down.append(newbit)
-            key, perm, child_gens = _canonical_labelling(m, child, child_down)
+            child_down.append(newbit | 1)
+            key, perm, child_gens = _canonical_labelling(n, child, child_down)
             ties = {k} | {i for i, s in others if s == size}
             star = next(x for x in perm if x in ties)
-            orbit = _orbit_firsts(range(m), child_gens)
+            orbit = _orbit_firsts(range(n), child_gens)
             if orbit[star] == orbit[k]:
                 gens = tuple(shared.setdefault(g, g) for g in map(bytes, child_gens))
                 out.append((key, child, shared.setdefault(gens, gens)))
@@ -167,8 +171,8 @@ def _extend_chunk(args):
     return _extend_parents(*args)
 
 
-def _semilattice_level(m, *, jobs=1):
-    """Semilattices on m elements as a sorted list of
+def _level(n, *, jobs=1):
+    """Lattices on n elements as a sorted list of
     ``(key, up_masks, generators)``.
 
     ``jobs`` worker processes build the missing levels; it must be at
@@ -180,57 +184,27 @@ def _semilattice_level(m, *, jobs=1):
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
-    for level in range(2, m + 1):
-        if level in _SEMI_LEVELS:
+    for size in range(3, n + 1):
+        if size in _LEVELS:
             continue
-        parents = [(ups, gens) for _, ups, gens in _SEMI_LEVELS[level - 1]]
+        parents = [(ups, gens) for _, ups, gens in _LEVELS[size - 1]]
         if jobs > 1 and len(parents) >= 4 * jobs:
-            chunks = [
-                (level, parents[i::jobs]) for i in range(jobs)
-            ]
+            chunks = [(size, parents[i::jobs]) for i in range(jobs)]
             with Pool(jobs) as pool:
                 children = [c for part in pool.map(_extend_chunk, chunks) for c in part]
         else:
-            children = _extend_parents(level, parents)
+            children = _extend_parents(size, parents)
         children.sort(key=itemgetter(0))
         for before, after in zip(children, children[1:]):
             if before[0] == after[0]:
-                raise RuntimeError(f"level {level}: class {before[0]} generated twice")
-        _SEMI_LEVELS[level] = children
-    return _SEMI_LEVELS[m]
-
-
-def _lattice_key(m, key):
-    """Canonical key of the lattice made by adjoining a bottom to a
-    semilattice on m elements, from the semilattice's canonical key.
-
-    The bottom is the only element of rank 0 in the lattice, a singleton
-    cell at index 0 that shifts every other cell index by one without
-    reordering, and it is below everything, so the refined colourings,
-    the twin classes, the automorphisms and hence the search trees of the
-    two correspond one to one, with the bottom first in every leaf.  Leaf
-    column ``p + 1`` of the lattice is then column ``p`` of the
-    semilattice under a new highest bit for the bottom, an order-keeping
-    map of triangles, so the least triangles correspond too.  For m = 1
-    the semilattice has no columns and the lattice is the 2-chain.
-    """
-    if m == 1:
-        return _columns_to_hex(2, [0, 1])
-    cols = _hex_to_columns(m, key)
-    return _columns_to_hex(m + 1, [0, 1] + [(1 << p) | cols[p] for p in range(1, m)])
-
-
-def _lattice_from_semilattice(ups, key):
-    """Adjoin a bottom below the minimal elements of a semilattice whose
-    canonical key is ``key``; the lattice's key is derived, not searched."""
-    m = len(ups)
-    # the new bottom is element 0, below everything; element x moves to x + 1
-    lattice = Lattice._from_up(m + 1, [(1 << (m + 1)) - 1] + [u << 1 for u in ups])
-    lattice._canonical_key = _lattice_key(m, key)
-    return lattice
+                raise RuntimeError(f"level {size}: class {before[0]} generated twice")
+        _LEVELS[size] = children
+    return _LEVELS[n]
 
 
 def _check_enumeration_cap(n):
+    if n < 2:
+        raise ValueError("lattices need at least 2 elements")
     if n > DEFAULT_MAX_N:
         raise BudgetExceeded(
             f"enumeration capped at n = {DEFAULT_MAX_N} (asked for {n})"
@@ -241,26 +215,23 @@ def enumerate_lattices(n, *, jobs=1):
     """Yield one lattice per isomorphism class on n elements, for
     2 <= n <= ``DEFAULT_MAX_N``.
 
-    Deterministic order (ascending canonical key of the bottomless
-    semilattice); every emitted object passes full construction-time
-    lattice validation.  The semilattices are built by canonical
-    augmentation (see the module docstring), and each lattice's
-    ``canonical_form`` is derived from its semilattice's key rather than
-    searched again.
+    Deterministic order (ascending canonical key); every emitted object
+    passes full construction-time lattice validation.  The lattices are
+    built by canonical augmentation (see the module docstring), and each
+    one's ``canonical_form`` is the key of the enumerator's own
+    labelling rather than searched again.
     """
-    if n < 2:
-        raise ValueError("lattices need at least 2 elements")
     _check_enumeration_cap(n)
-    for key, ups, _ in _semilattice_level(n - 1, jobs=jobs):
-        yield _lattice_from_semilattice(ups, key)
+    for key, ups, _ in _level(n, jobs=jobs):
+        lattice = Lattice._from_up(n, ups)
+        lattice._canonical_key = key
+        yield lattice
 
 
 def lattice_count(n, *, jobs=1):
     """Number of isomorphism classes of lattices on n elements."""
-    if n < 2:
-        raise ValueError("lattices need at least 2 elements")
     _check_enumeration_cap(n)
-    return len(_semilattice_level(n - 1, jobs=jobs))
+    return len(_level(n, jobs=jobs))
 
 
 # ----------------------------------------------------------------------
@@ -430,8 +401,6 @@ def find_weak_not_strong(max_n, *, store=None, jobs=1, atomistic_only=False):
     ``atomistic_only`` the lists keep only atomistic classes (expected
     empty through the sizes this artifact can sweep).
     """
-    if max_n < 2:
-        raise ValueError("lattices need at least 2 elements")
     _check_enumeration_cap(max_n)
     found = {}
     for n in range(2, max_n + 1):

@@ -27,7 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dirichlet import DirichletSeries
-from .errors import BottomTarget, DegenerateGeneration, MismatchDetected
+from .errors import (
+    BottomTarget,
+    BudgetExceeded,
+    DegenerateGeneration,
+    MismatchDetected,
+)
 from .lattice import Lattice
 
 
@@ -132,6 +137,11 @@ def zeta_series_atom_based(lattice):
 # ----------------------------------------------------------------------
 # brute-force oracles
 
+#: Largest exponent the oracle checks accept, here and in
+#: ``groups.verify_brown_identity``; each exact value grows with s, and
+#: ``verify --suite oracle --smax 100`` already takes seconds.
+ORACLE_MAX_S = 64
+
 
 def brute_force_probability(lattice, x, s, *, method):
     """Probability that s uniform draws from J_x join to exactly x.
@@ -182,6 +192,13 @@ def brute_force_probability(lattice, x, s, *, method):
     raise ValueError(f"unknown method {method!r}")
 
 
+def _check_exponent_cap(s_max):
+    if s_max > ORACLE_MAX_S:
+        raise BudgetExceeded(
+            f"oracle checks capped at s = {ORACLE_MAX_S} (asked for {s_max})"
+        )
+
+
 @dataclass(frozen=True)
 class OracleCheck:
     """Per-exponent agreement between the series and the oracles."""
@@ -193,9 +210,11 @@ class OracleCheck:
 def verify_series_against_oracle(lattice, s_max):
     """Check evaluate_exact(P(L, .), s) against both oracles for every
     1 <= s <= s_max; raises ``MismatchDetected`` with both values, and
-    ``ValueError`` before any work when s_max < 1."""
+    before any work ``ValueError`` when s_max < 1 and ``BudgetExceeded``
+    when s_max > ``ORACLE_MAX_S``."""
     if s_max < 1:
         raise ValueError(f"s_max must be at least 1, got {s_max}")
+    _check_exponent_cap(s_max)
     series = zeta_series(lattice).series
     top = lattice.top
     checked = {}

@@ -8,7 +8,7 @@ refinement cuts its runs by hand rather than through ``lattice._split``.
 """
 
 from latzeta.families import factorize
-from latzeta.lattice import Lattice, _hex_to_columns, canonical_key_from_up
+from latzeta.lattice import Lattice, _transpose_masks, canonical_key_from_up
 
 
 def adjoin_atoms(lattice, k):
@@ -19,6 +19,19 @@ def adjoin_atoms(lattice, k):
     for new in range(n, n + k):
         pairs += [(lattice.bottom, new), (new, lattice.top)]
     return Lattice.from_covers(n + k, pairs)
+
+
+def _hex_to_columns(n, key):
+    """The columns of the strict upper triangle packed in a canonical
+    key: column ``p`` has ``p`` bits, first element highest."""
+    total = n * (n - 1) // 2
+    acc = int.from_bytes(bytes.fromhex(key), "big")
+    acc >>= (-total) % 8
+    cols = [0] * n
+    for p in range(n - 1, 0, -1):
+        cols[p] = acc & ((1 << p) - 1)
+        acc >>= p
+    return cols
 
 
 def decode_canonical_key(key, n):
@@ -101,8 +114,14 @@ def brute_force_lattice_count(n):
     """Isomorphism classes of lattices on n elements, the slow way: every
     naturally labeled poset on n points that passes the pairwise test,
     deduplicated by canonical key."""
-    return len({canonical_key_from_up(n, list(up))
+    return len({canonical_key_from_up(n, up, _transpose_masks(n, up))
                 for up in naturally_labeled_posets(n) if is_lattice_masks(n, up)})
+
+
+def bottomless(ups):
+    """The up-masks of a lattice whose bottom is element 0, with the
+    bottom removed and every other element moved down by one."""
+    return tuple(u >> 1 for u in ups[1:])
 
 
 def moved_mask(mask, g):

@@ -11,7 +11,8 @@ are not automorphic images of each other.
 
 The generators the search returns must generate the whole automorphism
 group: checked against a backtracking count of order automorphisms on
-every semilattice up to 7 elements and on the lattices above.
+every census lattice up to 8 elements, with the enumerator's stored
+generators, and on the lattices above.
 
 The oracle shares the refinement with the search, so the refinement and
 the orbit routine are checked against their earlier hand-written forms
@@ -45,6 +46,7 @@ from latzeta.lattice import (
 from latzeta.search import enumerate_lattices
 
 from builders import (
+    bottomless,
     in_orbit_bfs,
     moved_mask,
     orbit_representatives_bfs,
@@ -153,7 +155,8 @@ def test_pruned_search_matches_unpruned_after_relabelling(data):
     # the class is the key every relabelling must get.
     lat = data.draw(st.sampled_from(census()) | st.sampled_from(wide()))
     perm = data.draw(st.permutations(range(lat.n)))
-    assert canonical_key_from_up(lat.n, relabel_masks(lat.up, perm)) == oracle_key(lat)
+    up = relabel_masks(lat.up, perm)
+    assert canonical_key_from_up(lat.n, up, _transpose_masks(lat.n, up)) == oracle_key(lat)
 
 
 def automorphism_count(n, up):
@@ -228,12 +231,12 @@ def group_order(n, up, generators):
     return len(group)
 
 
-def test_generators_give_the_whole_group_on_semilattices():
+def test_generators_give_the_whole_group_on_census_lattices():
     # The enumerator's stored generators (bytes) are the search's own.
-    for m in range(1, 8):
-        for _key, ups, generators in search._semilattice_level(m):
+    for n in range(2, 9):
+        for _key, ups, generators in search._level(n):
             up = list(ups)
-            assert group_order(m, up, generators) == automorphism_count(m, up), ups
+            assert group_order(n, up, generators) == automorphism_count(n, up), ups
 
 
 def test_generators_give_the_whole_group_on_wide_lattices():
@@ -280,13 +283,14 @@ def test_refinement_matches_the_run_loop_on_every_semilattice():
     # The unpruned oracle above refines with the search's own
     # _refine_partition, so it cannot catch a change to refinement: here
     # every node of the unpruned tree is refined by both, after a random
-    # relabelling, and the ordered cells must agree.
+    # relabelling, and the ordered cells must agree.  The semilattices
+    # are the census lattices on up to 8 elements with the bottom removed.
     rng = random.Random(20)
     for m in range(1, 8):
-        for _key, ups, _ in search._semilattice_level(m):
+        for _key, ups, _ in search._level(m + 1):
             perm = list(range(m))
             rng.shuffle(perm)
-            up = relabel_masks(ups, perm)
+            up = relabel_masks(bottomless(ups), perm)
             down = _transpose_masks(m, up)
             covers_up, covers_down, height = _order_structure(m, up, down)
             cells = root_partition_loop(m, covers_up, covers_down, height)
@@ -342,10 +346,12 @@ def test_refinement_matches_the_all_element_loop_on_random_orders(drawn):
 def test_labelling_with_the_enumerators_child_down(data):
     # _extend_parents builds each child's down-masks from its parent's;
     # they must be the transpose of the child's up-masks, and the search
-    # must give what it gives from the transpose.
-    k = data.draw(st.integers(1, 7))
-    _, ups, _ = data.draw(st.sampled_from(search._semilattice_level(k)))
-    moved = tuple(relabel_masks(ups, data.draw(st.permutations(range(k)))))
+    # must give what it gives from the transpose.  The relabelling keeps
+    # the bottom at element 0, where the enumerator expects it.
+    k = data.draw(st.integers(2, 8))
+    _, ups, _ = data.draw(st.sampled_from(search._level(k)))
+    perm = [0] + data.draw(st.permutations(range(1, k)))
+    moved = tuple(relabel_masks(ups, perm))
     generators = _canonical_labelling(k, moved, _transpose_masks(k, moved))[2]
     calls = []
 

@@ -2,6 +2,7 @@
 and the verification suites."""
 
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from latzeta import search
+from latzeta import groups, search
 from latzeta.cli import build_parser, parse_group, parse_lattice_target, run
 from latzeta.cosetlike import load_fixture
 from latzeta.errors import UsageError
@@ -172,6 +173,22 @@ def test_search(capsys):
     assert doc["weak_not_strong"] == {str(n): [] for n in range(2, 7)}
 
 
+# sha256 of the census outputs for n <= 10, fixed while the enumerator
+# still built each lattice from a semilattice with a bottom adjoined
+CENSUS_JSON_SHA256 = "c94b8d8dedcde3813cd8bdb8fcc509f56b26da46cf49223956773a83f52d481e"
+CENSUS_CATALOG_SHA256 = "4dfec3b82b8b460b4a34e9dced299fd6c12dc7cd9b0c78534fe447b56f1d59a2"
+
+
+def test_census_bytes_are_pinned(capsys, tmp_path):
+    code, out, _ = invoke(capsys, "search", "--max-n", "10", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_JSON_SHA256
+    catalog = tmp_path / "catalog.txt"
+    code, _, _ = invoke(capsys, "search", "--max-n", "10", "--catalog", str(catalog))
+    assert code == 0
+    assert hashlib.sha256(catalog.read_bytes()).hexdigest() == CENSUS_CATALOG_SHA256
+
+
 def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     # A stand-in for multiprocessing.Pool that records the worker count and
     # maps in this process, on a fresh level cache so that the levels are
@@ -192,14 +209,14 @@ def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
             return [fn(chunk) for chunk in chunks]
 
     serial = invoke(capsys, "search", "--max-n", "7")
-    first = search._SEMI_LEVELS[1]
+    first = search._LEVELS[2]
     monkeypatch.setattr(search, "Pool", RecordingPool)
     for cpus, asked, expected in ((2, "3", [2]), (2, "2", [2]), (4, "1", []), (None, "2", [])):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(search, "_SEMI_LEVELS", {1: first})
+        monkeypatch.setattr(search, "_LEVELS", {2: first})
         sizes.clear()
         assert invoke(capsys, "search", "--max-n", "7", "--jobs", asked) == serial
-        # only level 6, with 15 parents, is big enough to be split
+        # only level 7, built from 15 parents, is big enough to be split
         assert sizes == expected, (cpus, asked)
 
 
@@ -518,6 +535,24 @@ def test_empty_smax_range_exit_code(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""
     assert "argument --smax: must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "oracle", "--smax", "100000"),
+    ("verify", "--suite", "all", "--smax", "65"),
+    ("group", "sym:3", "--brown", "--smax", "65"),
+])
+def test_smax_past_the_cap_exit_code(capsys, monkeypatch, argv):
+    # refused (exit 1) before an oracle or identity check does any work:
+    # the series, the coset lattices and the census lattices are not built
+    import latzeta.zeta as zeta_mod
+
+    monkeypatch.setattr(zeta_mod, "zeta_series", None)
+    monkeypatch.setattr(groups, "coset_lattice", None)
+    monkeypatch.setattr(search, "enumerate_lattices", lambda n: [None])
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 1
+    assert "BudgetExceeded" in out and "capped at s = 64" in out
 
 
 def test_verify_oracle_checks_both_methods_at_smax_9(capsys, monkeypatch):

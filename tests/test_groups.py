@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from latzeta import groups
 from latzeta.dirichlet import DirichletSeries
-from latzeta.errors import NotCoprimeOrders, OrderLimitExceeded
+from latzeta.errors import BudgetExceeded, NotCoprimeOrders, OrderLimitExceeded
 from latzeta.groups import (
     FiniteGroup,
     coset_lattice,
@@ -29,7 +29,7 @@ from latzeta.groups import (
     verify_coprime_product,
 )
 from latzeta.lattice import Lattice, is_isomorphic
-from latzeta.zeta import zeta_series
+from latzeta.zeta import ORACLE_MAX_S, zeta_series
 
 
 # ----------------------------------------------------------------------
@@ -253,6 +253,14 @@ def test_brown_identity_rejects_negative_smax(monkeypatch):
     monkeypatch.setattr(groups, "coset_lattice", None)
     with pytest.raises(ValueError, match="s_max must be at least 0, got -1"):
         verify_brown_identity(cyclic(2), s_max=-1)
+
+
+def test_brown_identity_refuses_exponents_past_the_cap(monkeypatch):
+    # refused before the coset lattice is built; the cap itself is accepted
+    assert verify_brown_identity(cyclic(2), s_max=ORACLE_MAX_S).s_max == ORACLE_MAX_S
+    monkeypatch.setattr(groups, "coset_lattice", None)
+    with pytest.raises(BudgetExceeded):
+        verify_brown_identity(cyclic(2), s_max=ORACLE_MAX_S + 1)
 
 
 def test_brown_identity_z2_series():

@@ -109,14 +109,14 @@ def test_library_jobs_clamped_to_cpu_count(monkeypatch):
         def map(self, fn, chunks):
             return [fn(chunk) for chunk in chunks]
 
-    serial = search._semilattice_level(6)
-    first = search._SEMI_LEVELS[1]
+    serial = search._level(7)
+    first = search._LEVELS[2]
     monkeypatch.setattr(search, "Pool", RecordingPool)
     for cpus, asked, expected in ((2, 10**6, [2]), (3, 2, [2]), (None, 8, [])):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(search, "_SEMI_LEVELS", {1: first})
+        monkeypatch.setattr(search, "_LEVELS", {2: first})
         sizes.clear()
-        assert search._semilattice_level(6, jobs=asked) == serial
+        assert search._level(7, jobs=asked) == serial
         assert sizes == expected, (cpus, asked)
 
 
@@ -313,7 +313,7 @@ def test_weak_not_strong_budget(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a level was enumerated")
 
-    monkeypatch.setattr(search, "_semilattice_level", refuse)
+    monkeypatch.setattr(search, "_level", refuse)
     with pytest.raises(BudgetExceeded):
         find_weak_not_strong(DEFAULT_MAX_N + 1)
 
@@ -325,10 +325,11 @@ def test_eleven_element_count():
 
 
 def has_joins(k, ups, filt):
-    """Whether every old element ``a`` has a join with a new element whose
-    strict up-set is ``filt``: ``a`` itself when it lies in ``filt``, else
-    the least element of ``filt & ups[a]``, found by a scan of its
-    members; the enumerator looks joins up in the filter set instead."""
+    """Whether every old element ``a`` above the bottom (element 0) has a
+    join with a new atom whose strict up-set is ``filt``: ``a`` itself
+    when it lies in ``filt``, else the least element of ``filt & ups[a]``,
+    found by a scan of its members; the enumerator looks joins up in the
+    filter set instead.  The bottom's join with the atom is the atom."""
 
     def has_least(common):
         rest = common
@@ -339,17 +340,18 @@ def has_joins(k, ups, filt):
             rest ^= low
         return False
 
-    return all((filt >> a) & 1 or has_least(filt & ups[a]) for a in range(k))
+    return all((filt >> a) & 1 or has_least(filt & ups[a]) for a in range(1, k))
 
 
-def oracle_children(m, parents):
-    """Every one-minimal-element extension of the given semilattices on
-    m - 1 elements, labelled and deduplicated by canonical key: the
-    enumerator before canonical augmentation.  Returns {key: up_masks}."""
+def oracle_children(n, parents):
+    """Every one-new-atom extension of the given lattices on n - 1
+    elements, each with its bottom as element 0, labelled and
+    deduplicated by canonical key: the enumerator before canonical
+    augmentation.  Returns {key: up_masks}."""
     out = {}
-    k = m - 1
+    k = n - 1
     for ups in parents:
-        down = _transpose_masks(k, list(ups))
+        down = _transpose_masks(k, ups)
         comp = [ups[i] | down[i] for i in range(k)]
         for amask in search._antichain_masks(k, comp):
             filt = 0
@@ -358,24 +360,24 @@ def oracle_children(m, parents):
                     filt |= ups[a]
             if not has_joins(k, ups, filt):
                 continue
-            child = ups + (filt | 1 << k,)
-            out.setdefault(canonical_key_from_up(m, list(child)), child)
+            child = ((1 << n) - 1,) + ups[1:] + (filt | 1 << k,)
+            out.setdefault(canonical_key_from_up(n, child, _transpose_masks(n, child)), child)
     return out
 
 
 @functools.cache
-def oracle_level(m):
-    """{key: up_masks} of the semilattices on m elements, built level by
-    level by the oracle alone."""
-    if m == 1:
-        return {canonical_key_from_up(1, [1]): (1,)}
-    return oracle_children(m, oracle_level(m - 1).values())
+def oracle_level(n):
+    """{key: up_masks} of the lattices on n elements, built level by
+    level from the 2-chain by the oracle alone."""
+    if n == 2:
+        return {canonical_key_from_up(2, (3, 2), (1, 3)): (3, 2)}
+    return oracle_children(n, oracle_level(n - 1).values())
 
 
 def test_augmentation_matches_deduplication_oracle():
-    for m in range(1, 9):
-        keys = [key for key, _, _ in search._semilattice_level(m)]
-        assert keys == sorted(oracle_level(m)), m
+    for n in range(2, 10):
+        keys = [key for key, _, _ in search._level(n)]
+        assert keys == sorted(oracle_level(n)), n
 
 
 def relabel_masks(ups, perm):
@@ -392,10 +394,11 @@ def relabel_masks(ups, perm):
 @given(st.data())
 def test_kept_children_do_not_depend_on_the_parent_labelling(data):
     # The classes kept from a parent are those whose canonical parent is
-    # the parent's class, a property of the class alone.
-    k = data.draw(st.integers(1, 7))
-    _, ups, generators = data.draw(st.sampled_from(search._semilattice_level(k)))
-    perm = data.draw(st.permutations(range(k)))
+    # the parent's class, a property of the class alone.  The relabelling
+    # keeps the bottom at element 0, where the enumerator expects it.
+    k = data.draw(st.integers(2, 8))
+    _, ups, generators = data.draw(st.sampled_from(search._level(k)))
+    perm = [0] + data.draw(st.permutations(range(1, k)))
     moved = relabel_masks(ups, perm)
     _, _, moved_generators = _canonical_labelling(k, moved, _transpose_masks(k, moved))
     kept = {key for key, _, _ in search._extend_parents(k + 1, [(ups, generators)])}
@@ -405,11 +408,11 @@ def test_kept_children_do_not_depend_on_the_parent_labelling(data):
 
 
 def test_lattice_keys_are_derived_correctly():
-    # enumerate_lattices fills each lattice's key from its semilattice's
-    # key; it must be the key a direct search gives.
+    # enumerate_lattices fills each lattice's key from the enumerator's
+    # own labelling of it; it must be the key a direct search gives.
     for n in range(2, 11):
         for lat in enumerate_lattices(n):
-            assert lat._canonical_key == canonical_key_from_up(lat.n, lat.up)
+            assert lat._canonical_key == canonical_key_from_up(lat.n, lat.up, lat.down)
 
 
 def test_enumerated_lattices_are_valid(lattices_by_size):

@@ -14,6 +14,7 @@ from latzeta.cosetlike import load_fixture
 from latzeta.dirichlet import DirichletSeries
 from latzeta.errors import (
     BottomTarget,
+    BudgetExceeded,
     DegenerateGeneration,
     MismatchDetected,
 )
@@ -28,6 +29,7 @@ from latzeta.families import (
 from latzeta.lattice import Lattice
 from latzeta.search import enumerate_lattices
 from latzeta.zeta import (
+    ORACLE_MAX_S,
     brute_force_probability,
     verify_series_against_oracle,
     zeta_series,
@@ -312,6 +314,16 @@ def test_verify_rejects_an_empty_range(monkeypatch, s_max):
     monkeypatch.setattr(zeta_mod, "zeta_series", None)
     with pytest.raises(ValueError):
         verify_series_against_oracle(boolean_lattice(2), s_max)
+
+
+def test_verify_refuses_exponents_past_the_cap(monkeypatch):
+    # refused before the series is built; the cap itself is accepted
+    import latzeta.zeta as zeta_mod
+
+    assert max(verify_series_against_oracle(chain(2), ORACLE_MAX_S).s_values) == ORACLE_MAX_S
+    monkeypatch.setattr(zeta_mod, "zeta_series", None)
+    with pytest.raises(BudgetExceeded):
+        verify_series_against_oracle(boolean_lattice(2), ORACLE_MAX_S + 1)
 
 
 def test_verify_detects_planted_mismatch(monkeypatch):
