@@ -25,6 +25,8 @@ from .lattice import Lattice
 # ----------------------------------------------------------------------
 # combinatorial helpers
 
+_factorial = lru_cache(maxsize=None)(math.factorial)
+
 
 @lru_cache(maxsize=None)
 def stirling2(n, k):
@@ -36,31 +38,45 @@ def stirling2(n, k):
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
-def integer_partitions(n, max_part=None):
-    """All partitions of n as non-increasing tuples."""
-    if n == 0:
-        yield ()
+def integer_partitions(n):
+    """All partitions of n as non-increasing tuples in reverse lexicographic
+    order, by ZS1 (Zoghbi and Stojmenovic, Int. J. Comput. Math. 1998):
+    ``x[:m]`` is the current partition and ``x[h]`` its last part above 1."""
+    if n < 0:
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in integer_partitions(n - first, first):
-            yield (first,) + rest
+    x = [n] + [1] * (n - 1)
+    m, h = min(n, 1), 0  # n = 0 has one partition, the empty one
+    yield tuple(x[:m])
+    while x[0] > 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            # x[h] - 1 and the ones after it refill parts r, then t < r
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 1 + (t > 0)
+            if t > 1:
+                h += 1
+                x[h] = t
+        yield tuple(x[:m])
 
 
 def shape_count(shape):
     """Number of set partitions of sum(shape) points with block sizes
-    given by ``shape``."""
-    n = sum(shape)
-    count = math.factorial(n)
+    given by ``shape``: n! over each part's factorial and over m! for a
+    size repeated m times, the j-th part of a size dividing by j."""
+    denom, seen = 1, {}
     for part in shape:
-        count //= math.factorial(part)
-    mult = {}
-    for part in shape:
-        mult[part] = mult.get(part, 0) + 1
-    for m in mult.values():
-        count //= math.factorial(m)
-    return count
+        seen[part] = seen.get(part, 0) + 1
+        denom *= _factorial(part) * seen[part]
+    return _factorial(sum(shape)) // denom
 
 
 def set_partitions(n):
@@ -468,7 +484,8 @@ def partition_shapes(n):
     |J_P| counts the pairs inside blocks.  Checked on the call."""
     _check_partition_n(n)
     _check_budget("n", n, SHAPE_MAX_N)
-    return ((shape, sum(math.comb(p, 2) for p in shape))
+    pairs = [math.comb(p, 2) for p in range(n + 1)]
+    return ((shape, sum(map(pairs.__getitem__, shape)))
             for shape in integer_partitions(n) if shape[0] > 1)
 
 
@@ -479,8 +496,9 @@ def ddiv_shapes(d, n):
     _check_ddiv(d, n)
     _check_budget("n", n, SHAPE_MAX_N)
     _check_budget("d * n", d * n, SHAPE_MAX_GROUND)
-    blocks = (tuple(d * p for p in shape) for shape in integer_partitions(n))
-    return ((b, d_divisible_j_count(d, b)) for b in blocks)
+    below = [_d_block_count(d, p) for p in range(n + 1)]
+    return ((tuple([d * p for p in shape]), math.prod(map(below.__getitem__, shape)))
+            for shape in integer_partitions(n))
 
 
 # ----------------------------------------------------------------------
@@ -561,12 +579,14 @@ def subspace_zeta_closed(q, n):
 def _shape_series(rows, j_total):
     """The series summed over block shapes: a partition with k blocks has
     mu(P, top) = (-1)^(k-1) (k-1)!, as the interval above it is Pi_k, and
-    each shape has ``shape_count(blocks)`` members at base j_total / |J_P|."""
+    each shape has ``shape_count(blocks)`` members at base j_total / |J_P|.
+    Distinct |J_P| give distinct bases: coefficients sum per |J_P|."""
+    coeffs = {}
+    for b, jp in rows:
+        mu = (-1) ** (len(b) - 1) * math.factorial(len(b) - 1)
+        coeffs[jp] = coeffs.get(jp, 0) + mu * shape_count(b)
     return DirichletSeries(
-        (Fraction(j_total, jp),
-         (-1) ** (len(b) - 1) * math.factorial(len(b) - 1) * shape_count(b))
-        for b, jp in rows
-    )
+        (Fraction(j_total, jp), coeffs[jp]) for jp in sorted(coeffs, reverse=True))
 
 
 def partition_zeta_closed(n):

@@ -5,8 +5,16 @@ pairwise lattice test has its own least-element search, heights are
 longest chains found over every comparable pair, not over covers, orbits
 are searched breadth first rather than merged in a union-find, and the
 refinement cuts its runs by hand rather than through ``lattice._split``.
+Integer partitions come from a recursion on the first part rather than
+the iterative generator, and the shape series builds one base per shape
+and counts each shape's members from a tally of its parts.
 """
 
+import math
+from collections import Counter
+from fractions import Fraction
+
+from latzeta.dirichlet import DirichletSeries
 from latzeta.families import factorize
 from latzeta.lattice import Lattice, _transpose_masks, canonical_key_from_up
 
@@ -214,3 +222,37 @@ def root_partition_loop(n, covers_up, covers_down, height):
             seed.append(order[start:i])
             start = i
     return refine_partition_loop(n, seed, covers_up, covers_down)
+
+
+def integer_partitions_recursive(n, max_part=None):
+    """The partitions of n as non-increasing tuples in reverse
+    lexicographic order: each first part from the largest down, then the
+    partitions of the rest into parts no larger."""
+    if n == 0:
+        yield ()
+        return
+    if max_part is None or max_part > n:
+        max_part = n
+    for first in range(max_part, 0, -1):
+        for rest in integer_partitions_recursive(n - first, first):
+            yield (first,) + rest
+
+
+def shape_series_per_shape(rows, j_total):
+    """The series over (blocks, |J_P|) rows with one term per shape: a
+    shape of k blocks adds (-1)^(k-1) (k-1)! times its number of set
+    partitions at base j_total / |J_P|, and equal bases merge only in
+    ``DirichletSeries``."""
+    def members(blocks):
+        count = math.factorial(sum(blocks))
+        for size in blocks:
+            count //= math.factorial(size)
+        for times in Counter(blocks).values():
+            count //= math.factorial(times)
+        return count
+
+    return DirichletSeries(
+        (Fraction(j_total, jp),
+         (-1) ** (len(b) - 1) * math.factorial(len(b) - 1) * members(b))
+        for b, jp in rows
+    )

@@ -57,10 +57,20 @@ from latzeta.families import (
 from latzeta.lattice import DEFAULT_MAX_ELEMENTS, Lattice
 from latzeta.zeta import zeta_series
 
-from builders import heights, number_mobius
+from builders import (
+    heights,
+    integer_partitions_recursive,
+    number_mobius,
+    shape_series_per_shape,
+)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
-PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+# OEIS A000041, p(0) .. p(40)
+PARTITION_COUNTS = [
+    1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297,
+    385, 490, 627, 792, 1002, 1255, 1575, 1958, 2436, 3010, 3718, 4565, 5604,
+    6842, 8349, 10143, 12310, 14883, 17977, 21637, 26015, 31185, 37338,
+]
 
 
 # ----------------------------------------------------------------------
@@ -96,6 +106,17 @@ def test_integer_partitions():
             assert sum(shape) == n
             assert list(shape) == sorted(shape, reverse=True)
         assert len(set(parts)) == len(parts)
+
+
+def test_integer_partitions_of_zero_and_negatives():
+    assert list(integer_partitions(0)) == [()]
+    for n in (-1, -2, -40):
+        assert list(integer_partitions(n)) == []
+
+
+def test_integer_partitions_match_the_recursion():
+    for n in range(31):
+        assert list(integer_partitions(n)) == list(integer_partitions_recursive(n))
 
 
 def test_shape_count():
@@ -640,7 +661,7 @@ def test_q_to_one_limit():
 # ----------------------------------------------------------------------
 # block shapes and the shape-level series of Pi^d_n
 
-# the n <= 30 with an ordinary series P(Pi^d_n, s), for d = 2..5
+# the n <= 40 with an ordinary series P(Pi^d_n, s), for d = 2..5
 ORDINARY_DDIV = {
     2: [2, 3, 5],
     3: [2, 3, 4, 7],
@@ -678,23 +699,60 @@ def test_ddiv_ordinary_cases_through_20(d):
             assert n in want, (d, n)
 
 
+# Through the shape budget the ordinary n are exactly the strongly
+# coset-like n: no non-integer base ever cancels.
 @pytest.mark.long
 @pytest.mark.parametrize("d", sorted(ORDINARY_DDIV))
-def test_ddiv_ordinary_cases_through_30(d):
-    assert _ordinary_ddiv(d, 30) == ORDINARY_DDIV[d]
+def test_ddiv_ordinary_cases_through_40(d):
+    n_max = families.SHAPE_MAX_N
+    assert _ordinary_ddiv(d, n_max) == ORDINARY_DDIV[d]
+    strong = [n for n in range(2, n_max + 1) if ddiv_strong_check(d, n).strong]
+    assert strong == ORDINARY_DDIV[d]
 
 
 @pytest.mark.long
 def test_partition_ordinary_only_through_4():
-    ordinary = [n for n in range(2, families.SHAPE_MAX_N + 1)
-                if partition_zeta_closed(n).is_ordinary()]
+    n_range = range(2, families.SHAPE_MAX_N + 1)
+    ordinary = [n for n in n_range if partition_zeta_closed(n).is_ordinary()]
     assert ordinary == [2, 3, 4]
+    assert [n for n in n_range if partition_strong_check(n).strong] == ordinary
 
 
 def test_partition_shapes_skip_the_bottom():
     rows = list(partition_shapes(4))
     assert rows == [((4,), 6), ((3, 1), 3), ((2, 2), 2), ((2, 1, 1), 1)]
     assert sum(shape_count(blocks) for blocks, _ in rows) == BELL[4] - 1
+
+
+def _per_shape_rows(d, n):
+    """The rows of ``partition_shapes(n)`` (d None) or ``ddiv_shapes(d, n)``
+    from the recursive partitions, with |J_P| worked out for each shape."""
+    shapes = integer_partitions_recursive(n)
+    if d is None:
+        return [(s, sum(math.comb(p, 2) for p in s)) for s in shapes if s[0] > 1]
+    blocks = (tuple(d * p for p in s) for s in shapes)
+    return [(b, d_divisible_j_count(d, b)) for b in blocks]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 25).flatmap(lambda n: st.tuples(
+    st.integers(2, families.SHAPE_MAX_GROUND // n), st.just(n))))
+def test_shape_rows_match_per_shape_counts(dn):
+    d, n = dn
+    assert list(ddiv_shapes(d, n)) == _per_shape_rows(d, n)
+    if n >= 2:
+        assert list(partition_shapes(n)) == _per_shape_rows(None, n)
+
+
+@pytest.mark.parametrize("d", [None, 2, 3, 4, 5])
+def test_closed_forms_match_the_per_shape_sum(d):
+    for n in range(2, 26):
+        if d is None:
+            closed, j_total = partition_zeta_closed(n), math.comb(n, 2)
+        else:
+            closed, j_total = ddiv_zeta_closed(d, n), d_divisible_j_count(d, (d * n,))
+        want = shape_series_per_shape(_per_shape_rows(d, n), j_total)
+        assert closed.terms() == want.terms(), (d, n)
 
 
 @functools.lru_cache(maxsize=None)
