@@ -22,7 +22,9 @@ from .cosetlike import (
     ddiv_strong_check,
     load_fixture,
 )
-from .errors import CatalogCorrupt, LatZetaError, MismatchDetected, UsageError
+from .errors import (
+    CatalogCorrupt, LatZetaError, MismatchDetected, UnknownFixture, UsageError
+)
 from .lattice import Lattice, lower_reduced_product, parse_lat
 from .zeta import verify_series_against_oracle, zeta_series
 
@@ -45,11 +47,11 @@ def _int_args(raw, count, what):
 
 @contextmanager
 def _spec_errors(spec):
-    """Report a constructor's ``ValueError`` (``boolean:0``, a ``.lat``
-    cover out of range, ...) as a ``UsageError`` naming the spec."""
+    """Report a constructor's ``ValueError`` (``boolean:0``, a ``.lat`` cover
+    out of range, ...) or an unknown fixture as a ``UsageError`` naming the spec."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, UnknownFixture) as exc:
         raise UsageError(f"{spec!r}: {exc}") from None
 
 
@@ -103,6 +105,12 @@ def _check_cap(count, max_elements):
         )
 
 
+def _family_lattice(kind, params, max_elements):
+    _, size, build, _ = _FAMILIES[kind]
+    _check_cap(size(*params), max_elements)
+    return build(*params)
+
+
 def parse_lattice_target(spec, *, max_elements=None):
     """Build a lattice from a target spec; see module docstring.
 
@@ -115,10 +123,8 @@ def parse_lattice_target(spec, *, max_elements=None):
         raise UsageError(f"target {spec!r} needs a ':'")
     with _spec_errors(spec):
         if kind in _FAMILIES:
-            arity, size, build, _ = _FAMILIES[kind]
-            params = _int_args(rest, arity, kind)
-            _check_cap(size(*params), max_elements)
-            return build(*params)
+            params = _int_args(rest, _FAMILIES[kind][0], kind)
+            return _family_lattice(kind, params, max_elements)
         if kind == "fixture":
             lattice = load_fixture(rest)
             _check_cap(lattice.n, max_elements)
@@ -257,33 +263,40 @@ def _cmd_group(args):
     return doc, lines, 0
 
 
-def _closed_form_for(spec):
-    """The closed-form series a family spec names."""
+def _parse_family(spec):
+    """``(kind, integer parameters, closed form)`` of a spec like ``ddiv:2,3``."""
     kind, _, rest = spec.partition(":")
     if kind not in _FAMILIES:
         raise UsageError(f"no closed form for family {spec!r}")
-    arity, _, _, closed = _FAMILIES[kind]
-    return closed(*_int_args(rest, arity, kind))
+    arity, _, _, closed_form = _FAMILIES[kind]
+    params = _int_args(rest, arity, kind)
+    with _spec_errors(spec):
+        return kind, params, closed_form(*params)
+
+
+def _engine_mismatch(spec, kind, params, closed, max_elements=None):
+    """The engine series of the family lattice when it differs from the
+    closed form ``closed``, None when they agree."""
+    with _spec_errors(spec):
+        engine = zeta_series(_family_lattice(kind, params, max_elements)).series
+    return None if engine == closed else engine
 
 
 def _cmd_family(args):
-    with _spec_errors(args.family):
-        closed = _closed_form_for(args.family)
-    kind, _, rest = args.family.partition(":")
+    kind, params, closed = family = _parse_family(args.family)
     doc = {"command": "family", "family": args.family, "series": closed.to_doc()}
     lines = [f"P(L, s) = {closed.pretty()}"]
     if kind == "ddiv":
         # the closed form has checked d and n
-        d, n = _int_args(rest, 2, "ddiv")
+        d, n = params
         summary = ddiv_strong_check(d, n)
         doc["shape_strong_check"] = summary.to_doc()
         lines.append(
             f"shape-level strong check (d={d}, n={n}): {summary.strong}"
         )
     if args.closed_form_check:
-        lattice = parse_lattice_target(args.family, max_elements=args.max_elements)
-        engine = zeta_series(lattice).series
-        if engine != closed:
+        engine = _engine_mismatch(args.family, *family, args.max_elements)
+        if engine is not None:
             raise MismatchDetected(
                 f"closed form for {args.family} disagrees with the engine",
                 context={"closed": closed.to_doc(), "engine": engine.to_doc()},
@@ -381,9 +394,7 @@ def _suite_closed_forms(args):
                                         (4, 2), (5, 2), (6, 2))]
     )
     for spec in targets:
-        closed = _closed_form_for(spec)
-        engine = zeta_series(parse_lattice_target(spec)).series
-        yield f"closed {spec}", engine == closed
+        yield f"closed {spec}", _engine_mismatch(spec, *_parse_family(spec)) is None
 
 
 def _suite_oracle(args):
@@ -430,13 +441,8 @@ def _suite_stirling(args):
 
 def _suite_fixtures(args):
     for name in FIXTURE_NAMES:
-        lattice = load_fixture(name)
-        verdict = classify(lattice)
-        ratios = {
-            Fraction(8, lattice.count_below_irreducibles(x))
-            for x in range(lattice.n)
-            if x != lattice.bottom
-        }
+        verdict = classify(load_fixture(name))
+        ratios = {Fraction(j, jx) for _, jx, j in verdict.strong_failures}
         yield f"fixture {name}", (
             verdict.weak and not verdict.strong and Fraction(8, 3) in ratios
         )

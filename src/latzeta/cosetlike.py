@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import BudgetExceeded, MismatchDetected, UnknownFixture
 from .families import d_divisible_j_count, ddiv_shapes, partition_shapes
 from .lattice import Lattice
-from .zeta import zeta_series
+from .zeta import engine_pass, zeta_series
 
 __all__ = [
     "Classification",
@@ -75,21 +75,23 @@ class Classification:
 def classify(lattice):
     """Classify a lattice as strongly/weakly coset-like.
 
-    Both verdicts come from the engine's report; this lists their
-    witnesses: the elements whose |J_x| does not divide |J|, and the
-    non-integer bases left in the (cancelled) series.
+    Both verdicts and their witnesses come from one engine pass over the
+    join-irreducibles, without building the series: the elements whose
+    |J_x| does not divide |J|, and the non-integer bases |J|/c of the
+    counts c whose Moebius sum is nonzero, ascending as in the series.
     """
-    report = zeta_series(lattice)
+    report = engine_pass(lattice, lattice.join_irreducibles())
+    j = report.j_count
     return Classification(
         strong=report.strongly_coset_like,
         weak=report.ordinary,
         strong_failures=tuple(
-            (x, jx, report.j_count)
-            for x, jx in enumerate(report.j_below)
-            if x != lattice.bottom and report.j_count % jx
+            (x, c, j)
+            for x, c in enumerate(report.j_below)
+            if x != lattice.bottom and j % c
         ),
         non_integer_bases=tuple(
-            q for q, _ in report.series.terms() if q.denominator != 1
+            sorted(Fraction(j, c) for c, s in report.sums.items() if s and j % c)
         ),
     )
 

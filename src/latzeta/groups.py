@@ -243,7 +243,9 @@ def subgroup_lattice(group):
 
 def group_zeta(group):
     """P(G, s) = sum over subgroups H of mu(H, G) / [G : H]^s."""
-    mu = subgroup_lattice(group).mobius_to_top()
+    # the trivial group's subgroup lattice is the one-point order, which
+    # ``Lattice`` refuses; its one subgroup has mu(G, G) = 1
+    mu = subgroup_lattice(group).mobius_to_top() if group.n > 1 else (1,)
     return DirichletSeries(
         (Fraction(group.n, len(h)), mu[i]) for i, h in enumerate(group.subgroups())
     )

@@ -42,7 +42,7 @@ from .lattice import (
     _transpose_masks,
     canonical_key_from_up,
 )
-from .zeta import _engine_pass, _verdicts
+from .zeta import engine_pass
 from .zeta import zeta_series  # noqa: F401 -- bench/spans.py traces search.zeta_series
 
 __all__ = [
@@ -267,19 +267,16 @@ class LatticeCatalogEntry:
 
 
 def catalog_entry(lattice):
-    """Flags of one lattice from a single engine pass over the
-    join-irreducibles; ``strong``/``weak`` are ``zeta_series``'s
-    ``strongly_coset_like``/``ordinary``, decided from the integer counts
-    and sums by ``zeta._verdicts`` without building the series."""
-    irreducibles = lattice.join_irreducibles()
-    _, _, sums = _engine_pass(lattice, sum(1 << j for j in irreducibles))
-    ordinary, strong = _verdicts(len(irreducibles), sums)
+    """Flags of one lattice; ``strong``/``weak`` are the verdicts of one
+    engine pass over the join-irreducibles, read without their witnesses
+    and without building the series."""
+    report = engine_pass(lattice, lattice.join_irreducibles())
     return LatticeCatalogEntry(
         key=lattice.canonical_form(),
         n=lattice.n,
         atomistic=lattice.is_atomistic(),
-        strong=strong,
-        weak=ordinary,
+        strong=report.strongly_coset_like,
+        weak=report.ordinary,
     )
 
 

@@ -9,15 +9,15 @@ with the exact rational index [J : J_x] = |J| / |J_x|.  At a positive
 integer s this equals the probability that s elements drawn uniformly
 and independently from J have join equal to the top.
 
-Two series share one engine pass (``_engine_pass``), which differs only
-in the generating set G read off each element: ``zeta_series`` sums over
-the join-irreducibles (the paper's alternative for non-atomistic
-lattices) and ``zeta_series_atom_based`` over the atoms (Brown's
-definition).
+One engine pass (``engine_pass``) counts |G_x| for a generating set G
+and sums mu(x, top) per count: G = J gives ``zeta_series`` and the atoms
+give Brown's ``zeta_series_atom_based``.  The same table decides both
+verdicts, so ``cosetlike.classify`` and ``search.catalog_entry`` read
+them without building the series.
 
-``brute_force_probability`` is the executable form of that definition
-and never reads the Moebius function: its ``direct`` path counts the
-s-tuples of J_x joining to x by folding ``Lattice.join`` over the
+``brute_force_probability`` is the executable form of the probability
+above and never reads the Moebius function: its ``direct`` path counts
+the s-tuples of J_x joining to x by folding ``Lattice.join`` over the
 distribution of prefix joins, one round per draw.
 """
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .dirichlet import DirichletSeries
 from .errors import (
@@ -38,16 +39,31 @@ from .lattice import Lattice
 
 @dataclass(frozen=True)
 class ZetaReport:
-    """Series of a lattice together with the per-element evidence."""
+    """One engine pass for a generating set G (J in ``zeta_series``).
+
+    The base of the count c = |G_x| is |G| / c, so distinct counts give
+    distinct bases and a base is a term iff its sum is nonzero: the
+    series is ordinary iff every count with a nonzero sum divides |G|,
+    and strongly coset-like iff every count does.  Neither verdict needs
+    the series, which is built on first read.
+    """
 
     lattice: Lattice
-    series: DirichletSeries
-    j_count: int
-    j_below: tuple          # |J_x| per element (0 at the bottom slot)
+    j_count: int            # |G|
+    j_below: tuple          # |G_x| per element (0 at the bottom slot)
     mobius_top: tuple       # mu(x, top) per element
-    local_sums: dict        # base -> sum of mu over elements at that base
+    sums: dict              # count -> sum of mu over its elements, in first-seen order
     ordinary: bool
     strongly_coset_like: bool
+
+    @cached_property
+    def local_sums(self):
+        """Base -> sum of mu over the elements at that base."""
+        return {Fraction(self.j_count, c): total for c, total in self.sums.items()}
+
+    @cached_property
+    def series(self):
+        return DirichletSeries(self.local_sums)
 
     def to_doc(self):
         return {
@@ -65,12 +81,11 @@ class ZetaReport:
         }
 
 
-def _engine_pass(lattice, gen_mask):
-    """One pass over the elements above the bottom for the generating set
-    G with bitmask ``gen_mask``: ``(mu, counts, sums)`` with ``mu`` the
-    Moebius vector to the top, ``counts[x] = |G_x|`` (0 at the bottom)
-    and ``sums`` mapping each count to the sum of mu(x, top) over the
-    elements with that count, in order of first appearance."""
+def engine_pass(lattice, generators):
+    """The report of ``lattice`` for the generating set ``generators``
+    (element ids): one pass over the elements above the bottom."""
+    size = len(generators)
+    gen_mask = sum(1 << g for g in generators)
     mu = lattice.mobius_to_top()
     down = lattice.down
     bottom = lattice.bottom
@@ -82,40 +97,20 @@ def _engine_pass(lattice, gen_mask):
         c = (down[x] & gen_mask).bit_count()
         counts[x] = c
         sums[c] = sums.get(c, 0) + mu[x]
-    return mu, counts, sums
-
-
-def _verdicts(j_count, sums):
-    """``(ordinary, strongly_coset_like)`` from an engine pass over the
-    join-irreducibles, without building the series.
-
-    The base of count c is |J| / c, so distinct counts give distinct
-    bases, and a base is a term of the series iff its sum is nonzero.
-    The series is ordinary iff every such count divides |J|, and the
-    lattice is strongly coset-like iff every count does.
-    """
-    ordinary = all(j_count % c == 0 for c, total in sums.items() if total)
-    return ordinary, all(j_count % c == 0 for c in sums)
+    return ZetaReport(
+        lattice=lattice,
+        j_count=size,
+        j_below=tuple(counts),
+        mobius_top=mu,
+        sums=sums,
+        ordinary=all(size % c == 0 for c, total in sums.items() if total),
+        strongly_coset_like=all(size % c == 0 for c in sums),
+    )
 
 
 def zeta_series(lattice):
-    """Full engine pass: Moebius numbers, local sums, series, flags."""
-    irreducibles = lattice.join_irreducibles()
-    j_count = len(irreducibles)
-    mu, j_below, sums = _engine_pass(lattice, sum(1 << j for j in irreducibles))
-    # distinct counts give distinct bases, so each base is built once
-    local_sums = {Fraction(j_count, c): total for c, total in sums.items()}
-    ordinary, strong = _verdicts(j_count, sums)
-    return ZetaReport(
-        lattice=lattice,
-        series=DirichletSeries(local_sums),
-        j_count=j_count,
-        j_below=tuple(j_below),
-        mobius_top=tuple(mu),
-        local_sums=local_sums,
-        ordinary=ordinary,
-        strongly_coset_like=strong,
-    )
+    """The engine pass over the join-irreducibles."""
+    return engine_pass(lattice, lattice.join_irreducibles())
 
 
 def zeta_series_atom_based(lattice):
@@ -128,10 +123,7 @@ def zeta_series_atom_based(lattice):
     atoms = lattice.atoms()
     if lattice.join_set(atoms) != lattice.top:
         raise DegenerateGeneration("the join of all atoms is not the top")
-    _, _, sums = _engine_pass(lattice, sum(1 << a for a in atoms))
-    return DirichletSeries(
-        (Fraction(len(atoms), c), total) for c, total in sums.items()
-    )
+    return engine_pass(lattice, atoms).series
 
 
 # ----------------------------------------------------------------------

@@ -7,16 +7,20 @@ are searched breadth first rather than merged in a union-find, and the
 refinement cuts its runs by hand rather than through ``lattice._split``.
 Integer partitions come from a recursion on the first part rather than
 the iterative generator, and the shape series builds one base per shape
-and counts each shape's members from a tally of its parts.
+and counts each shape's members from a tally of its parts.  The
+classification is read off the built series and per-element counts
+rather than off the engine's count table.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
 
+from latzeta.cosetlike import Classification
 from latzeta.dirichlet import DirichletSeries
 from latzeta.families import factorize
 from latzeta.lattice import Lattice, _transpose_masks, canonical_key_from_up
+from latzeta.zeta import zeta_series
 
 
 def adjoin_atoms(lattice, k):
@@ -255,4 +259,23 @@ def shape_series_per_shape(rows, j_total):
         (Fraction(j_total, jp),
          (-1) ** (len(b) - 1) * math.factorial(len(b) - 1) * members(b))
         for b, jp in rows
+    )
+
+
+def classify_from_series(lattice):
+    """The classification derived through the built series: weak iff the
+    series is ordinary, its non-integer bases in series order, and the
+    strong failures from one ``count_below_irreducibles`` per element."""
+    series = zeta_series(lattice).series
+    j = len(lattice.join_irreducibles())
+    failures = tuple(
+        (x, lattice.count_below_irreducibles(x), j)
+        for x in range(lattice.n)
+        if x != lattice.bottom and j % lattice.count_below_irreducibles(x)
+    )
+    return Classification(
+        strong=not failures,
+        weak=series.is_ordinary(),
+        strong_failures=failures,
+        non_integer_bases=tuple(q for q, _ in series.terms() if q.denominator != 1),
     )

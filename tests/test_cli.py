@@ -189,6 +189,75 @@ def test_census_bytes_are_pinned(capsys, tmp_path):
     assert hashlib.sha256(catalog.read_bytes()).hexdigest() == CENSUS_CATALOG_SHA256
 
 
+# sha256 of ``--format json`` stdout per command, fixed while classify
+# still listed its non-integer bases from a built series
+JSON_SHA256 = {
+    "zeta boolean:3":
+        "8d3bf3c3e17a3014581def637913c5cde679276b900e6a1dd5adbba4c6dd6875",
+    "zeta partition:5":
+        "e58d8d9d5d0129ce9a36322dd1ee0e7f1a3b46270a96255d2c9c0190b8fdd47f",
+    "zeta ddiv:2,3":
+        "f9e5066495918cb2f669fcf69ca03fdb6e3e1c61de9c6ecd13e5c89f9833d33d",
+    "zeta divisor:360":
+        "f42926686981647c41f83f99922c0cad3d3d7ce98b1e98d7c553d66804493d60",
+    "zeta subspace:2,3":
+        "4eddb8078e5ffacbf7b1d18f3cafa8ccd29d3fd08fb00db6ffdb63d4dc80fe08",
+    "zeta fixture:eleven_point":
+        "ea28343990d0e44338302184f1060050e1f75adc486b6e9b2121e52a6c3e1815",
+    "zeta fixture:ten_point":
+        "59522b5736bf25be5c4f8d53968147f96300358310a5557f01449ab913ed92e9",
+    "zeta group:sym:3":
+        "7c9dda451a506c040b5eac6d7aaa3eb671095b86f535cabc48bd9a36e58cc304",
+    "classify boolean:3":
+        "72f5fe164c6f3186ca75fbbf9b3fa40fbc9fa03ccdd90d472522aff9cc482ef0",
+    "classify partition:5":
+        "d446a2a22d0c3f6069a96892695cb44a295e1a570d9f1e3b6bd4c0a7c2c58396",
+    "classify ddiv:2,3":
+        "b07872d9618d2d13a3e04810e0c752387d1418bf711e75f14d63bf77db2a45d2",
+    "classify divisor:360":
+        "ad1bc4ef9c59c2a4084449b652e4f55ed0f2f366589b7dde36fc792ecac5a5df",
+    "classify subspace:2,3":
+        "4cfce3aa80e6e07ea299b0cfed7b3d691d5ae467d20701cd76149a79efd14b08",
+    "classify fixture:eleven_point":
+        "9c7a55919a5f785127842dcf683a503f3ab60cc9cc6befbd06ec47176dff7781",
+    "classify fixture:ten_point":
+        "c258d8d297d2f8756290bba167d15f43bc053cbb50f4abc6921b8aa41e25998d",
+    "classify group:sym:3":
+        "b0ae84a368f0a977849bc239e8e502088ef7cc2cf6a8e902cd133bcbc661b8bf",
+    "mobius boolean:3":
+        "b34957401d98ff2a8f78115059c4fa416ab7345d46ba04cf8f9002074e75ef46",
+    "mobius partition:5":
+        "cd1b559f021e72cc41992d990aafa437fe42bb2dbda70bbcec71e04d82f18086",
+    "mobius ddiv:2,3":
+        "4e06b5da8eb218841c54ce697ec266093f454602df0024a0404e97fc013c2de2",
+    "mobius divisor:360":
+        "e27d4dbe72ddc9a0de2394fb14c36fcfc0726f57afbf53d2a7f83fb114ed8435",
+    "mobius subspace:2,3":
+        "e46a6e5cffdae2a6708d9fbc9376d84cf34835d723b07e00617d9d89367ecd07",
+    "mobius fixture:eleven_point":
+        "7b28b5419fe32592b69eeda671a681459253fae2761970f1a59e17c45d9717e1",
+    "mobius fixture:ten_point":
+        "34ef6a65046ce69e4f6afbe512eaefa50d01bf29ef5977da6f27328c2dd5e04a",
+    "mobius group:sym:3":
+        "8d349db6d8338a3820a65579329671fb226ed79de386a9b28563b8cced6d14ca",
+    "family partition:12":
+        "480e986894dda6e7f68f1f54f48517ebda9d5d70595f0f43ce56852ab41f8a4a",
+    "family ddiv:3,6":
+        "bb03bff66c937f5d3386bcc77b83772551fd6d847ea8a31ac949daadffca965c",
+    "fixture ten_point":
+        "edda21aa518ca1a15f0479a00964c4361f3084706e9a95850f6160aa432954e0",
+    "group sym:3 --brown":
+        "3b1cbcc6eefa7dd7c7e78fc2fd1e153aaa93eb7a4cef8312b867890884875049",
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_SHA256))
+def test_json_bytes_are_pinned(capsys, command):
+    code, out, _ = invoke(capsys, *command.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_SHA256[command]
+
+
 def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     # A stand-in for multiprocessing.Pool that records the worker count and
     # maps in this process, on a fresh level cache so that the levels are
@@ -482,6 +551,40 @@ def test_max_elements_admits_targets_at_the_cap(capsys, target):
     assert code == 0
     code, _, _ = invoke(capsys, "zeta", target, "--max-elements", str(size - 1))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["cyclic:1"], "P(G, s) = 1"),
+    (["sym:1"], "P(G, s) = 1"),
+    (["cyclic:1", "--brown"], "brown identity: OK (s=0..5)"),
+    (["cyclic:1", "--coprime", "cyclic:1"],
+     "coprime product with cyclic:1: series OK, lattices isomorphic: True"),
+    (["cyclic:3", "--coprime", "cyclic:1"],
+     "coprime product with cyclic:1: series OK, lattices isomorphic: True"),
+])
+def test_trivial_group(capsys, argv, last):
+    # the subgroup lattice of the trivial group is the one-point order,
+    # which is no Lattice; the group's series is still 1
+    code, out, err = invoke(capsys, "group", *argv)
+    assert code == 0 and err == ""
+    assert out.endswith(f"\n{last}\n")
+    if argv[0] != "cyclic:3":
+        assert out.startswith("|G| = 1\nP(G, s) = 1\n")
+
+
+def test_trivial_group_json(capsys):
+    code, out, _ = invoke(capsys, "group", "cyclic:1", "--brown", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["order"] == 1 and doc["brown"] == {"ok": True, "s_max": 5}
+    assert doc["series"]["terms"] == [{"q": "1/1", "c": "1"}]
+
+
+@pytest.mark.parametrize("command", ["zeta", "classify", "mobius"])
+def test_unknown_fixture_target_exit_code(capsys, command):
+    code, out, err = invoke(capsys, command, "fixture:nope")
+    assert code == 2 and out == ""
+    assert err.startswith("error: 'fixture:nope': unknown fixture 'nope'")
 
 
 def test_domain_error_exit_code(capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latzeta import cosetlike
+from latzeta import cosetlike, zeta
 from latzeta.cosetlike import (
     FIXTURE_NAMES,
     WitnessPrime,
@@ -40,9 +40,16 @@ from latzeta.families import (
     boolean_lattice,
     chain,
     d_divisible_j_count,
+    d_divisible_partition_lattice,
+    divisibility_lattice,
     partition_lattice,
+    subspace_lattice,
 )
+from latzeta.groups import coset_lattice, cyclic, symmetric
+from latzeta.search import catalog_entry, enumerate_lattices
 from latzeta.zeta import zeta_series
+
+from builders import classify_from_series
 
 
 # ----------------------------------------------------------------------
@@ -87,6 +94,40 @@ def test_classify_strong_failures_match_element_counts(lattices_by_size):
             if x != lat.bottom and j % lat.count_below_irreducibles(x):
                 want.append((x, lat.count_below_irreducibles(x), j))
         assert classify(lat).strong_failures == tuple(want)
+
+
+def test_classify_matches_the_series_derivation(lattices_by_size):
+    # every lattice with n <= 8, samples of each family, both fixtures
+    # and two coset lattices
+    lats = [lat for lats in lattices_by_size.values() for lat in lats]
+    lats += list(enumerate_lattices(8))
+    lats += [boolean_lattice(r) for r in range(1, 6)]
+    lats += [chain(k) for k in range(2, 7)]
+    lats += [divisibility_lattice(n) for n in (12, 30, 360)]
+    lats += [subspace_lattice(n, q) for n, q in ((2, 2), (2, 3), (3, 2))]
+    lats += [partition_lattice(n) for n in range(3, 7)]
+    lats += [d_divisible_partition_lattice(d, n)
+             for d, n in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3))]
+    lats += [load_fixture(name) for name in FIXTURE_NAMES]
+    lats += [coset_lattice(symmetric(3)).lattice, coset_lattice(cyclic(6)).lattice]
+    weak_not_strong = 0
+    for lat in lats:
+        verdict = classify(lat)
+        assert verdict == classify_from_series(lat)
+        weak_not_strong += verdict.weak and not verdict.strong
+    assert len(lats) > 300 and weak_not_strong >= 2
+
+
+def test_verdicts_build_no_series(monkeypatch):
+    # classify and the census read the count table only
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    lats = [load_fixture("ten_point"), chain(4), partition_lattice(4)]
+    monkeypatch.setattr(zeta, "DirichletSeries", refuse)
+    monkeypatch.setattr(cosetlike, "zeta_series", refuse)
+    assert [classify(lat).weak for lat in lats] == [True, False, True]
+    assert [catalog_entry(lat).flags for lat in lats] == ["--w", "---", "asw"]
 
 
 def test_classify_doc():

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from latzeta import groups
 from latzeta.dirichlet import DirichletSeries
-from latzeta.errors import BudgetExceeded, NotCoprimeOrders, OrderLimitExceeded
+from latzeta.errors import (
+    BudgetExceeded,
+    DegenerateLattice,
+    NotCoprimeOrders,
+    OrderLimitExceeded,
+)
 from latzeta.groups import (
     FiniteGroup,
     coset_lattice,
@@ -153,6 +158,16 @@ def test_group_zeta_symmetric3():
         Fraction(3): -3,
         Fraction(6): 3,
     }
+
+
+def test_group_zeta_trivial_group():
+    # the one-point subgroup lattice is refused, yet the series is 1
+    for group in (cyclic(1), symmetric(1)):
+        with pytest.raises(DegenerateLattice):
+            subgroup_lattice(group)
+        assert group_zeta(group) == DirichletSeries({1: 1})
+        assert verify_brown_identity(group).group_series == DirichletSeries({1: 1})
+        assert verify_coprime_product(group, cyclic(3)).lattices_isomorphic
 
 
 def test_group_zeta_is_ordinary():
