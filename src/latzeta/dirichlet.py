@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import itemgetter
 
 
 def _as_base(q):
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q < 1:
         raise ValueError(f"series base must be >= 1, got {q}")
     return q
@@ -37,9 +39,8 @@ class DirichletSeries:
                 raise ValueError(f"coefficient {c} at base {q} is not an integer")
             if k:
                 acc[q] = acc.get(q, 0) + k
-                if not acc[q]:
-                    del acc[q]
-        self._terms = dict(sorted(acc.items()))
+        # sorting by base alone compares two bases once, not for == and <
+        self._terms = {q: c for q, c in sorted(acc.items(), key=itemgetter(0)) if c}
 
     # ------------------------------------------------------------------
     # views

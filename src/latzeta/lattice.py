@@ -15,7 +15,8 @@ Conventions used throughout:
   arrives as covers (``.lat`` files and fixtures).
   Both check the element count against ``DEFAULT_MAX_ELEMENTS`` before
   they build the principal filters, and both hand those to one kernel,
-  ``Lattice._from_up``, which derives the down-masks and validates
+  ``Lattice._from_up``, which derives the down-masks (unless the caller,
+  the census enumerator, passes the ones it stored) and validates
   eagerly: existence of a unique bottom and top, and existence of the
   join of every element with every join-irreducible (an element whose
   strict principal ideal is itself a principal ideal).  That suffices
@@ -24,9 +25,12 @@ Conventions used throughout:
   each new element with the same predicate, ``_join_failure``.
 - A ``Lattice`` stores only the masks, the bounds, the filter and ideal
   indexes and its join-irreducibles; every other order fact is an index
-  lookup.  The cover relation and heights are derived in one place,
-  ``_order_structure``, which the ``covers`` property and the canonical
-  labelling call on demand.
+  lookup.  The cover relation and heights of an order are computed from
+  its masks by ``_order_structure``, which the ``covers`` property and
+  the canonical labelling call on demand.  The census enumerator calls
+  it once per parent and derives each child's covers and heights from
+  the parent's (``search._child_structure``), handing them to the
+  labelling, which then computes none.
 
 Instances are immutable apart from internal memo caches (Moebius vectors
 and the canonical key).  Each cache value is fully computed before it is
@@ -212,11 +216,14 @@ class Lattice:
         return cls._from_up(n, up)
 
     @classmethod
-    def _from_up(cls, n, up):
+    def _from_up(cls, n, up, down=None):
         """The lattice of the partial order on ``n >= 2`` elements whose
         principal filters are ``up``; raises ``NoBoundedStructure`` or
-        ``NotALattice`` unless that order is a lattice."""
-        down = _transpose_masks(n, up)
+        ``NotALattice`` unless that order is a lattice.  ``down``, the
+        principal ideals, is derived from ``up`` unless the caller
+        passes it; it must then be the transpose of ``up``."""
+        if down is None:
+            down = _transpose_masks(n, up)
         full = (1 << n) - 1
         bottom = top = -1
         for x in range(n):
@@ -462,10 +469,14 @@ def _refine_partition(n, cells, covers_up, covers_down):
         cells = split
 
 
-def _root_partition(n, up, down):
+def _root_partition(n, up, down, structure=None):
     """The refined seed colouring (rank, upper-cover degree, lower-cover
-    degree) at the root of the canonical search, with the cover lists."""
-    covers_up, covers_down, heights = _order_structure(n, up, down)
+    degree) at the root of the canonical search, with the cover lists.
+    ``structure`` is ``_order_structure(n, up, down)`` when the caller
+    already has it, else None."""
+    if structure is None:
+        structure = _order_structure(n, up, down)
+    covers_up, covers_down, heights = structure
     init = [(heights[x], len(covers_up[x]), len(covers_down[x])) for x in range(n)]
     seed = _split([list(range(n))], init.__getitem__)
     return _refine_partition(n, seed, covers_up, covers_down), covers_up, covers_down
@@ -499,7 +510,7 @@ def canonical_key_from_up(n, up, down):
     return _canonical_labelling(n, up, down)[0]
 
 
-def _canonical_labelling(n, up, down):
+def _canonical_labelling(n, up, down, structure=None):
     """Search behind ``canonical_key_from_up``: ``(key, best_perm,
     generators)`` of the order with up-masks ``up`` and down-masks
     ``down``.
@@ -507,6 +518,9 @@ def _canonical_labelling(n, up, down):
     The caller passes ``down`` because it usually has it already: a
     ``Lattice`` stores it, and the census enumerator builds each child's
     down-masks from its parent's.  It must be the transpose of ``up``.
+    Likewise ``structure``, if given, must be ``_order_structure(n, up,
+    down)``: the enumerator derives each child's covers and heights from
+    its parent's, and without it they are computed here.
 
     Elements are coloured by (rank, upper-cover degree, lower-cover
     degree) and the colouring is refined by iterated cover multisets.
@@ -568,7 +582,7 @@ def _canonical_labelling(n, up, down):
     pruning records nothing, hence the transpositions: three atoms of
     one height give a single leaf and no recorded automorphism.
     """
-    base, covers_up, covers_down = _root_partition(n, up, down)
+    base, covers_up, covers_down = _root_partition(n, up, down, structure)
     twin = [(up[x] & ~(1 << x), down[x] & ~(1 << x)) for x in range(n)]
     best = best_perm = None
     automorphisms = []

@@ -22,11 +22,22 @@ canonical labelling is made per orbit-distinct child whose new atom has
 the largest up-set.  That labelling also gives the child's canonical
 key.  Both orbit questions, on antichains and on the child's elements,
 go to ``lattice._orbit_firsts``, the routine that prunes the canonical
-search.
+search; the second is skipped when ``m*`` is the new atom itself.
+
+A child never recomputes what its parent knows.  A level entry stores
+the class's up-masks and down-masks packed into one ``bytes`` object of
+16-bit words (``_pack_masks``), so neither the next level nor
+``enumerate_lattices`` transposes them.  The parent's covers and heights
+are computed once, and each child's are derived from them
+(``_child_structure``): adding an atom below an antichain changes only
+the covers at the bottom, at the antichain and at the atom, and the
+heights inside the antichain's filter.  The labelling takes them as
+they are.
 """
 
 import os
 import re
+from array import array
 from dataclasses import dataclass
 from multiprocessing import Pool
 from operator import itemgetter
@@ -39,7 +50,7 @@ from .lattice import (
     _iter_bits,
     _join_failure,
     _orbit_firsts,
-    _transpose_masks,
+    _order_structure,
     canonical_key_from_up,
 )
 from .zeta import engine_pass
@@ -57,6 +68,7 @@ __all__ = [
     "find_weak_not_strong",
 ]
 
+# at most 16: a level stores each mask as a 16-bit word (see _pack_masks)
 DEFAULT_MAX_N = 11
 
 # every line of a catalog file, with runs of blanks read as one space
@@ -70,11 +82,27 @@ _CATALOG_LINE = re.compile(
 # ----------------------------------------------------------------------
 # lattice levels
 
-# n -> list of (canonical_key, up_masks, generators) sorted by key: the
-# lattices on n elements, with the bottom as element 0.  ``generators``
+def _pack_masks(up, down):
+    """The masks of a level entry: the n up-masks, then the n down-masks,
+    as 16-bit words in one ``bytes`` object."""
+    return array("H", (*up, *down)).tobytes()
+
+
+def _unpack_masks(masks):
+    """``(up, down)``, two tuples of ints, from ``_pack_masks`` output."""
+    words = array("H", masks)
+    n = len(words) // 2
+    return tuple(words[:n]), tuple(words[n:])
+
+
+# n -> list of (canonical_key, masks, generators) sorted by key: the
+# lattices on n elements, with the bottom as element 0.  ``masks`` holds
+# the up- and down-masks packed by ``_pack_masks``, and ``generators``
 # is a tuple of bytes, each a permutation of the n elements, that
-# generates the automorphism group of ``up_masks``.
-_LEVELS = {2: [(canonical_key_from_up(2, (3, 2), (1, 3)), (3, 2), ())]}
+# generates the automorphism group of the lattice.
+_LEVELS = {
+    2: [(canonical_key_from_up(2, (3, 2), (1, 3)), _pack_masks((3, 2), (1, 3)), ())]
+}
 
 
 def _antichain_masks(n, comp):
@@ -115,30 +143,69 @@ def _orbit_representatives(masks, generators):
     return [x for x in masks if firsts[x] == x]
 
 
+def _child_structure(parent, order, amask, filt):
+    """``_order_structure`` of a child, derived from its parent's.
+
+    The child adds a new atom, element k, to a lattice on k elements
+    with its bottom as element 0, below the antichain ``amask`` of
+    non-bottom elements, whose up-closure is ``filt``.  ``parent`` is the
+    parent's ``(covers_up, covers_down, heights)``, and ``order`` lists
+    its non-bottom elements in a linear extension.  Only the new atom
+    lies between old elements, and only between the bottom and the
+    filter, so the covers change in four places: the new atom's upper
+    covers are the antichain, the bottom trades the parent atoms inside
+    the filter for the new atom, each antichain member trades the bottom
+    (if it covered it) for the new atom, and the new atom covers the
+    bottom.  Heights change only inside the filter, where they are
+    recomputed bottom-up along ``order``.
+    """
+    parent_up, parent_down, parent_heights = parent
+    k = len(parent_heights)
+    members = list(_iter_bits(amask))
+    covers_up = parent_up.copy()
+    covers_up[0] = [a for a in parent_up[0] if not (filt >> a) & 1]
+    covers_up[0].append(k)
+    covers_up.append(members)
+    covers_down = parent_down.copy()
+    for a in members:
+        covers_down[a] = [b for b in parent_down[a] if b]
+        covers_down[a].append(k)
+    covers_down.append([0])
+    heights = parent_heights.copy()
+    heights.append(1)
+    for x in order:
+        if (filt >> x) & 1:
+            heights[x] = 1 + max(map(heights.__getitem__, covers_down[x]))
+    return covers_up, covers_down, heights
+
+
 def _extend_parents(n, parents):
     """The classes on n elements whose canonical parent is among the
-    given (n-1)-element lattices, as ``(key, up_masks, generators)``.
+    given (n-1)-element lattices, as ``(key, masks, generators)``.
 
-    ``parents`` holds ``(up_masks, generators)`` pairs, each lattice with
-    its bottom as element 0.  For each parent, one antichain of non-bottom
-    elements per automorphism orbit becomes the upper covers of a new
-    atom; a child whose joins fail, or whose new atom has a smaller
-    up-set than another atom, is dropped before it is labelled, and a
-    labelled child is kept only if its new atom is in the orbit of its
-    canonical atom ``m*``.  The key and generators are those of that
-    labelling.
+    ``parents`` holds ``(masks, generators)`` pairs, as the level entries
+    store them, each lattice with its bottom as element 0.  For each
+    parent, one antichain of non-bottom elements per automorphism orbit
+    becomes the upper covers of a new atom; a child whose joins fail, or
+    whose new atom has a smaller up-set than another atom, is dropped
+    before it is labelled, and a labelled child is kept only if its new
+    atom is in the orbit of its canonical atom ``m*``.  Each child's
+    down-masks, covers and heights are derived from its parent's, which
+    are computed once per parent.  The key and generators are those of
+    the child's labelling.
     """
     out = []
     shared = {}  # equal permutations and generator tuples share one object
     k = n - 1
     newbit = 1 << k
     full = (1 << n) - 1
-    for ups, generators in parents:
-        down = _transpose_masks(k, ups)
+    for masks, generators in parents:
+        ups, down = _unpack_masks(masks)
+        structure = _order_structure(k, ups, down)
+        # ordering by down-set size is a linear extension
+        order = sorted(range(1, k), key=lambda v: down[v].bit_count())
         comp = [ups[i] | down[i] for i in range(k)]
-        atoms = [
-            (i, ups[i].bit_count()) for i in range(1, k) if down[i] == (1 << i) | 1
-        ]
+        atoms = [(i, ups[i].bit_count()) for i in structure[0][0]]
         filters = set(ups)
         above_bottom = ups[1:]
         for amask in _orbit_representatives(_antichain_masks(k, comp), generators):
@@ -157,13 +224,18 @@ def _extend_parents(n, parents):
                 d | newbit if (filt >> i) & 1 else d for i, d in enumerate(down)
             ]
             child_down.append(newbit | 1)
-            key, perm, child_gens = _canonical_labelling(n, child, child_down)
+            key, perm, child_gens = _canonical_labelling(
+                n, child, child_down, _child_structure(structure, order, amask, filt)
+            )
             ties = {k} | {i for i, s in others if s == size}
             star = next(x for x in perm if x in ties)
-            orbit = _orbit_firsts(range(n), child_gens)
-            if orbit[star] == orbit[k]:
-                gens = tuple(shared.setdefault(g, g) for g in map(bytes, child_gens))
-                out.append((key, child, shared.setdefault(gens, gens)))
+            if star != k:
+                orbit = _orbit_firsts(range(n), child_gens)
+                if orbit[star] != orbit[k]:
+                    continue
+            gens = tuple(shared.setdefault(g, g) for g in map(bytes, child_gens))
+            gens = shared.setdefault(gens, gens)
+            out.append((key, _pack_masks(child, child_down), gens))
     return out
 
 
@@ -173,7 +245,7 @@ def _extend_chunk(args):
 
 def _level(n, *, jobs=1):
     """Lattices on n elements as a sorted list of
-    ``(key, up_masks, generators)``.
+    ``(key, masks, generators)``.
 
     ``jobs`` worker processes build the missing levels; it must be at
     least 1 and is lowered to the CPU count.  Each class comes from one
@@ -187,7 +259,7 @@ def _level(n, *, jobs=1):
     for size in range(3, n + 1):
         if size in _LEVELS:
             continue
-        parents = [(ups, gens) for _, ups, gens in _LEVELS[size - 1]]
+        parents = [(masks, gens) for _, masks, gens in _LEVELS[size - 1]]
         if jobs > 1 and len(parents) >= 4 * jobs:
             chunks = [(size, parents[i::jobs]) for i in range(jobs)]
             with Pool(jobs) as pool:
@@ -219,11 +291,12 @@ def enumerate_lattices(n, *, jobs=1):
     passes full construction-time lattice validation.  The lattices are
     built by canonical augmentation (see the module docstring), and each
     one's ``canonical_form`` is the key of the enumerator's own
-    labelling rather than searched again.
+    labelling rather than searched again.  Its down-masks are the level's,
+    not transposed again.
     """
     _check_enumeration_cap(n)
-    for key, ups, _ in _level(n, jobs=jobs):
-        lattice = Lattice._from_up(n, ups)
+    for key, masks, _ in _level(n, jobs=jobs):
+        lattice = Lattice._from_up(n, *_unpack_masks(masks))
         lattice._canonical_key = key
         yield lattice
 

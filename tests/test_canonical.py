@@ -43,7 +43,7 @@ from latzeta.lattice import (
     _transpose_masks,
     canonical_key_from_up,
 )
-from latzeta.search import enumerate_lattices
+from latzeta.search import _pack_masks, _unpack_masks, enumerate_lattices
 
 from builders import (
     bottomless,
@@ -234,7 +234,8 @@ def group_order(n, up, generators):
 def test_generators_give_the_whole_group_on_census_lattices():
     # The enumerator's stored generators (bytes) are the search's own.
     for n in range(2, 9):
-        for _key, ups, generators in search._level(n):
+        for _key, masks, generators in search._level(n):
+            ups = _unpack_masks(masks)[0]
             up = list(ups)
             assert group_order(n, up, generators) == automorphism_count(n, up), ups
 
@@ -287,7 +288,8 @@ def test_refinement_matches_the_run_loop_on_every_semilattice():
     # are the census lattices on up to 8 elements with the bottom removed.
     rng = random.Random(20)
     for m in range(1, 8):
-        for _key, ups, _ in search._level(m + 1):
+        for _key, masks, _ in search._level(m + 1):
+            ups = _unpack_masks(masks)[0]
             perm = list(range(m))
             rng.shuffle(perm)
             up = relabel_masks(bottomless(ups), perm)
@@ -349,20 +351,22 @@ def test_labelling_with_the_enumerators_child_down(data):
     # must give what it gives from the transpose.  The relabelling keeps
     # the bottom at element 0, where the enumerator expects it.
     k = data.draw(st.integers(2, 8))
-    _, ups, _ = data.draw(st.sampled_from(search._level(k)))
+    _, masks, _ = data.draw(st.sampled_from(search._level(k)))
+    ups = _unpack_masks(masks)[0]
     perm = [0] + data.draw(st.permutations(range(1, k)))
     moved = tuple(relabel_masks(ups, perm))
-    generators = _canonical_labelling(k, moved, _transpose_masks(k, moved))[2]
+    moved_down = _transpose_masks(k, moved)
+    generators = _canonical_labelling(k, moved, moved_down)[2]
     calls = []
 
-    def recording(n, up, down):
-        result = _canonical_labelling(n, up, down)
+    def recording(n, up, down, structure=None):
+        result = _canonical_labelling(n, up, down, structure)
         calls.append((n, up, down, result))
         return result
 
     search._canonical_labelling = recording
     try:
-        search._extend_parents(k + 1, [(moved, generators)])
+        search._extend_parents(k + 1, [(_pack_masks(moved, moved_down), generators)])
     finally:
         search._canonical_labelling = _canonical_labelling
     assert calls

@@ -46,6 +46,27 @@ def test_zero_coefficients_dropped():
     assert DirichletSeries().term_map() == {}
 
 
+def test_terms_summed_per_base_against_a_plain_sum():
+    # bases given as ints, strings and Fractions, coefficients that cancel
+    # and come back: the term map is the per-base sum without its zeros
+    rng = random.Random(7)
+    spellings = {
+        Fraction(2): [2, "2", Fraction(2)],
+        Fraction(3, 2): ["3/2", Fraction(3, 2)],
+    }
+    for _ in range(300):
+        terms, expected = [], {}
+        for _ in range(rng.randrange(8)):
+            q = rng.choice(sorted(spellings))
+            c = rng.randrange(-2, 3)
+            terms.append((rng.choice(spellings[q]), c))
+            expected[q] = expected.get(q, 0) + c
+        series = DirichletSeries(terms)
+        assert series.term_map() == {q: c for q, c in expected.items() if c}
+        assert all(type(q) is Fraction for q, _ in series.terms())
+        assert [q for q, _ in series.terms()] == sorted(series.term_map())
+
+
 def test_terms_sorted_by_base():
     s = DirichletSeries({Fraction(4): 1, Fraction(1): 1, Fraction(3, 2): -2})
     assert [q for q, _ in s.terms()] == [Fraction(1), Fraction(3, 2), Fraction(4)]

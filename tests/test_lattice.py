@@ -380,8 +380,8 @@ def test_census_keys_are_pinned():
         level = search._level(n)
         lattices = [key for key, _, _ in level]
         semi = []
-        for _, ups, _ in level:
-            up = bottomless(ups)
+        for _, masks, _ in level:
+            up = bottomless(search._unpack_masks(masks)[0])
             semi.append(canonical_key_from_up(n - 1, up, _transpose_masks(n - 1, up)))
         assert _digest(semi) == PINNED_KEYS["semilattice_levels"][str(n)], n
         assert _digest(lattices) == PINNED_KEYS["lattice_levels"][str(n)], n

@@ -3,12 +3,15 @@ brute-force oracle, catalog persistence, and the weak-not-strong sweep.
 
 The canonical augmentation in ``search._extend_parents`` is checked
 against the generate-then-deduplicate enumerator it replaced, kept here
-as an oracle.
+as an oracle.  The covers and heights it derives for each child from its
+parent's are checked against ``_order_structure`` of the child, and the
+packed level entries against the masks they stand for.
 """
 
 import functools
 import os
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from latzeta.errors import BudgetExceeded, CatalogCorrupt
 from latzeta.lattice import (
     Lattice,
     _canonical_labelling,
+    _order_structure,
     _transpose_masks,
     canonical_key_from_up,
     is_isomorphic,
@@ -397,12 +401,16 @@ def test_kept_children_do_not_depend_on_the_parent_labelling(data):
     # the parent's class, a property of the class alone.  The relabelling
     # keeps the bottom at element 0, where the enumerator expects it.
     k = data.draw(st.integers(2, 8))
-    _, ups, generators = data.draw(st.sampled_from(search._level(k)))
+    _, masks, generators = data.draw(st.sampled_from(search._level(k)))
+    ups = search._unpack_masks(masks)[0]
     perm = [0] + data.draw(st.permutations(range(1, k)))
     moved = relabel_masks(ups, perm)
-    _, _, moved_generators = _canonical_labelling(k, moved, _transpose_masks(k, moved))
-    kept = {key for key, _, _ in search._extend_parents(k + 1, [(ups, generators)])}
-    again = search._extend_parents(k + 1, [(moved, moved_generators)])
+    moved_down = _transpose_masks(k, moved)
+    _, _, moved_generators = _canonical_labelling(k, moved, moved_down)
+    kept = {key for key, _, _ in search._extend_parents(k + 1, [(masks, generators)])}
+    again = search._extend_parents(
+        k + 1, [(search._pack_masks(moved, moved_down), moved_generators)]
+    )
     assert {key for key, _, _ in again} == kept
     assert len(again) == len(kept)
 
@@ -420,3 +428,83 @@ def test_enumerated_lattices_are_valid(lattices_by_size):
     for lat in lattices_by_size[6]:
         again = Lattice.from_covers(lat.n, lat.covers)
         assert is_isomorphic(again, lat)
+
+
+# ----------------------------------------------------------------------
+# child structure derived from the parent's, and the packed level format
+
+
+def derived_children(ups, order):
+    """``(child_up, derived, expected)`` for every antichain of the
+    parent's non-bottom elements, whether or not the child is a lattice:
+    the structure ``_child_structure`` derives from the parent's, with
+    ``order`` as its linear extension, and ``_order_structure`` of the
+    child computed from scratch."""
+    k = len(ups)
+    down = _transpose_masks(k, ups)
+    parent = _order_structure(k, ups, down)
+    comp = [ups[i] | down[i] for i in range(k)]
+    for amask in search._antichain_masks(k, comp):
+        filt = 0
+        for a in range(k):
+            if (amask >> a) & 1:
+                filt |= ups[a]
+        child = ((1 << k + 1) - 1,) + tuple(ups[1:]) + (filt | 1 << k,)
+        expected = _order_structure(k + 1, child, _transpose_masks(k + 1, child))
+        yield child, search._child_structure(parent, order, amask, filt), expected
+
+
+def test_child_structure_matches_order_structure_on_every_child():
+    # every child of every parent on up to 8 elements, including those
+    # the enumerator drops (failed joins, smaller up-set than an atom),
+    # with the enumerator's linear extension, ascending down-set size
+    for k in range(2, 9):
+        for _, masks, _ in search._level(k):
+            ups, down = search._unpack_masks(masks)
+            order = sorted(range(1, k), key=lambda v: down[v].bit_count())
+            for child, derived, expected in derived_children(ups, order):
+                assert derived == expected, child
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_child_structure_on_relabelled_parents(data):
+    # the bottom stays at element 0, where the enumerator expects it; the
+    # linear extension is by height, ties broken at random
+    k = data.draw(st.integers(2, 8))
+    _, masks, _ = data.draw(st.sampled_from(search._level(k)))
+    perm = [0] + data.draw(st.permutations(range(1, k)))
+    moved = relabel_masks(search._unpack_masks(masks)[0], perm)
+    heights = _order_structure(k, moved, _transpose_masks(k, moved))[2]
+    ties = data.draw(st.permutations(range(1, k)))
+    order = sorted(range(1, k), key=lambda v: (heights[v], ties.index(v)))
+    for child, derived, expected in derived_children(moved, order):
+        assert derived == expected, child
+
+
+def test_enumerated_down_masks_are_the_transpose():
+    # enumerate_lattices hands the level's stored down-masks to the
+    # lattice instead of transposing the up-masks again
+    for n in range(2, 11):
+        for lat in enumerate_lattices(n):
+            assert list(lat.down) == _transpose_masks(n, lat.up)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_masks_round_trip(data):
+    n = data.draw(st.integers(2, 16))
+    masks = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    up, down = tuple(data.draw(masks)), tuple(data.draw(masks))
+    packed = search._pack_masks(up, down)
+    assert isinstance(packed, bytes)
+    assert search._unpack_masks(packed) == (up, down)
+
+
+def test_level_masks_fit_their_words():
+    # each mask has one bit per element, in one 16-bit word
+    assert DEFAULT_MAX_N <= 16
+    assert DEFAULT_MAX_N <= 8 * array("H").itemsize
+    for n in range(2, 9):
+        for _, masks, _ in search._level(n):
+            assert len(masks) == 2 * n * array("H").itemsize
