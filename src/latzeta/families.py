@@ -122,11 +122,6 @@ def factorize(n):
     return out
 
 
-def big_omega(n):
-    """Number of prime factors counted with multiplicity."""
-    return sum(e for _, e in factorize(n))
-
-
 def divisors(n):
     fact = factorize(n)
     out = [1]
@@ -505,43 +500,38 @@ def ddiv_shapes(d, n):
 # closed-form series
 
 
+def _distributive_series(N, m):
+    """P(L, s) for L the order ideals of a poset with N points, m of them
+    maximal: |J| = N, J_I = I, and mu(I, top) = (-1)^k if I misses just k
+    maximal points, else 0, so the bottom aside
+    P(L, s) = sum_{k=0..min(m, N-1)} (-1)^k C(m, k) / (N/(N-k))^s.
+    The base N/(N-1) carries -m, so among distributive lattices only the
+    2-chain, the 3-chain and B_2 (N <= 2) have an ordinary series."""
+    return DirichletSeries((Fraction(N, N - k), (-1) ** k * math.comb(m, k))
+                           for k in range(min(m, N - 1) + 1))
+
+
 def boolean_zeta_closed(r):
-    """P(B_r, s) = ((-1)^r / r^s) * sum_{k=1..r} (-1)^k C(r,k) k^s."""
+    """P(B_r, s), B_r the ideals of an r-antichain (N = m = r):
+    ((-1)^r / r^s) * sum_{k=1..r} (-1)^k C(r,k) k^s."""
     _check_rank(r)
     _check_budget("r", r, BOOLEAN_CLOSED_MAX_RANK)
-    return DirichletSeries(
-        (Fraction(r, k), (-1) ** (r + k) * math.comb(r, k)) for k in range(1, r + 1)
-    )
+    return _distributive_series(r, r)
 
 
 def chain_zeta_closed(k):
-    """Closed form for a k-element chain.
-
-    Every non-bottom element is join-irreducible, only the top and the
-    coatom carry nonzero Moebius numbers, so the series is
-    1 - 1/((k-1)/(k-2))^s (and the constant 1 for the 2-chain, whose
-    single irreducible is the top itself).
-    """
+    """P of the k-chain, the ideals of a (k-1)-chain (N = k - 1, m = 1):
+    1 - 1/((k-1)/(k-2))^s, and the constant 1 for the 2-chain."""
     _check_chain_length(k)
-    if k == 2:
-        return DirichletSeries({Fraction(1): 1})
-    return DirichletSeries({Fraction(1): 1, Fraction(k - 1, k - 2): -1})
+    return _distributive_series(k - 1, 1)
 
 
 def divisibility_zeta_closed(n):
-    """Closed form for the divisor lattice of n.
-
-    With w = big_omega(n) and r the number of distinct primes:
-    ((-1)^w / w^s) * sum_k (-1)^k C(r, w-k) k^s, the k = 0 term (the
-    unit divisor, possible when w = r) being dropped.
-    """
+    """P of the divisor lattice of n, the ideals of one chain of e points
+    per prime power p^e exactly dividing n (N = Omega(n), m = omega(n))."""
     _check_divisor_n(n)
-    w = big_omega(n)
-    r = len(factorize(n))
-    return DirichletSeries(
-        (Fraction(w, k), (-1) ** (w + k) * math.comb(r, w - k))
-        for k in range(max(w - r, 1), w + 1)
-    )
+    fact = factorize(n)
+    return _distributive_series(sum(e for _, e in fact), len(fact))
 
 
 def gaussian_binomial(n, k, q):

@@ -73,7 +73,8 @@ DEFAULT_MAX_N = 11
 
 # every line of a catalog file, with runs of blanks read as one space
 _CATALOG_LINE = re.compile(
-    r"((?:[0-9a-f]{2})+) ([0-9]+) ([a-][s-][w-])"  # an entry: key, n, flags
+    # an entry: key, n, flags; strong implies weak, so no "s" without "w"
+    r"((?:[0-9a-f]{2})+) ([0-9]+) ([a-](?:sw|-[w-]))"
     r"|# complete ([0-9]+)"  # the marker that closes level n
     r"|(?!# complete(?: |$))(?:#.*)?"  # a comment or a blank line
 )

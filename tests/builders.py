@@ -9,7 +9,10 @@ Integer partitions come from a recursion on the first part rather than
 the iterative generator, and the shape series builds one base per shape
 and counts each shape's members from a tally of its parts.  The
 classification is read off the built series and per-element counts
-rather than off the engine's count table.
+rather than off the engine's count table.  Distributivity is Birkhoff's
+count of the order ideals of J, and the Boolean, chain and divisor
+series keep the three closed forms that one formula over (|J|,
+#maximal) replaced.
 """
 
 import math
@@ -82,6 +85,14 @@ def number_mobius(n):
     return -1 if len(fact) % 2 else 1
 
 
+def order_ideals(down):
+    """Every order ideal, as a mask, of the poset whose point i has the
+    reflexive down-mask ``down[i]``, by testing every subset."""
+    k = len(down)
+    return [mask for mask in range(1 << k)
+            if all(down[i] & ~mask == 0 for i in range(k) if (mask >> i) & 1)]
+
+
 def naturally_labeled_posets(n):
     """Up-mask tuples of every naturally labeled poset on n points.
 
@@ -89,16 +100,12 @@ def naturally_labeled_posets(n):
     it, which produces each naturally labeled poset exactly once (the
     ideal is forced: it is the new element's strict down-set).
     """
-    def ideals(k, down):
-        return [mask for mask in range(1 << k)
-                if all(down[i] & ~mask == 0 for i in range(k) if (mask >> i) & 1)]
-
     def rec(k, up, down):
         if k == n:
             yield tuple(up)
             return
         bit = 1 << k
-        for ideal in ideals(k, down):
+        for ideal in order_ideals(down):
             new_up = [u | bit if (ideal >> i) & 1 else u for i, u in enumerate(up)]
             yield from rec(k + 1, new_up + [bit], down + [ideal | bit])
 
@@ -278,4 +285,61 @@ def classify_from_series(lattice):
         weak=series.is_ordinary(),
         strong_failures=failures,
         non_integer_bases=tuple(q for q, _ in series.terms() if q.denominator != 1),
+    )
+
+
+def is_distributive(lattice):
+    """Birkhoff: x -> J_x maps a lattice one-to-one into the order ideals
+    of J, and onto them exactly when the lattice is distributive, so it
+    is distributive iff J has n order ideals.  Each ideal is counted as
+    the antichain of its maximal members, and the count stops past n."""
+    js = lattice.join_irreducibles()
+    count = 0
+
+    def rec(start, chosen):
+        nonlocal count
+        count += 1
+        for i in range(start, len(js)):
+            if count > lattice.n:
+                return
+            if not any(lattice.leq(js[i], c) or lattice.leq(c, js[i]) for c in chosen):
+                rec(i + 1, chosen + [js[i]])
+
+    rec(0, [])
+    return count == lattice.n
+
+
+def maximal_irreducible_count(lattice):
+    """The number of join-irreducibles below no other join-irreducible."""
+    js = lattice.join_irreducibles()
+    return sum(not any(k != j and lattice.leq(j, k) for k in js) for j in js)
+
+
+# the Boolean, chain and divisor closed forms, each by its own formula
+
+
+def boolean_series_by_rank(r):
+    """((-1)^r / r^s) * sum_{k=1..r} (-1)^k C(r, k) k^s."""
+    return DirichletSeries(
+        (Fraction(r, k), (-1) ** (r + k) * math.comb(r, k)) for k in range(1, r + 1)
+    )
+
+
+def chain_series_by_case(k):
+    """1 - 1/((k-1)/(k-2))^s for a k-chain, and 1 for the 2-chain."""
+    if k == 2:
+        return DirichletSeries({Fraction(1): 1})
+    return DirichletSeries({Fraction(1): 1, Fraction(k - 1, k - 2): -1})
+
+
+def divisor_series_by_omega(n):
+    """((-1)^w / w^s) * sum_k (-1)^k C(r, w-k) k^s, with w the prime
+    factors of n counted with multiplicity and r the distinct ones, the
+    k = 0 term dropped."""
+    fact = factorize(n)
+    w = sum(e for _, e in fact)
+    r = len(fact)
+    return DirichletSeries(
+        (Fraction(w, k), (-1) ** (w + k) * math.comb(r, w - k))
+        for k in range(max(w - r, 1), w + 1)
     )

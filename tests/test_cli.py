@@ -244,6 +244,12 @@ JSON_SHA256 = {
         "480e986894dda6e7f68f1f54f48517ebda9d5d70595f0f43ce56852ab41f8a4a",
     "family ddiv:3,6":
         "bb03bff66c937f5d3386bcc77b83772551fd6d847ea8a31ac949daadffca965c",
+    "family boolean:6":
+        "17561df5f1466d0a9d76779d193a30894f15af31186488b53e8ac2b1c8e7c316",
+    "family chain:5":
+        "1bcd538ea000d4d2bb94adc69b740dcfd87d1c7ed456d32be19552ad58523524",
+    "family divisor:360":
+        "1056448eab6d97fbd52f61daa28138b59fa401ddec07acb5d8336b499319b472",
     "fixture ten_point":
         "edda21aa518ca1a15f0479a00964c4361f3084706e9a95850f6160aa432954e0",
     "group sym:3 --brown":
@@ -316,7 +322,8 @@ def test_search_catalog_resume(capsys, tmp_path):
     assert code == 0 and out1 == out2
 
 
-@pytest.mark.parametrize("bad", ["badline", "abcd 3", "# complete x"])
+# flags "strong but not weak" (as-, -s-) are malformed: strong implies weak
+@pytest.mark.parametrize("bad", ["badline", "abcd 3", "# complete x", "80 2 as-"])
 def test_search_malformed_catalog_exit_code(capsys, tmp_path, bad):
     path = tmp_path / "cat.txt"
     path.write_text(f"# complete 2\n{bad}\n")

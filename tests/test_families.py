@@ -20,7 +20,6 @@ from latzeta.errors import (
 )
 from latzeta import families, groups
 from latzeta.families import (
-    big_omega,
     boolean_size,
     boolean_lattice,
     boolean_zeta_closed,
@@ -171,11 +170,6 @@ def test_divisors():
         assert ds == sorted(ds)
         assert all(n % d == 0 for d in ds)
         assert len(ds) == math.prod(e + 1 for _, e in factorize(n)) if n > 1 else 1
-
-
-def test_big_omega():
-    assert big_omega(360) == 6
-    assert big_omega(2) == 1
 
 
 # ----------------------------------------------------------------------

@@ -254,7 +254,9 @@ def test_catalog_store_discards_incomplete_level(tmp_path):
     assert path.read_text() == full
 
 
-@pytest.mark.parametrize("bad", ["badline", "abcd 3", "# complete x"])
+@pytest.mark.parametrize(
+    "bad", ["badline", "abcd 3", "# complete x", "80 2 as-", "80 2 -s-"]
+)
 def test_catalog_store_rejects_malformed_line(tmp_path, bad):
     path = tmp_path / "catalog.txt"
     level_entries(3, store=CatalogStore(path))
