@@ -506,9 +506,15 @@ def _distributive_series(N, m):
     maximal points, else 0, so the bottom aside
     P(L, s) = sum_{k=0..min(m, N-1)} (-1)^k C(m, k) / (N/(N-k))^s.
     The base N/(N-1) carries -m, so among distributive lattices only the
-    2-chain, the 3-chain and B_2 (N <= 2) have an ordinary series."""
-    return DirichletSeries((Fraction(N, N - k), (-1) ** k * math.comb(m, k))
-                           for k in range(min(m, N - 1) + 1))
+    2-chain, the 3-chain and B_2 (N <= 2) have an ordinary series.
+    The coefficients follow the row recurrence C(m, k + 1) = C(m, k)
+    (m - k) / (k + 1), one exact division each."""
+    terms = []
+    coefficient = 1
+    for k in range(min(m, N - 1) + 1):
+        terms.append((Fraction(N, N - k), coefficient))
+        coefficient = -coefficient * (m - k) // (k + 1)
+    return DirichletSeries(terms)
 
 
 def boolean_zeta_closed(r):

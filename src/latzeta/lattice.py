@@ -482,16 +482,23 @@ def _root_partition(n, up, down, structure=None):
     return _refine_partition(n, seed, covers_up, covers_down), covers_up, covers_down
 
 
-def _leaf_columns(n, up, perm):
+def _leaf_columns(n, covers_down, perm):
     """Column ``p`` of the strict upper triangle in the ordering ``perm``:
-    the bits ``perm[i] <= perm[p]`` for ``i < p``, first ``i`` highest."""
+    the bits ``perm[i] <= perm[p]`` for ``i < p``, first ``i`` highest.
+
+    ``perm`` is a linear extension, so each element's strict down-set,
+    the union of its lower covers' down-sets, comes before it.  Kept with
+    position ``i`` at bit ``n - 1 - i``, that union shifted right by
+    ``n - p`` is column ``p``, so each leaf costs one pass over the
+    covers."""
+    below = [0] * n  # each element's down-set, position i at bit n - 1 - i
     cols = [0] * n
-    for p in range(1, n):
-        x = perm[p]
-        col = 0
-        for e in perm[:p]:
-            col = (col << 1) | ((up[e] >> x) & 1)
-        cols[p] = col
+    for p, x in enumerate(perm):
+        strict = 0
+        for c in covers_down[x]:
+            strict |= below[c]
+        below[x] = strict | 1 << (n - 1 - p)
+        cols[p] = strict >> (n - p)
     return cols
 
 
@@ -590,7 +597,7 @@ def _canonical_labelling(n, up, down, structure=None):
     def leaf(cells):
         nonlocal best, best_perm
         perm = [members[0] for members in cells]
-        cols = _leaf_columns(n, up, perm)
+        cols = _leaf_columns(n, covers_down, perm)
         if best is None or cols < best:
             best, best_perm = cols, perm
         elif cols == best:
@@ -640,16 +647,29 @@ def _canonical_labelling(n, up, down, structure=None):
     return _columns_to_hex(n, best), best_perm, generators
 
 
+# bits a canonical key collects before it moves whole bytes out: the
+# census keys, up to 120 bits, never reach it
+_HEX_CHUNK_BITS = 4096
+
+
 def _columns_to_hex(n, cols):
-    acc = 0
-    total = 0
+    """Hex of columns 1 .. n-1 of a leaf triangle, column ``p`` as ``p``
+    bits, zero-padded to whole bytes (at least one).  Whole bytes leave
+    the accumulator once it passes ``_HEX_CHUNK_BITS``, so no shift
+    touches more than a chunk and the key takes one pass."""
+    chunks = []
+    acc = width = 0
     for p in range(1, n):
         acc = (acc << p) | cols[p]
-        total += p
-    pad = (-total) % 8
-    acc <<= pad
-    nbytes = (total + pad) // 8
-    return acc.to_bytes(max(nbytes, 1), "big").hex()
+        width += p
+        if width > _HEX_CHUNK_BITS:
+            keep = width % 8
+            chunks.append((acc >> keep).to_bytes(width // 8, "big"))
+            acc &= (1 << keep) - 1
+            width = keep
+    pad = -width % 8
+    chunks.append((acc << pad).to_bytes((width + pad) // 8, "big"))
+    return (b"".join(chunks) or b"\0").hex()
 
 
 def is_isomorphic(a, b):

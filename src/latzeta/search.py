@@ -24,23 +24,32 @@ key.  Both orbit questions, on antichains and on the child's elements,
 go to ``lattice._orbit_firsts``, the routine that prunes the canonical
 search; the second is skipped when ``m*`` is the new atom itself.
 
-A child never recomputes what its parent knows.  A level entry stores
-the class's up-masks and down-masks packed into one ``bytes`` object of
-16-bit words (``_pack_masks``), so neither the next level nor
-``enumerate_lattices`` transposes them.  The parent's covers and heights
-are computed once, and each child's are derived from them
-(``_child_structure``): adding an atom below an antichain changes only
-the covers at the bottom, at the antichain and at the atom, and the
-heights inside the antichain's filter.  The labelling takes them as
-they are.
+A child never recomputes what its parent knows.  A level stores the
+class's up-masks and down-masks packed into 16-bit words
+(``_pack_masks``), so neither the next level nor ``enumerate_lattices``
+transposes them.  The parent's covers and heights are computed once,
+and each child's are derived from them (``_child_structure``): adding
+an atom below an antichain changes only the covers at the bottom, at
+the antichain and at the atom, and the heights inside the antichain's
+filter.  The labelling takes them as they are.
+
+A level is a sorted list with one ``bytes`` record per class
+(``_record``): the raw canonical key, the packed masks, then the
+automorphism group's generators, n bytes each.  The key has one width
+per level, so records sort in key order.  ``_extend_parents`` reads
+parent records and emits child records, and ``_level`` hands them out
+as ``(key, masks, generators)`` through a read-only view.  At n = 10 a
+record with its list slot takes about 97 bytes.
 """
 
 import os
 import re
+import sys
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import pairwise
 from multiprocessing import Pool
-from operator import itemgetter
 
 from .cosetlike import classify  # noqa: F401 -- bench/spans.py traces search.classify
 from .errors import BudgetExceeded, CatalogCorrupt
@@ -69,7 +78,7 @@ __all__ = [
 ]
 
 # at most 16: a level stores each mask as a 16-bit word (see _pack_masks)
-DEFAULT_MAX_N = 11
+DEFAULT_MAX_N = 12
 
 # every line of a catalog file, with runs of blanks read as one space
 _CATALOG_LINE = re.compile(
@@ -82,6 +91,9 @@ _CATALOG_LINE = re.compile(
 
 # ----------------------------------------------------------------------
 # lattice levels
+
+_WORD = array("H").itemsize  # bytes per packed mask
+
 
 def _pack_masks(up, down):
     """The masks of a level entry: the n up-masks, then the n down-masks,
@@ -96,13 +108,55 @@ def _unpack_masks(masks):
     return tuple(words[:n]), tuple(words[n:])
 
 
-# n -> list of (canonical_key, masks, generators) sorted by key: the
-# lattices on n elements, with the bottom as element 0.  ``masks`` holds
-# the up- and down-masks packed by ``_pack_masks``, and ``generators``
-# is a tuple of bytes, each a permutation of the n elements, that
-# generates the automorphism group of the lattice.
+def _key_width(n):
+    """Bytes in the raw canonical key of a lattice on n elements: one bit
+    per pair of elements, padded to whole bytes, as in
+    ``lattice._columns_to_hex``."""
+    return max((n * (n - 1) // 2 + 7) // 8, 1)
+
+
+def _record(key, masks, generators):
+    """The level record of a class: the raw bytes of the hex ``key``, the
+    ``_pack_masks`` output ``masks``, then each generator (a sequence of
+    n element ids) as n bytes."""
+    return bytes.fromhex(key) + masks + b"".join(map(bytes, generators))
+
+
+def _record_parts(n, record):
+    """The raw key, the packed masks and the list of generators of a
+    record on n elements, each ``bytes``."""
+    start = _key_width(n)
+    end = start + 2 * n * _WORD
+    generators = [record[i : i + n] for i in range(end, len(record), n)]
+    return record[:start], record[start:end], generators
+
+
+class _Level(Sequence):
+    """Read-only view of a level's records as ``(key, masks,
+    generators)`` triples: the hex key, the packed masks and a tuple of
+    generators, each ``bytes``.  A triple is made only when read."""
+
+    def __init__(self, n, records):
+        self.n = n
+        self.records = records
+
+    def __len__(self):
+        return len(self.records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Level(self.n, self.records[index])
+        key, masks, generators = _record_parts(self.n, self.records[index])
+        return key.hex(), masks, tuple(generators)
+
+
+# n -> the lattices on n elements, with the bottom as element 0: a list of
+# ``_record`` bytes sorted by key, one per class.  Each record holds the
+# class's canonical key, its up- and down-masks packed by ``_pack_masks``
+# and permutations of the n elements that generate its automorphism
+# group.  ``_level`` reads it through ``_Level``.
 _LEVELS = {
-    2: [(canonical_key_from_up(2, (3, 2), (1, 3)), _pack_masks((3, 2), (1, 3)), ())]
+    2: [_record(canonical_key_from_up(2, (3, 2), (1, 3)), _pack_masks((3, 2), (1, 3)), ())]
 }
 
 
@@ -182,25 +236,24 @@ def _child_structure(parent, order, amask, filt):
 
 def _extend_parents(n, parents):
     """The classes on n elements whose canonical parent is among the
-    given (n-1)-element lattices, as ``(key, masks, generators)``.
+    given (n-1)-element lattices, as unsorted level records.
 
-    ``parents`` holds ``(masks, generators)`` pairs, as the level entries
-    store them, each lattice with its bottom as element 0.  For each
-    parent, one antichain of non-bottom elements per automorphism orbit
-    becomes the upper covers of a new atom; a child whose joins fail, or
-    whose new atom has a smaller up-set than another atom, is dropped
-    before it is labelled, and a labelled child is kept only if its new
-    atom is in the orbit of its canonical atom ``m*``.  Each child's
-    down-masks, covers and heights are derived from its parent's, which
-    are computed once per parent.  The key and generators are those of
-    the child's labelling.
+    ``parents`` holds records of level n - 1 (``_record``), each lattice
+    with its bottom as element 0.  For each parent, one antichain of
+    non-bottom elements per automorphism orbit becomes the upper covers
+    of a new atom; a child whose joins fail, or whose new atom has a
+    smaller up-set than another atom, is dropped before it is labelled,
+    and a labelled child is kept only if its new atom is in the orbit of
+    its canonical atom ``m*``.  Each child's down-masks, covers and
+    heights are derived from its parent's, which are computed once per
+    parent.  The key and generators are those of the child's labelling.
     """
     out = []
-    shared = {}  # equal permutations and generator tuples share one object
     k = n - 1
     newbit = 1 << k
     full = (1 << n) - 1
-    for masks, generators in parents:
+    for record in parents:
+        _, masks, generators = _record_parts(k, record)
         ups, down = _unpack_masks(masks)
         structure = _order_structure(k, ups, down)
         # ordering by down-set size is a linear extension
@@ -234,9 +287,7 @@ def _extend_parents(n, parents):
                 orbit = _orbit_firsts(range(n), child_gens)
                 if orbit[star] != orbit[k]:
                     continue
-            gens = tuple(shared.setdefault(g, g) for g in map(bytes, child_gens))
-            gens = shared.setdefault(gens, gens)
-            out.append((key, _pack_masks(child, child_down), gens))
+            out.append(_record(key, _pack_masks(child, child_down), child_gens))
     return out
 
 
@@ -245,8 +296,8 @@ def _extend_chunk(args):
 
 
 def _level(n, *, jobs=1):
-    """Lattices on n elements as a sorted list of
-    ``(key, masks, generators)``.
+    """Lattices on n elements as a ``_Level``: a sequence of
+    ``(key, masks, generators)`` sorted by key.
 
     ``jobs`` worker processes build the missing levels; it must be at
     least 1 and is lowered to the CPU count.  Each class comes from one
@@ -260,19 +311,21 @@ def _level(n, *, jobs=1):
     for size in range(3, n + 1):
         if size in _LEVELS:
             continue
-        parents = [(masks, gens) for _, masks, gens in _LEVELS[size - 1]]
+        parents = _LEVELS[size - 1]
         if jobs > 1 and len(parents) >= 4 * jobs:
             chunks = [(size, parents[i::jobs]) for i in range(jobs)]
             with Pool(jobs) as pool:
                 children = [c for part in pool.map(_extend_chunk, chunks) for c in part]
         else:
             children = _extend_parents(size, parents)
-        children.sort(key=itemgetter(0))
-        for before, after in zip(children, children[1:]):
-            if before[0] == after[0]:
-                raise RuntimeError(f"level {size}: class {before[0]} generated twice")
+        # every key has the same width, so records sort in key order
+        children.sort()
+        width = _key_width(size)
+        for before, after in pairwise(children):
+            if before[:width] == after[:width]:
+                raise RuntimeError(f"level {size}: class {before[:width].hex()} generated twice")
         _LEVELS[size] = children
-    return _LEVELS[n]
+    return _Level(n, _LEVELS[n])
 
 
 def _check_enumeration_cap(n):
@@ -292,13 +345,15 @@ def enumerate_lattices(n, *, jobs=1):
     passes full construction-time lattice validation.  The lattices are
     built by canonical augmentation (see the module docstring), and each
     one's ``canonical_form`` is the key of the enumerator's own
-    labelling rather than searched again.  Its down-masks are the level's,
-    not transposed again.
+    labelling rather than searched again.  Its masks and key are read
+    straight from the level's record, and its down-masks are not
+    transposed again.
     """
     _check_enumeration_cap(n)
-    for key, masks, _ in _level(n, jobs=jobs):
+    for record in _level(n, jobs=jobs).records:
+        key, masks, _ = _record_parts(n, record)
         lattice = Lattice._from_up(n, *_unpack_masks(masks))
-        lattice._canonical_key = key
+        lattice._canonical_key = key.hex()
         yield lattice
 
 
@@ -363,7 +418,9 @@ class CatalogStore:
     is byte-identical to an uninterrupted one (entries are kept sorted,
     writes go through a temp file).  A line that is neither an entry, a
     marker nor a ``#`` comment raises ``CatalogCorrupt``.  With
-    ``path=None`` the levels are kept in memory only.
+    ``path=None`` the levels are kept in memory only.  Each level maps
+    key to flags, and every entry with the same flags shares one
+    interned string, so a level holds at most 8 flag objects.
     """
 
     def __init__(self, path=None):
@@ -386,7 +443,7 @@ class CatalogStore:
                     )
                 key, n, flags, level = match.groups()
                 if key is not None:
-                    pending.setdefault(int(n), {})[key] = flags
+                    pending.setdefault(int(n), {})[key] = sys.intern(flags)
                 elif level is not None:
                     self._levels[int(level)] = pending.pop(int(level), {})
         # drop entries for levels that never saw their marker
@@ -414,7 +471,7 @@ class CatalogStore:
         return out
 
     def write_level(self, n, entries):
-        self._levels[n] = {e.key: e.flags for e in entries}
+        self._levels[n] = {e.key: sys.intern(e.flags) for e in entries}
         if self.path is None:
             return
         # A fresh temp file beside the catalog: O_EXCL never clobbers an

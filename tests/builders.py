@@ -6,13 +6,14 @@ longest chains found over every comparable pair, not over covers, orbits
 are searched breadth first rather than merged in a union-find, and the
 refinement cuts its runs by hand rather than through ``lattice._split``.
 Integer partitions come from a recursion on the first part rather than
-the iterative generator, and the shape series builds one base per shape
-and counts each shape's members from a tally of its parts.  The
-classification is read off the built series and per-element counts
-rather than off the engine's count table.  Distributivity is Birkhoff's
-count of the order ideals of J, and the Boolean, chain and divisor
-series keep the three closed forms that one formula over (|J|,
-#maximal) replaced.
+the iterative generator, and a leaf triangle is read by scanning every
+earlier position rather than built from the lower covers.  The
+shape series builds one base per shape and counts each shape's members
+from a tally of its parts.  The classification is read off the built
+series and per-element counts rather than off the engine's count table.
+Distributivity is Birkhoff's count of the order ideals of J, and the
+Boolean, chain and divisor series keep the three closed forms that one
+formula over (|J|, #maximal) replaced.
 """
 
 import math
@@ -233,6 +234,20 @@ def root_partition_loop(n, covers_up, covers_down, height):
             seed.append(order[start:i])
             start = i
     return refine_partition_loop(n, seed, covers_up, covers_down)
+
+
+def leaf_columns_scan(n, up, perm):
+    """Column ``p`` of the strict upper triangle in the ordering ``perm``:
+    the bits ``perm[i] <= perm[p]`` for ``i < p``, first ``i`` highest,
+    read off the up-mask of every earlier position."""
+    cols = [0] * n
+    for p in range(1, n):
+        x = perm[p]
+        col = 0
+        for e in perm[:p]:
+            col = (col << 1) | ((up[e] >> x) & 1)
+        cols[p] = col
+    return cols
 
 
 def integer_partitions_recursive(n, max_part=None):

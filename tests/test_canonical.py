@@ -3,7 +3,8 @@
 ``canonical_key_from_up`` skips every branch whose subtree is an
 automorphic image of one already searched.  The oracle here runs the
 same individualisation-refinement search (same refinement, same leaf
-triangles) with no pruning at all, so it visits every leaf.  Both must
+triangles, read by the earlier scan of every position in ``builders``)
+with no pruning at all, so it visits every leaf.  Both must
 give the same key on every relabelling of every census class up to 8
 elements, of the coset lattices of C4, C6 and S3, and of the incidence
 lattices of a few regular graphs, whose search trees hold branches that
@@ -17,9 +18,10 @@ generators, and on the lattices above.
 The oracle shares the refinement with the search, so the refinement and
 the orbit routine are checked against their earlier hand-written forms
 in ``builders`` (the refinement also on random orders and seed
-partitions), and the maps the search prunes with must fix the path.
-The down-masks the census enumerator builds for each child must be the
-transpose of its up-masks and give the same labelling.
+partitions), the search's leaf triangles, built from the lower covers,
+against that scan, and the maps the search prunes with must fix the
+path.  The down-masks the census enumerator builds for each child must
+be the transpose of its up-masks and give the same labelling.
 """
 
 import functools
@@ -46,8 +48,10 @@ from latzeta.lattice import (
 from latzeta.search import _pack_masks, _unpack_masks, enumerate_lattices
 
 from builders import (
+    _hex_to_columns,
     bottomless,
     in_orbit_bfs,
+    leaf_columns_scan,
     moved_mask,
     orbit_representatives_bfs,
     refine_partition_loop,
@@ -65,7 +69,7 @@ def unpruned_key(n, up):
             if len(members) > 1:
                 break
         else:
-            leaves.append(_leaf_columns(n, up, [m[0] for m in cells]))
+            leaves.append(leaf_columns_scan(n, up, [m[0] for m in cells]))
             return
         for v in members:
             rest = [w for w in members if w != v]
@@ -157,6 +161,23 @@ def test_pruned_search_matches_unpruned_after_relabelling(data):
     perm = data.draw(st.permutations(range(lat.n)))
     up = relabel_masks(lat.up, perm)
     assert canonical_key_from_up(lat.n, up, _transpose_masks(lat.n, up)) == oracle_key(lat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_leaf_columns_from_the_lower_covers(data):
+    # The search builds each leaf triangle from the lower covers, which
+    # a linear extension puts before their element; the oracle scans
+    # every earlier position.  Equal down-set sizes are ordered at random.
+    lat = data.draw(st.sampled_from(census()) | st.sampled_from(wide()))
+    ties = data.draw(st.permutations(range(lat.n)))
+    perm = sorted(range(lat.n), key=lambda x: (lat.down[x].bit_count(), ties[x]))
+    covers_down = _order_structure(lat.n, lat.up, lat.down)[1]
+    cols = _leaf_columns(lat.n, covers_down, perm)
+    assert cols == leaf_columns_scan(lat.n, lat.up, perm)
+    key = _columns_to_hex(lat.n, cols)
+    assert len(key) == 2 * max((lat.n * (lat.n - 1) // 2 + 7) // 8, 1)
+    assert _hex_to_columns(lat.n, key) == cols
 
 
 def automorphism_count(n, up):
@@ -351,7 +372,7 @@ def test_labelling_with_the_enumerators_child_down(data):
     # must give what it gives from the transpose.  The relabelling keeps
     # the bottom at element 0, where the enumerator expects it.
     k = data.draw(st.integers(2, 8))
-    _, masks, _ = data.draw(st.sampled_from(search._level(k)))
+    key, masks, _ = data.draw(st.sampled_from(search._level(k)))
     ups = _unpack_masks(masks)[0]
     perm = [0] + data.draw(st.permutations(range(1, k)))
     moved = tuple(relabel_masks(ups, perm))
@@ -366,7 +387,8 @@ def test_labelling_with_the_enumerators_child_down(data):
 
     search._canonical_labelling = recording
     try:
-        search._extend_parents(k + 1, [(_pack_masks(moved, moved_down), generators)])
+        parent = search._record(key, _pack_masks(moved, moved_down), generators)
+        search._extend_parents(k + 1, [parent])
     finally:
         search._canonical_labelling = _canonical_labelling
     assert calls

@@ -711,7 +711,7 @@ def test_search_cap_checked_before_enumerating(capsys, monkeypatch):
         return real(n, **kwargs)
 
     monkeypatch.setattr(search, "level_entries", recording)
-    code, out, _ = invoke(capsys, "search", "--max-n", "12")
+    code, out, _ = invoke(capsys, "search", "--max-n", "13")
     assert code == 1
-    assert out == "error (BudgetExceeded): enumeration capped at n = 11 (asked for 12)\n"
+    assert out == "error (BudgetExceeded): enumeration capped at n = 12 (asked for 13)\n"
     assert seen == []

@@ -5,12 +5,16 @@ The canonical augmentation in ``search._extend_parents`` is checked
 against the generate-then-deduplicate enumerator it replaced, kept here
 as an oracle.  The covers and heights it derives for each child from its
 parent's are checked against ``_order_structure`` of the child, and the
-packed level entries against the masks they stand for.
+packed level entries against the masks they stand for.  Every level's
+keys, masks and generators are pinned by digest, and its records by
+their size.
 """
 
 import functools
+import hashlib
 import os
 import random
+import sys
 from array import array
 
 import pytest
@@ -58,7 +62,7 @@ def test_counts_match_independent_oracle():
 
 def test_oracle_budget():
     with pytest.raises(BudgetExceeded):
-        list(enumerate_lattices(12))
+        list(enumerate_lattices(DEFAULT_MAX_N + 1))
     with pytest.raises(ValueError):
         list(enumerate_lattices(1))
 
@@ -120,7 +124,7 @@ def test_library_jobs_clamped_to_cpu_count(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(search, "_LEVELS", {2: first})
         sizes.clear()
-        assert search._level(7, jobs=asked) == serial
+        assert search._level(7, jobs=asked).records == serial.records
         assert sizes == expected, (cpus, asked)
 
 
@@ -218,6 +222,18 @@ def test_level_entries_and_summary():
         "atomistic": 1,
         "weak_not_strong": 0,
     }
+
+
+def test_catalog_levels_share_their_flag_strings(tmp_path):
+    # one string object per flag value, however many entries carry it
+    path = tmp_path / "catalog.txt"
+    store = CatalogStore(path)
+    for n in range(2, 10):
+        level_entries(n, store=store)
+    for levels in (store._levels, CatalogStore(path)._levels):
+        flags = [f for level in levels.values() for f in level.values()]
+        assert len(flags) == sum(KNOWN_COUNTS[:8])
+        assert len({id(f) for f in flags}) == len(set(flags)) <= 8
 
 
 def test_catalog_store_roundtrip(tmp_path):
@@ -328,6 +344,25 @@ def test_weak_not_strong_budget(monkeypatch):
 def test_eleven_element_count():
     assert lattice_count(11, jobs=4) == 37622
     assert classify_catalog(11)["weak_not_strong"] == 451
+    assert level_digest(11) == LEVEL_11_DIGEST
+
+
+@pytest.mark.long
+def test_twelve_element_census():
+    store = CatalogStore()
+    summary = classify_catalog(12, store=store)
+    assert summary["total"] == 262776  # OEIS A006966
+    assert summary["weak_not_strong"] == 3496
+    assert summary["atomistic"] == 614
+    found = find_weak_not_strong(12, store=store, atomistic_only=True)
+    assert [e.key for e in found[12]] == [ATOMISTIC_WEAK_NOT_STRONG_12]
+    assert all(found[n] == [] for n in range(2, 12))
+    lattice = next(
+        lat for lat in enumerate_lattices(12)
+        if lat.canonical_form() == ATOMISTIC_WEAK_NOT_STRONG_12
+    )
+    # 1 - 1/2^s - 4/8^s
+    assert zeta_series(lattice).series.term_map() == {1: 1, 2: -1, 8: -4}
 
 
 def has_joins(k, ups, filt):
@@ -396,6 +431,13 @@ def relabel_masks(ups, perm):
     return tuple(out)
 
 
+def children(k, key, masks, generators):
+    """What ``_extend_parents`` makes of one parent on k elements, read
+    as ``(key, masks, generators)`` triples."""
+    parent = search._record(key, masks, generators)
+    return search._Level(k + 1, search._extend_parents(k + 1, [parent]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_kept_children_do_not_depend_on_the_parent_labelling(data):
@@ -403,16 +445,15 @@ def test_kept_children_do_not_depend_on_the_parent_labelling(data):
     # the parent's class, a property of the class alone.  The relabelling
     # keeps the bottom at element 0, where the enumerator expects it.
     k = data.draw(st.integers(2, 8))
-    _, masks, generators = data.draw(st.sampled_from(search._level(k)))
+    parent_key, masks, generators = data.draw(st.sampled_from(search._level(k)))
     ups = search._unpack_masks(masks)[0]
     perm = [0] + data.draw(st.permutations(range(1, k)))
     moved = relabel_masks(ups, perm)
     moved_down = _transpose_masks(k, moved)
     _, _, moved_generators = _canonical_labelling(k, moved, moved_down)
-    kept = {key for key, _, _ in search._extend_parents(k + 1, [(masks, generators)])}
-    again = search._extend_parents(
-        k + 1, [(search._pack_masks(moved, moved_down), moved_generators)]
-    )
+    kept = {key for key, _, _ in children(k, parent_key, masks, generators)}
+    moved_masks = search._pack_masks(moved, moved_down)
+    again = children(k, parent_key, moved_masks, moved_generators)
     assert {key for key, _, _ in again} == kept
     assert len(again) == len(kept)
 
@@ -501,6 +542,61 @@ def test_packed_masks_round_trip(data):
     packed = search._pack_masks(up, down)
     assert isinstance(packed, bytes)
     assert search._unpack_masks(packed) == (up, down)
+
+
+# sha256 of each level's (key, masks, generators), one line per class:
+# the hex key, the hex of the packed masks as little-endian 16-bit words
+# and the hex of each generator
+LEVEL_DIGESTS = {
+    2: "825b81fdf02b9adfeb178cacc6c35671d6c4385c83b56794c47b2daff17beadd",
+    3: "76425bc72279291554efa0fed7629a0017142640e7cdcea90c0ed365078031e9",
+    4: "445d28d80071c9bb31383634963546688d694c7e5bd1fba0ed5915bb111fba17",
+    5: "c3f5214f30407301c0a3097f4ed4734348788b2af432ee2af2c3d2b893509288",
+    6: "fdeb928cc20111996974515f119cd4be8b1f7a0faa5149d74ca4bed7ba86d9dd",
+    7: "6234c5973a6391f4aaf378b58c3ac16e9f126be6fddbac3dd24dba7e9ecb2f56",
+    8: "2f04324da939bc8af9fa9b6f2ce0adefc4c93eea7ed068a560724257b15cba71",
+    9: "11cd9fa7f04edd1541d59f16a39a902176b5449532e23c8e9e4d59c8c50ad366",
+    10: "ecc87b4c21848fe954d018476be837d1842226081d0b0d353896b95bb7a13c34",
+}
+LEVEL_11_DIGEST = "fc15fafa8638a65aff3a55c0210edaa5252a73dcea07917d1927f8c06d3a5911"
+
+# the one atomistic weak-not-strong class on 12 elements
+ATOMISTIC_WEAK_NOT_STRONG_12 = "d22104080f07c3ffc0"
+
+
+def level_digest(n):
+    digest = hashlib.sha256()
+    for key, masks, generators in search._level(n):
+        words = array("H", masks)
+        if sys.byteorder == "big":
+            words.byteswap()
+        line = f"{key} {words.tobytes().hex()} {' '.join(g.hex() for g in generators)}\n"
+        digest.update(line.encode())
+    return digest.hexdigest()
+
+
+def test_levels_are_pinned():
+    for n, expected in LEVEL_DIGESTS.items():
+        assert level_digest(n) == expected, n
+
+
+def test_level_records_are_compact():
+    # a class costs its record and its slot in the level's list
+    search._level(10)
+    records = search._LEVELS[10]
+    assert all(type(record) is bytes for record in records)
+    size = sys.getsizeof(records) + sum(map(sys.getsizeof, records))
+    assert size <= 120 * len(records)
+
+
+def test_level_view_reads_its_records():
+    level = search._level(6)
+    assert len(level) == 15
+    assert list(level[3:5]) == [level[3], level[4]]
+    for record, (key, masks, generators) in zip(level.records, level):
+        assert search._record(key, masks, generators) == record
+        assert len(key) == 2 * search._key_width(6)
+        assert all(sorted(g) == list(range(6)) for g in generators)
 
 
 def test_level_masks_fit_their_words():
