@@ -17,12 +17,23 @@ canonical atom ``m*``, the first element of the best leaf ordering among
 the atoms with the largest up-set.  Each parent is extended by one
 antichain per orbit of its automorphism group, and a child is kept only
 if its new atom lies in the automorphism orbit of ``m*``; so every class
-is kept exactly once, from one parent and one antichain, and at most one
-canonical labelling is made per orbit-distinct child whose new atom has
-the largest up-set.  That labelling also gives the child's canonical
-key.  Both orbit questions, on antichains and on the child's elements,
-go to ``lattice._orbit_firsts``, the routine that prunes the canonical
-search; the second is skipped when ``m*`` is the new atom itself.
+is kept exactly once, from one parent and one antichain.
+
+Two tests drop a child before it is labelled: a failed join with the new
+atom, and an atom outside the new atom's filter with a larger up-set
+(then the new atom cannot be ``m*``).  They run on every antichain
+before the orbit reduction.  An automorphism of the parent maps an
+antichain's filter onto its image's filter, atoms onto atoms with
+up-sets of the same size, and principal filters onto principal filters,
+so both tests give one answer on a whole orbit: the survivors are a
+union of orbits, and the first survivor of each orbit is the first
+member of that orbit, so the representatives are those the reduction
+would pick from all antichains.  Only the survivors are mapped through
+the generators, and one canonical labelling is made per orbit-distinct
+survivor.  That labelling also gives the child's canonical key.  Both
+orbit questions, on antichains and on the child's elements, go to
+``lattice._orbit_firsts``, the routine that prunes the canonical search;
+the second is skipped when ``m*`` is the new atom itself.
 
 A child never recomputes what its parent knows.  A level stores the
 class's up-masks and down-masks packed into 16-bit words
@@ -182,6 +193,43 @@ def _antichain_masks(n, comp):
     return out
 
 
+def _admissible_antichains(ups, down, atoms):
+    """The antichains that may carry a child's new atom, each mapped to
+    its up-closure, in ``_antichain_masks`` order.
+
+    The parent is a lattice on k elements with its bottom as element 0,
+    up-masks ``ups``, down-masks ``down`` and atoms ``atoms``.  A new
+    atom placed below an antichain of its non-bottom elements is below
+    exactly the antichain's filter, so its up-set has one more element
+    than that filter.  The antichain is dropped when a parent atom
+    outside the filter, which stays an atom of the child, has a larger
+    up-set, since the new atom could then not be the canonical atom
+    ``m*``; and when ``_join_failure`` finds an element with no join
+    with the new atom.  Both tests are invariant under the parent's
+    automorphisms (see the module docstring), so the antichains kept
+    are a union of whole orbits.
+    """
+    k = len(ups)
+    comp = [ups[i] | down[i] for i in range(k)]
+    # larger[t]: the atoms whose up-set has more than t elements
+    larger = [0] * (k + 1)
+    for a in atoms:
+        for t in range(ups[a].bit_count()):
+            larger[t] |= 1 << a
+    filters = set(ups)
+    above_bottom = ups[1:]
+    out = {}
+    for amask in _antichain_masks(k, comp):
+        filt = 0
+        for a in _iter_bits(amask):
+            filt |= ups[a]
+        if larger[filt.bit_count() + 1] & ~filt:
+            continue
+        if _join_failure(above_bottom, filters, filt) is None:
+            out[amask] = filt
+    return out
+
+
 def _orbit_representatives(masks, generators):
     """The first of ``masks`` in each orbit of the group generated by
     ``generators``, which must map the set of masks to itself."""
@@ -239,14 +287,18 @@ def _extend_parents(n, parents):
     given (n-1)-element lattices, as unsorted level records.
 
     ``parents`` holds records of level n - 1 (``_record``), each lattice
-    with its bottom as element 0.  For each parent, one antichain of
-    non-bottom elements per automorphism orbit becomes the upper covers
-    of a new atom; a child whose joins fail, or whose new atom has a
-    smaller up-set than another atom, is dropped before it is labelled,
-    and a labelled child is kept only if its new atom is in the orbit of
-    its canonical atom ``m*``.  Each child's down-masks, covers and
-    heights are derived from its parent's, which are computed once per
-    parent.  The key and generators are those of the child's labelling.
+    with its bottom as element 0.  For each parent, the antichains of
+    non-bottom elements whose child passes the join test and the up-set
+    size test (``_admissible_antichains``) are reduced to one per
+    orbit of the parent's automorphism group, and each of those becomes
+    the upper covers of a new atom.  Both tests are invariant under the
+    automorphisms, so they keep or drop whole orbits, and running them
+    first keeps the first member of every kept orbit while only the
+    survivors are mapped through the generators.  A labelled child is
+    kept only if its new atom is in the orbit of its canonical atom
+    ``m*``.  Each child's down-masks, covers and heights are derived
+    from its parent's, which are computed once per parent.  The key and
+    generators are those of the child's labelling.
     """
     out = []
     k = n - 1
@@ -258,20 +310,11 @@ def _extend_parents(n, parents):
         structure = _order_structure(k, ups, down)
         # ordering by down-set size is a linear extension
         order = sorted(range(1, k), key=lambda v: down[v].bit_count())
-        comp = [ups[i] | down[i] for i in range(k)]
-        atoms = [(i, ups[i].bit_count()) for i in structure[0][0]]
-        filters = set(ups)
+        atoms = structure[0][0]
         above_bottom = ups[1:]
-        for amask in _orbit_representatives(_antichain_masks(k, comp), generators):
-            filt = 0
-            for a in _iter_bits(amask):
-                filt |= ups[a]
-            size = filt.bit_count() + 1
-            others = [(i, s) for i, s in atoms if not (filt >> i) & 1]
-            if any(s > size for _, s in others):
-                continue
-            if _join_failure(above_bottom, filters, filt) is not None:
-                continue
+        admissible = _admissible_antichains(ups, down, atoms)
+        for amask in _orbit_representatives(list(admissible), generators):
+            filt = admissible[amask]
             child = (full,) + above_bottom + (filt | newbit,)
             # the new atom is below exactly the elements of its filter
             child_down = [
@@ -281,7 +324,11 @@ def _extend_parents(n, parents):
             key, perm, child_gens = _canonical_labelling(
                 n, child, child_down, _child_structure(structure, order, amask, filt)
             )
-            ties = {k} | {i for i, s in others if s == size}
+            # the child's atoms with the new atom's up-set size
+            size = filt.bit_count() + 1
+            ties = {k} | {
+                a for a in atoms if ups[a].bit_count() == size and not (filt >> a) & 1
+            }
             star = next(x for x in perm if x in ties)
             if star != k:
                 orbit = _orbit_firsts(range(n), child_gens)

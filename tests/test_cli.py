@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from latzeta import groups, search
+from latzeta import groups, search, zeta
 from latzeta.cli import build_parser, parse_group, parse_lattice_target, run
 from latzeta.cosetlike import load_fixture
 from latzeta.errors import UsageError
@@ -262,6 +262,21 @@ def test_json_bytes_are_pinned(capsys, command):
     code, out, _ = invoke(capsys, *command.split(), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_SHA256[command]
+
+
+def test_zeta_of_a_fixture_builds_its_series_once(capsys, monkeypatch):
+    # the fixture's load-time check builds no series; the command builds one
+    built = []
+    real = zeta.DirichletSeries
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zeta, "DirichletSeries", counting)
+    code, out, _ = invoke(capsys, "zeta", "fixture:ten_point", "--format", "json")
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):

@@ -35,7 +35,7 @@ from latzeta.cosetlike import (
     _primes_through,
     _witness_candidates,
 )
-from latzeta.errors import BudgetExceeded, UnknownFixture
+from latzeta.errors import BudgetExceeded, MismatchDetected, UnknownFixture
 from latzeta.families import (
     boolean_lattice,
     chain,
@@ -46,6 +46,7 @@ from latzeta.families import (
     subspace_lattice,
 )
 from latzeta.groups import coset_lattice, cyclic, symmetric
+from latzeta.lattice import Lattice
 from latzeta.search import catalog_entry, enumerate_lattices
 from latzeta.zeta import zeta_series
 
@@ -625,6 +626,19 @@ def test_fixture_properties(name):
         if x != lat.bottom
     }
     assert Fraction(8, 3) in ratios
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_with_a_wrong_series_is_refused(name, monkeypatch):
+    n, covers, terms = cosetlike._FIXTURES[name]
+    wrong = dict(terms)
+    wrong[Fraction(4)] += 1
+    monkeypatch.setitem(cosetlike._FIXTURES, name, (n, covers, wrong))
+    with pytest.raises(MismatchDetected) as info:
+        load_fixture(name)
+    assert info.value.context["series"] == zeta_series(
+        Lattice.from_covers(n, covers)
+    ).series.to_doc()
 
 
 def test_adjoined_atom_families():

@@ -112,6 +112,35 @@ def test_non_lattice_detected():
         )
 
 
+# every two join-irreducibles have a join, but 5 and 6 have none; the
+# tier-1 CI job feeds the same covers to ``latzeta zeta file:bad.lat``
+BAD_LAT = (
+    "n 10\nc 1 0\nc 2 0\nc 3 1\nc 4 1\nc 5 1\nc 3 2\nc 4 2\nc 5 2\n"
+    "c 6 3\nc 6 4\nc 7 3\nc 7 5\nc 8 4\nc 8 5\nc 9 6\nc 9 7\nc 9 8\n"
+)
+
+
+def test_failed_join_names_the_first_failing_pair():
+    with pytest.raises(NotALattice) as info:
+        Lattice.from_covers(*parse_lat(BAD_LAT))
+    assert str(info.value) == "elements 5 and 6 have no least upper bound"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_join_failure_is_the_first_failing_element(data):
+    width = data.draw(st.integers(1, 12))
+    masks = st.integers(0, (1 << width) - 1)
+    up = data.draw(st.lists(masks, max_size=12))
+    mask = data.draw(masks)
+    # filters that hold some of the meets looked up, and random others
+    held = data.draw(st.lists(st.booleans(), min_size=len(up), max_size=len(up)))
+    filters = set(data.draw(st.lists(masks, max_size=8)))
+    filters |= {ux & mask for ux, keep in zip(up, held) if keep}
+    first = next((x for x, ux in enumerate(up) if ux & mask not in filters), None)
+    assert lattice_mod._join_failure(up, filters, mask) == first
+
+
 def test_out_of_range_cover_rejected():
     with pytest.raises(ValueError):
         Lattice.from_covers(3, [(0, 3)])

@@ -458,6 +458,68 @@ def test_kept_children_do_not_depend_on_the_parent_labelling(data):
     assert len(again) == len(kept)
 
 
+def admissible_by_hand(ups, atoms, amask):
+    """The filter of ``amask`` if its child passes the enumerator's two
+    tests, else None: every atom outside the filter has an up-set no
+    larger than the new atom's, and every non-bottom element has a join
+    with the new atom."""
+    filt = 0
+    for a in range(len(ups)):
+        if (amask >> a) & 1:
+            filt |= ups[a]
+    size = filt.bit_count() + 1
+    if any(ups[a].bit_count() > size for a in atoms if not (filt >> a) & 1):
+        return None
+    if not has_joins(len(ups), ups, filt):
+        return None
+    return filt
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_admissibility_commutes_with_the_orbit_reduction(data):
+    # The two tests give one answer on each orbit of the parent's
+    # automorphisms, so running them before the orbit reduction picks
+    # the representatives, in the order, that running them after it
+    # does.  The relabelling keeps the bottom at element 0.
+    k = data.draw(st.integers(2, 8))
+    _, masks, _ = data.draw(st.sampled_from(search._level(k)))
+    perm = [0] + data.draw(st.permutations(range(1, k)))
+    ups = relabel_masks(search._unpack_masks(masks)[0], perm)
+    down = _transpose_masks(k, ups)
+    generators = _canonical_labelling(k, ups, down)[2]
+    atoms = _order_structure(k, ups, down)[0][0]
+    admissible = search._admissible_antichains(ups, down, atoms)
+    antichains = search._antichain_masks(k, [ups[i] | down[i] for i in range(k)])
+    by_hand = {a: admissible_by_hand(ups, atoms, a) for a in antichains}
+    assert admissible == {a: filt for a, filt in by_hand.items() if filt is not None}
+    assert list(admissible) == [a for a in antichains if a in admissible]
+    after = [
+        a for a in search._orbit_representatives(antichains, generators) if a in admissible
+    ]
+    assert search._orbit_representatives(list(admissible), generators) == after
+
+
+def test_enumeration_work_through_ten_is_pinned(monkeypatch):
+    # Through n = 10 the enumerator labels the 7,944 orbit-distinct
+    # children that pass both tests (32,155 antichains, 24,696 orbits)
+    # and keeps 7,371 classes; more labellings would mean work moved
+    # from the tests into the canonical search.  A fresh level cache
+    # makes the levels really rebuild.
+    labellings = []
+    real = search._canonical_labelling
+
+    def counting(n, up, down, structure=None):
+        labellings.append(n)
+        return real(n, up, down, structure)
+
+    monkeypatch.setattr(search, "_canonical_labelling", counting)
+    monkeypatch.setattr(search, "_LEVELS", {2: search._LEVELS[2]})
+    assert lattice_count(10) == 5994
+    assert sum(len(search._LEVELS[n]) for n in range(2, 11)) == 7371
+    assert len(labellings) <= 7944
+
+
 def test_lattice_keys_are_derived_correctly():
     # enumerate_lattices fills each lattice's key from the enumerator's
     # own labelling of it; it must be the key a direct search gives.
