@@ -312,9 +312,9 @@ class _Catalog(search.CatalogStore):
     The error names the catalog and the reason only: the OSError itself
     names the random temp file the write went through."""
 
-    def write_level(self, n, entries):
+    def write_level(self, n, pairs):
         try:
-            super().write_level(n, entries)
+            super().write_level(n, pairs)
         except OSError as exc:
             raise UsageError(f"cannot write {self.path!r}: {exc.strerror}") from None
 
@@ -322,10 +322,8 @@ class _Catalog(search.CatalogStore):
 def _cmd_search(args):
     if args.max_n < 2:
         raise UsageError(f"--max-n must be at least 2, got {args.max_n}")
-    # an in-memory store when no path is given, so that the summaries
-    # reread the levels the search has just classified
     try:
-        store = _Catalog(args.catalog)
+        store = None if args.catalog is None else _Catalog(args.catalog)
     except OSError as exc:
         raise UsageError(f"cannot read {args.catalog!r}: {exc}") from None
     found = search.find_weak_not_strong(

@@ -109,6 +109,28 @@ def _join_failure(up, filters, mask):
     return None
 
 
+def _mobius_vector(up, members, target):
+    """Tuple ``v`` with ``v[x] = mu(x, target)`` for ``x`` in
+    ``members``, the ideal of ``target`` in the order with principal
+    filters ``up``, and ``None`` elsewhere, by the defining recursion.
+    The interval below ``target`` is walked by ascending filter size:
+    ``x < y`` implies ``|up[y]| < |up[x]|``, so each ``y`` comes after
+    every element above it."""
+    vals = [None] * len(up)
+    vals[target] = 1
+    below = _iter_bits(members ^ (1 << target))
+    for y in sorted(below, key=lambda v: up[v].bit_count()):
+        bit = 1 << y
+        acc = 0
+        m = up[y] & members & ~bit
+        while m:
+            low = m & -m
+            acc += vals[low.bit_length() - 1]
+            m ^= low
+        vals[y] = -acc
+    return tuple(vals)
+
+
 def _check_count(n):
     """Reject an element count that cannot make a lattice or is over
     ``DEFAULT_MAX_ELEMENTS``."""
@@ -337,34 +359,10 @@ class Lattice:
     # Moebius function
 
     def mobius_vector(self, target):
-        """Tuple ``v`` with ``v[x] = mu(x, target)`` for ``x <= target``.
-
-        Entries for elements not below ``target`` are ``None``.  Computed
-        once per target by the defining recursion and memoised.  The
-        interval below ``target`` is walked by ascending filter size:
-        ``x < y`` implies ``|up[y]| < |up[x]|``, so each ``y`` comes after
-        every element above it.
-        """
-        cached = self._mobius_cache.get(target)
-        if cached is not None:
-            return cached
-        members = self.down[target]
-        vals = [None] * self.n
-        vals[target] = 1
-        up = self.up
-        below = _iter_bits(members ^ (1 << target))
-        for y in sorted(below, key=lambda v: up[v].bit_count()):
-            bit = 1 << y
-            acc = 0
-            m = up[y] & members & ~bit
-            while m:
-                low = m & -m
-                acc += vals[low.bit_length() - 1]
-                m ^= low
-            vals[y] = -acc
-        result = tuple(vals)
-        self._mobius_cache[target] = result
-        return result
+        """``_mobius_vector`` to ``target``, memoised."""
+        if target not in self._mobius_cache:
+            self._mobius_cache[target] = _mobius_vector(self.up, self.down[target], target)
+        return self._mobius_cache[target]
 
     def mobius(self, x, y):
         """mu(x, y) for x <= y; raises ``NotComparable`` otherwise."""

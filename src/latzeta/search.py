@@ -42,15 +42,19 @@ transposes them.  The parent's covers and heights are computed once,
 and each child's are derived from them (``_child_structure``): adding
 an atom below an antichain changes only the covers at the bottom, at
 the antichain and at the atom, and the heights inside the antichain's
-filter.  The labelling takes them as they are.
+filter.  The labelling takes them as they are.  So are a kept child's
+catalog flags: mu(x, top) is computed once per parent, and the new atom
+changes it only at the atom and the bottom (``_class_flags``).
 
 A level is a sorted list with one ``bytes`` record per class
-(``_record``): the raw canonical key, the packed masks, then the
-automorphism group's generators, n bytes each.  The key has one width
-per level, so records sort in key order.  ``_extend_parents`` reads
-parent records and emits child records, and ``_level`` hands them out
-as ``(key, masks, generators)`` through a read-only view.  At n = 10 a
-record with its list slot takes about 97 bytes.
+(``_record``): the raw canonical key, the three characters of the
+catalog flags, the packed masks, then the automorphism group's
+generators, n bytes each.  The key has one width per level, so records
+sort in key order.  ``_extend_parents`` reads parent records and emits
+child records, and ``_level`` hands them out as ``(key, masks,
+generators)`` through a read-only view.  The levels are the in-memory
+catalog: ``level_entries`` and the census read keys and flags from the
+records, or from a ``CatalogStore`` file, and build no ``Lattice``.
 """
 
 import os
@@ -69,11 +73,12 @@ from .lattice import (
     _canonical_labelling,
     _iter_bits,
     _join_failure,
+    _mobius_vector,
     _orbit_firsts,
     _order_structure,
     canonical_key_from_up,
 )
-from .zeta import engine_pass
+from .zeta import _count_pass
 from .zeta import zeta_series  # noqa: F401 -- bench/spans.py traces search.zeta_series
 
 __all__ = [
@@ -104,6 +109,7 @@ _CATALOG_LINE = re.compile(
 # lattice levels
 
 _WORD = array("H").itemsize  # bytes per packed mask
+_FLAGS = 3  # bytes of flag text per record
 
 
 def _pack_masks(up, down):
@@ -126,20 +132,21 @@ def _key_width(n):
     return max((n * (n - 1) // 2 + 7) // 8, 1)
 
 
-def _record(key, masks, generators):
+def _record(key, flags, masks, generators):
     """The level record of a class: the raw bytes of the hex ``key``, the
-    ``_pack_masks`` output ``masks``, then each generator (a sequence of
-    n element ids) as n bytes."""
-    return bytes.fromhex(key) + masks + b"".join(map(bytes, generators))
+    flag text ``flags``, the ``_pack_masks`` output ``masks``, then each
+    generator (a sequence of n element ids) as n bytes."""
+    return bytes.fromhex(key) + flags.encode() + masks + b"".join(map(bytes, generators))
 
 
 def _record_parts(n, record):
-    """The raw key, the packed masks and the list of generators of a
-    record on n elements, each ``bytes``."""
-    start = _key_width(n)
+    """The raw key, the flag text, the packed masks and the list of
+    generators of a record on n elements, each ``bytes``."""
+    flags = _key_width(n)
+    start = flags + _FLAGS
     end = start + 2 * n * _WORD
     generators = [record[i : i + n] for i in range(end, len(record), n)]
-    return record[:start], record[start:end], generators
+    return record[:flags], record[flags:start], record[start:end], generators
 
 
 class _Level(Sequence):
@@ -157,17 +164,17 @@ class _Level(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return _Level(self.n, self.records[index])
-        key, masks, generators = _record_parts(self.n, self.records[index])
+        key, _, masks, generators = _record_parts(self.n, self.records[index])
         return key.hex(), masks, tuple(generators)
 
 
 # n -> the lattices on n elements, with the bottom as element 0: a list of
 # ``_record`` bytes sorted by key, one per class.  Each record holds the
-# class's canonical key, its up- and down-masks packed by ``_pack_masks``
-# and permutations of the n elements that generate its automorphism
-# group.  ``_level`` reads it through ``_Level``.
+# class's canonical key, its catalog flags, its up- and down-masks packed
+# by ``_pack_masks`` and permutations of the n elements that generate its
+# automorphism group.  ``_level`` reads it through ``_Level``.
 _LEVELS = {
-    2: [_record(canonical_key_from_up(2, (3, 2), (1, 3)), _pack_masks((3, 2), (1, 3)), ())]
+    2: [_record(canonical_key_from_up(2, (3, 2), (1, 3)), "asw", _pack_masks((3, 2), (1, 3)), ())]
 }
 
 
@@ -282,6 +289,16 @@ def _child_structure(parent, order, amask, filt):
     return covers_up, covers_down, heights
 
 
+def _class_flags(mu, down, structure):
+    """The flags of a lattice with its bottom as element 0, from mu(x,
+    top), its down-masks and ``_order_structure``: the verdicts of the
+    engine pass over the elements with one lower cover."""
+    covers_up, covers_down, _ = structure
+    irreducibles = sum(1 << x for x, below in enumerate(covers_down) if len(below) == 1)
+    _, _, weak, strong = _count_pass(down, 0, mu, irreducibles)
+    return _flag_text(irreducibles == sum(1 << a for a in covers_up[0]), strong, weak)
+
+
 def _extend_parents(n, parents):
     """The classes on n elements whose canonical parent is among the
     given (n-1)-element lattices, as unsorted level records.
@@ -296,18 +313,20 @@ def _extend_parents(n, parents):
     first keeps the first member of every kept orbit while only the
     survivors are mapped through the generators.  A labelled child is
     kept only if its new atom is in the orbit of its canonical atom
-    ``m*``.  Each child's down-masks, covers and heights are derived
-    from its parent's, which are computed once per parent.  The key and
-    generators are those of the child's labelling.
+    ``m*``.  Each child's down-masks, covers, heights and, once kept,
+    flags are derived from its parent's, which are computed once per
+    parent.  The key and generators are those of the child's labelling.
     """
     out = []
     k = n - 1
     newbit = 1 << k
     full = (1 << n) - 1
     for record in parents:
-        _, masks, generators = _record_parts(k, record)
+        _, _, masks, generators = _record_parts(k, record)
         ups, down = _unpack_masks(masks)
         structure = _order_structure(k, ups, down)
+        # the top is the element whose principal ideal is everything
+        mu = _mobius_vector(ups, full >> 1, down.index(full >> 1))
         # ordering by down-set size is a linear extension
         order = sorted(range(1, k), key=lambda v: down[v].bit_count())
         atoms = structure[0][0]
@@ -321,9 +340,8 @@ def _extend_parents(n, parents):
                 d | newbit if (filt >> i) & 1 else d for i, d in enumerate(down)
             ]
             child_down.append(newbit | 1)
-            key, perm, child_gens = _canonical_labelling(
-                n, child, child_down, _child_structure(structure, order, amask, filt)
-            )
+            child_structure = _child_structure(structure, order, amask, filt)
+            key, perm, child_gens = _canonical_labelling(n, child, child_down, child_structure)
             # the child's atoms with the new atom's up-set size
             size = filt.bit_count() + 1
             ties = {k} | {
@@ -334,7 +352,10 @@ def _extend_parents(n, parents):
                 orbit = _orbit_firsts(range(n), child_gens)
                 if orbit[star] != orbit[k]:
                     continue
-            out.append(_record(key, _pack_masks(child, child_down), child_gens))
+            # mu(x, top) stays above the bottom, whose mu drops by the atom's
+            atom = -sum(mu[y] for y in _iter_bits(filt))
+            flags = _class_flags((mu[0] - atom, *mu[1:], atom), child_down, child_structure)
+            out.append(_record(key, flags, _pack_masks(child, child_down), child_gens))
     return out
 
 
@@ -398,7 +419,7 @@ def enumerate_lattices(n, *, jobs=1):
     """
     _check_enumeration_cap(n)
     for record in _level(n, jobs=jobs).records:
-        key, masks, _ = _record_parts(n, record)
+        key, _, masks, _ = _record_parts(n, record)
         lattice = Lattice._from_up(n, *_unpack_masks(masks))
         lattice._canonical_key = key.hex()
         yield lattice
@@ -414,6 +435,12 @@ def lattice_count(n, *, jobs=1):
 # classification and catalog
 
 
+def _flag_text(atomistic, strong, weak):
+    """Flag text, as records, stores and files hold it: ``a``, ``s``,
+    ``w``, each ``-`` when false."""
+    return ("a" if atomistic else "-") + ("s" if strong else "-") + ("w" if weak else "-")
+
+
 @dataclass(frozen=True, slots=True)
 class LatticeCatalogEntry:
     """One isomorphism class with its classification flags."""
@@ -426,57 +453,35 @@ class LatticeCatalogEntry:
 
     @property
     def flags(self):
-        return (
-            ("a" if self.atomistic else "-")
-            + ("s" if self.strong else "-")
-            + ("w" if self.weak else "-")
-        )
-
-    def to_doc(self):
-        return {
-            "key": self.key,
-            "n": self.n,
-            "atomistic": self.atomistic,
-            "strong": self.strong,
-            "weak": self.weak,
-        }
+        return _flag_text(self.atomistic, self.strong, self.weak)
 
 
-def catalog_entry(lattice):
-    """Flags of one lattice; ``strong``/``weak`` are the verdicts of one
-    engine pass over the join-irreducibles, read without their witnesses
-    and without building the series."""
-    report = engine_pass(lattice, lattice.join_irreducibles())
-    return LatticeCatalogEntry(
-        key=lattice.canonical_form(),
-        n=lattice.n,
-        atomistic=lattice.is_atomistic(),
-        strong=report.strongly_coset_like,
-        weak=report.ordinary,
-    )
+def catalog_entry(key, n, flags):
+    """The entry of the class with hex key ``key`` on n elements, decoded
+    from its flag text ``flags``."""
+    return LatticeCatalogEntry(key, n, flags[0] == "a", flags[1] == "s", flags[2] == "w")
 
 
 class CatalogStore:
-    """Catalog persistence: lines ``<canonical-hex> <n> <flags>`` with a
-    ``# complete <n>`` marker once a level is fully enumerated.
+    """Catalog file at ``path``: lines ``<canonical-hex> <n> <flags>``
+    with a ``# complete <n>`` marker once a level is fully enumerated.
 
     Levels without a marker are discarded on load, so an interrupted
     run resumes by redoing only its last level and the regenerated file
     is byte-identical to an uninterrupted one (entries are kept sorted,
     writes go through a temp file).  A line that is neither an entry, a
-    marker nor a ``#`` comment raises ``CatalogCorrupt``.  With
-    ``path=None`` the levels are kept in memory only.  Each level maps
-    key to flags, and every entry with the same flags shares one
+    marker nor a ``#`` comment raises ``CatalogCorrupt``.  Each level
+    maps key to flags, and every entry with the same flags shares one
     interned string, so a level holds at most 8 flag objects.
     """
 
-    def __init__(self, path=None):
-        self.path = None if path is None else str(path)
+    def __init__(self, path):
+        self.path = str(path)
         self._levels = {}
         self._load()
 
     def _load(self):
-        if self.path is None or not os.path.exists(self.path):
+        if not os.path.exists(self.path):
             return
         pending = {}
         # a non-ASCII byte decodes to U+FFFD, which no entry or marker matches
@@ -501,26 +506,16 @@ class CatalogStore:
     def complete_levels(self):
         return sorted(self._levels)
 
-    def entries(self, n):
+    def flags(self, n):
+        """``(key, flags)`` of a complete level n, in key order."""
         level = self._levels.get(n, {})
-        out = []
-        for key in sorted(level):
-            flags = level[key]
-            out.append(
-                LatticeCatalogEntry(
-                    key=key,
-                    n=n,
-                    atomistic=flags[0] == "a",
-                    strong=flags[1] == "s",
-                    weak=flags[2] == "w",
-                )
-            )
-        return out
+        return ((key, level[key]) for key in sorted(level))
 
-    def write_level(self, n, entries):
-        self._levels[n] = {e.key: sys.intern(e.flags) for e in entries}
-        if self.path is None:
-            return
+    def entries(self, n):
+        return [catalog_entry(key, n, flags) for key, flags in self.flags(n)]
+
+    def write_level(self, n, pairs):
+        self._levels[n] = {key: sys.intern(flags) for key, flags in pairs}
         # A fresh temp file beside the catalog: O_EXCL never clobbers an
         # existing file or another writer's temp file, and mode 0666 less
         # the umask gives the catalog the permissions open() would.
@@ -540,48 +535,52 @@ class CatalogStore:
             raise
 
 
+def _level_flags(n, store, jobs):
+    """``(key, flags)`` of every class on n elements, in key order: from
+    ``store`` when that level is complete there, else from the records,
+    then written to ``store``; the level is built before this returns."""
+    if store is None or not store.is_complete(n):
+        start = _key_width(n)
+        records = _level(n, jobs=jobs).records
+        pairs = ((r[:start].hex(), r[start : start + _FLAGS].decode()) for r in records)
+        if store is None:
+            return pairs
+        store.write_level(n, pairs)
+    return store.flags(n)
+
+
 def level_entries(n, *, store=None, jobs=1):
-    """Catalog entries for every isomorphism class on n elements, sorted
-    by canonical key; served from ``store`` when that level is already
-    complete, recomputed (and persisted) otherwise."""
-    if store is not None and store.is_complete(n):
-        return store.entries(n)
-    entries = [
-        catalog_entry(lattice)
-        for lattice in enumerate_lattices(n, jobs=jobs)
-    ]
-    entries.sort(key=lambda e: e.key)
-    if store is not None:
-        store.write_level(n, entries)
-    return entries
+    """Catalog entries for every isomorphism class on n elements, in key
+    order, each made as it is read (see ``_level_flags``)."""
+    return (catalog_entry(key, n, flags) for key, flags in _level_flags(n, store, jobs))
 
 
 def classify_catalog(n, *, store=None, jobs=1):
     """Classification summary for all lattices on n elements."""
-    entries = level_entries(n, store=store, jobs=jobs)
-    return {
-        "n": n,
-        "total": len(entries),
-        "strong": sum(e.strong for e in entries),
-        "weak": sum(e.weak for e in entries),
-        "atomistic": sum(e.atomistic for e in entries),
-        "weak_not_strong": sum(e.weak and not e.strong for e in entries),
-    }
+    total = strong = weak = atomistic = weak_not_strong = 0
+    for e in level_entries(n, store=store, jobs=jobs):
+        total += 1
+        strong += e.strong
+        weak += e.weak
+        atomistic += e.atomistic
+        weak_not_strong += e.weak and not e.strong
+    return dict(n=n, total=total, strong=strong, weak=weak, atomistic=atomistic,
+                weak_not_strong=weak_not_strong)
 
 
 def find_weak_not_strong(max_n, *, store=None, jobs=1, atomistic_only=False):
     """Weakly-but-not-strongly coset-like classes, grouped by size.
 
     Returns {n: [entries]} for 2 <= n <= max_n <= ``DEFAULT_MAX_N``; with
-    ``atomistic_only`` the lists keep only atomistic classes (expected
-    empty through the sizes this artifact can sweep).
+    ``atomistic_only`` the lists keep only atomistic classes, the first
+    of which is on 12 elements (``d22104080f07c3ffc0``).
     """
     _check_enumeration_cap(max_n)
     found = {}
     for n in range(2, max_n + 1):
         found[n] = [
-            e
-            for e in level_entries(n, store=store, jobs=jobs)
-            if e.weak and not e.strong and (e.atomistic or not atomistic_only)
+            catalog_entry(key, n, flags)
+            for key, flags in _level_flags(n, store, jobs)
+            if flags[1:] == "-w" and (flags[0] == "a" or not atomistic_only)
         ]
     return found

@@ -12,8 +12,9 @@ and independently from J have join equal to the top.
 One engine pass (``engine_pass``) counts |G_x| for a generating set G
 and sums mu(x, top) per count: G = J gives ``zeta_series`` and the atoms
 give Brown's ``zeta_series_atom_based``.  The same table decides both
-verdicts, so ``cosetlike.classify`` and ``search.catalog_entry`` read
-them without building the series.
+verdicts, so ``cosetlike.classify`` reads them without building the
+series, and the census enumerator runs its count loop, ``_count_pass``,
+on each class's masks for the flags it stores in the level record.
 
 ``brute_force_probability`` is the executable form of the probability
 above and never reads the Moebius function: its ``direct`` path counts
@@ -81,31 +82,31 @@ class ZetaReport:
         }
 
 
-def engine_pass(lattice, generators):
-    """The report of ``lattice`` for the generating set ``generators``
-    (element ids): one pass over the elements above the bottom."""
-    size = len(generators)
-    gen_mask = sum(1 << g for g in generators)
-    mu = lattice.mobius_to_top()
-    down = lattice.down
-    bottom = lattice.bottom
-    counts = [0] * lattice.n
+def _count_pass(down, bottom, mu, gen_mask):
+    """``(counts, sums, ordinary, strongly_coset_like)`` of ``ZetaReport``
+    for the order with down-masks ``down``, bottom ``bottom`` and mu(x,
+    top) ``mu``, and the generating set with bitmask ``gen_mask``."""
+    size = gen_mask.bit_count()
+    counts = [0] * len(down)
     sums = {}
-    for x in range(lattice.n):
+    for x, below in enumerate(down):
         if x == bottom:
             continue
-        c = (down[x] & gen_mask).bit_count()
+        c = (below & gen_mask).bit_count()
         counts[x] = c
         sums[c] = sums.get(c, 0) + mu[x]
-    return ZetaReport(
-        lattice=lattice,
-        j_count=size,
-        j_below=tuple(counts),
-        mobius_top=mu,
-        sums=sums,
-        ordinary=all(size % c == 0 for c, total in sums.items() if total),
-        strongly_coset_like=all(size % c == 0 for c in sums),
-    )
+    ordinary = all(size % c == 0 for c, total in sums.items() if total)
+    return counts, sums, ordinary, all(size % c == 0 for c in sums)
+
+
+def engine_pass(lattice, generators):
+    """The report of ``lattice`` for the generating set ``generators``
+    (distinct element ids): one pass over the elements above the
+    bottom."""
+    mu = lattice.mobius_to_top()
+    gen_mask = sum(1 << g for g in generators)
+    counts, *verdicts = _count_pass(lattice.down, lattice.bottom, mu, gen_mask)
+    return ZetaReport(lattice, len(generators), tuple(counts), mu, *verdicts)
 
 
 def zeta_series(lattice):

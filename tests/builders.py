@@ -13,7 +13,10 @@ from a tally of its parts.  The classification is read off the built
 series and per-element counts rather than off the engine's count table.
 Distributivity is Birkhoff's count of the order ideals of J, and the
 Boolean, chain and divisor series keep the three closed forms that one
-formula over (|J|, #maximal) replaced.
+formula over (|J|, #maximal) replaced.  The census flags, which the
+enumerator derives from each parent's mu and covers, are checked against
+``catalog_entry_of`` the built and validated ``Lattice``: its own
+Moebius vector, join-irreducibles and atoms through the engine pass.
 """
 
 import math
@@ -24,7 +27,8 @@ from latzeta.cosetlike import Classification
 from latzeta.dirichlet import DirichletSeries
 from latzeta.families import factorize
 from latzeta.lattice import Lattice, _transpose_masks, canonical_key_from_up
-from latzeta.zeta import zeta_series
+from latzeta.search import LatticeCatalogEntry
+from latzeta.zeta import engine_pass, zeta_series
 
 
 def adjoin_atoms(lattice, k):
@@ -281,6 +285,19 @@ def shape_series_per_shape(rows, j_total):
         (Fraction(j_total, jp),
          (-1) ** (len(b) - 1) * math.factorial(len(b) - 1) * members(b))
         for b, jp in rows
+    )
+
+
+def catalog_entry_of(lattice):
+    """The catalog entry of a built lattice: ``strong`` and ``weak`` are
+    the verdicts of one engine pass over its join-irreducibles."""
+    report = engine_pass(lattice, lattice.join_irreducibles())
+    return LatticeCatalogEntry(
+        key=lattice.canonical_form(),
+        n=lattice.n,
+        atomistic=lattice.is_atomistic(),
+        strong=report.strongly_coset_like,
+        weak=report.ordinary,
     )
 
 

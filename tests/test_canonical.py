@@ -387,7 +387,7 @@ def test_labelling_with_the_enumerators_child_down(data):
 
     search._canonical_labelling = recording
     try:
-        parent = search._record(key, _pack_masks(moved, moved_down), generators)
+        parent = search._record(key, "---", _pack_masks(moved, moved_down), generators)
         search._extend_parents(k + 1, [parent])
     finally:
         search._canonical_labelling = _canonical_labelling

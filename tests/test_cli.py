@@ -337,6 +337,17 @@ def test_search_catalog_resume(capsys, tmp_path):
     assert code == 0 and out1 == out2
 
 
+def test_search_prints_the_same_with_and_without_a_catalog(capsys, tmp_path):
+    # without --catalog the summaries read the level records; with it,
+    # the first run writes the file and the second reads it back
+    argv = ["search", "--max-n", "9", "--format", "json"]
+    plain = invoke(capsys, *argv)
+    path = str(tmp_path / "cat.txt")
+    written = invoke(capsys, *argv, "--catalog", path)
+    reread = invoke(capsys, *argv, "--catalog", path)
+    assert plain[0] == 0 and plain == written == reread
+
+
 # flags "strong but not weak" (as-, -s-) are malformed: strong implies weak
 @pytest.mark.parametrize("bad", ["badline", "abcd 3", "# complete x", "80 2 as-"])
 def test_search_malformed_catalog_exit_code(capsys, tmp_path, bad):

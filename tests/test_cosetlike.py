@@ -47,10 +47,10 @@ from latzeta.families import (
 )
 from latzeta.groups import coset_lattice, cyclic, symmetric
 from latzeta.lattice import Lattice
-from latzeta.search import catalog_entry, enumerate_lattices
+from latzeta.search import enumerate_lattices
 from latzeta.zeta import zeta_series
 
-from builders import classify_from_series
+from builders import catalog_entry_of, classify_from_series
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +128,7 @@ def test_verdicts_build_no_series(monkeypatch):
     monkeypatch.setattr(zeta, "DirichletSeries", refuse)
     monkeypatch.setattr(cosetlike, "zeta_series", refuse)
     assert [classify(lat).weak for lat in lats] == [True, False, True]
-    assert [catalog_entry(lat).flags for lat in lats] == ["--w", "---", "asw"]
+    assert [catalog_entry_of(lat).flags for lat in lats] == ["--w", "---", "asw"]
 
 
 def test_classify_doc():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latzeta import search
+from latzeta import cosetlike, search, zeta
 from latzeta.cosetlike import classify
 from latzeta.errors import BudgetExceeded, CatalogCorrupt
 from latzeta.lattice import (
@@ -44,7 +44,7 @@ from latzeta.search import (
 )
 from latzeta.zeta import zeta_series
 
-from builders import brute_force_lattice_count
+from builders import brute_force_lattice_count, catalog_entry_of
 
 # isomorphism classes of lattices on n elements, n = 2..10
 KNOWN_COUNTS = [1, 1, 2, 5, 15, 53, 222, 1078, 5994]
@@ -152,34 +152,54 @@ def test_find_weak_not_strong_rejects_below_two(monkeypatch, max_n):
 def test_catalog_entry_fields():
     from latzeta.families import boolean_lattice
 
-    entry = catalog_entry(boolean_lattice(2))
+    entry = catalog_entry_of(boolean_lattice(2))
     assert entry.n == 4
     assert entry.atomistic and entry.strong and entry.weak
     assert entry.flags == "asw"
-    doc = entry.to_doc()
-    assert doc["n"] == 4 and doc["strong"] and doc["key"] == entry.key
+    assert catalog_entry(entry.key, 4, "asw") == entry
+    # strong implies weak, so these are every flag text there is
+    for flags in ("asw", "a-w", "a--", "-sw", "--w", "---"):
+        assert catalog_entry(entry.key, 4, flags).flags == flags
 
 
 def test_catalog_flags_match_classify(lattices_by_size):
-    # catalog_entry reads strong/weak off the zeta report; classify
-    # decides them from the divisor ratios and the series terms.
-    for lattices in lattices_by_size.values():
-        for lattice in lattices:
-            entry = catalog_entry(lattice)
+    # the enumerator derives the flags from each parent's mu and covers;
+    # classify decides them from the divisor ratios and the series terms
+    # of the built lattice
+    for n, lattices in lattices_by_size.items():
+        for entry, lattice in zip(level_entries(n), lattices, strict=True):
             verdict = classify(lattice)
+            assert entry.key == lattice.canonical_form()
             assert (entry.strong, entry.weak) == (verdict.strong, verdict.weak)
 
 
+def record_flags_match_the_built_lattices(n):
+    # the flags each record carries are those of the lattice built from
+    # its masks, with its own mu, join-irreducibles and atoms
+    for entry, lattice in zip(level_entries(n), enumerate_lattices(n), strict=True):
+        assert entry == catalog_entry_of(lattice), entry.key
+
+
+def test_record_flags_match_the_built_lattices():
+    for n in range(2, 11):
+        record_flags_match_the_built_lattices(n)
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("n", [11, 12])
+def test_record_flags_match_the_built_lattices_long(n):
+    record_flags_match_the_built_lattices(n)
+
+
 def test_flags_from_counts_match_the_series():
-    # catalog_entry and zeta_series decide both flags from the integer
-    # counts and sums; the series and the counts are the oracles.  On
-    # 10 elements the 29 weak-not-strong classes are ordinary only
-    # because a non-dividing count has a zero sum.
+    # The record flags and zeta_series decide both flags from the
+    # integer counts and sums; the series and the counts are the
+    # oracles.  On 10 elements the 29 weak-not-strong classes are
+    # ordinary only because a non-dividing count has a zero sum.
     zero_sum_decided = 0
     for n in range(2, 11):
-        for lattice in enumerate_lattices(n):
+        for entry, lattice in zip(level_entries(n), enumerate_lattices(n), strict=True):
             report = zeta_series(lattice)
-            entry = catalog_entry(lattice)
             ordinary = report.series.is_ordinary()
             counts = [c for x, c in enumerate(report.j_below) if x != lattice.bottom]
             strong = all(report.j_count % c == 0 for c in counts)
@@ -211,7 +231,7 @@ def test_catalog_summaries_are_pinned(n, total, strong, weak, atomistic, weak_no
 
 
 def test_level_entries_and_summary():
-    entries = level_entries(5)
+    entries = list(level_entries(5))
     assert len(entries) == 5
     summary = classify_catalog(5)
     assert summary == {
@@ -240,7 +260,7 @@ def test_catalog_store_roundtrip(tmp_path):
     path = tmp_path / "catalog.txt"
     store = CatalogStore(path)
     assert not store.is_complete(4)
-    computed = level_entries(4, store=store)
+    computed = list(level_entries(4, store=store))
     assert store.is_complete(4)
 
     fresh = CatalogStore(path)
@@ -325,6 +345,23 @@ def test_catalog_write_failure_removes_its_temp_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
 
 
+def test_catalog_path_builds_no_lattice(monkeypatch):
+    # the flags come from the records: no lattice is built and no engine
+    # pass is run, on levels that are really rebuilt
+    def refuse(*args, **kwargs):
+        raise AssertionError("the catalog path built a lattice or ran an engine pass")
+
+    monkeypatch.setattr(Lattice, "_from_up", classmethod(refuse))
+    monkeypatch.setattr(Lattice, "mobius_vector", refuse)
+    monkeypatch.setattr(zeta, "engine_pass", refuse)
+    monkeypatch.setattr(cosetlike, "engine_pass", refuse)
+    monkeypatch.setattr(search, "_LEVELS", {2: search._LEVELS[2]})
+    assert classify_catalog(8) == {
+        "n": 8, "total": 222, "strong": 33, "weak": 33, "atomistic": 9, "weak_not_strong": 0
+    }
+    assert find_weak_not_strong(8) == {n: [] for n in range(2, 9)}
+
+
 def test_weak_not_strong_empty_through_eight():
     found = find_weak_not_strong(8)
     assert set(found) == set(range(2, 9))
@@ -349,12 +386,11 @@ def test_eleven_element_count():
 
 @pytest.mark.long
 def test_twelve_element_census():
-    store = CatalogStore()
-    summary = classify_catalog(12, store=store)
+    summary = classify_catalog(12)
     assert summary["total"] == 262776  # OEIS A006966
     assert summary["weak_not_strong"] == 3496
     assert summary["atomistic"] == 614
-    found = find_weak_not_strong(12, store=store, atomistic_only=True)
+    found = find_weak_not_strong(12, atomistic_only=True)
     assert [e.key for e in found[12]] == [ATOMISTIC_WEAK_NOT_STRONG_12]
     assert all(found[n] == [] for n in range(2, 12))
     lattice = next(
@@ -433,8 +469,9 @@ def relabel_masks(ups, perm):
 
 def children(k, key, masks, generators):
     """What ``_extend_parents`` makes of one parent on k elements, read
-    as ``(key, masks, generators)`` triples."""
-    parent = search._record(key, masks, generators)
+    as ``(key, masks, generators)`` triples; the parent's flags are not
+    read."""
+    parent = search._record(key, "---", masks, generators)
     return search._Level(k + 1, search._extend_parents(k + 1, [parent]))
 
 
@@ -456,6 +493,43 @@ def test_kept_children_do_not_depend_on_the_parent_labelling(data):
     again = children(k, parent_key, moved_masks, moved_generators)
     assert {key for key, _, _ in again} == kept
     assert len(again) == len(kept)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kept_children_flags_match_the_built_lattice(data):
+    # Each kept child's mu(x, top) is derived from its parent's, and its
+    # flags from that mu and the child's derived covers; both must be
+    # what the child, built and validated as a Lattice, gives.  The
+    # relabelling keeps the bottom at element 0.
+    k = data.draw(st.integers(2, 8))
+    parent_key, masks, _ = data.draw(st.sampled_from(search._level(k)))
+    perm = [0] + data.draw(st.permutations(range(1, k)))
+    moved = relabel_masks(search._unpack_masks(masks)[0], perm)
+    moved_down = _transpose_masks(k, moved)
+    generators = _canonical_labelling(k, moved, moved_down)[2]
+    calls = []
+    real = search._class_flags
+
+    def recording(mu, down, structure):
+        flags = real(mu, down, structure)
+        calls.append((mu, down, flags))
+        return flags
+
+    search._class_flags = recording
+    try:
+        kept = children(k, parent_key, search._pack_masks(moved, moved_down), generators)
+    finally:
+        search._class_flags = real
+    assert len(calls) == len(kept)
+    for mu, down, flags in calls:
+        lattice = Lattice._from_up(k + 1, _transpose_masks(k + 1, down), down)
+        assert mu == lattice.mobius_to_top()
+        assert flags == catalog_entry_of(lattice).flags
+    for record in kept.records:
+        key, flags, masks, _ = search._record_parts(k + 1, record)
+        lattice = Lattice._from_up(k + 1, *search._unpack_masks(masks))
+        assert catalog_entry(key.hex(), k + 1, flags.decode()) == catalog_entry_of(lattice)
 
 
 def admissible_by_hand(ups, atoms, amask):
@@ -656,7 +730,8 @@ def test_level_view_reads_its_records():
     assert len(level) == 15
     assert list(level[3:5]) == [level[3], level[4]]
     for record, (key, masks, generators) in zip(level.records, level):
-        assert search._record(key, masks, generators) == record
+        flags = search._record_parts(6, record)[1].decode()
+        assert search._record(key, flags, masks, generators) == record
         assert len(key) == 2 * search._key_width(6)
         assert all(sorted(g) == list(range(6)) for g in generators)
 
