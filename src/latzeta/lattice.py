@@ -359,7 +359,8 @@ class Lattice:
     # Moebius function
 
     def mobius_vector(self, target):
-        """``_mobius_vector`` to ``target``, memoised."""
+        """Tuple ``v`` with ``v[x] = mu(x, target)`` for ``x <= target`` and
+        ``None`` elsewhere (``_mobius_vector``), memoised per target."""
         if target not in self._mobius_cache:
             self._mobius_cache[target] = _mobius_vector(self.up, self.down[target], target)
         return self._mobius_cache[target]

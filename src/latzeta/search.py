@@ -540,9 +540,8 @@ def _level_flags(n, store, jobs):
     ``store`` when that level is complete there, else from the records,
     then written to ``store``; the level is built before this returns."""
     if store is None or not store.is_complete(n):
-        start = _key_width(n)
-        records = _level(n, jobs=jobs).records
-        pairs = ((r[:start].hex(), r[start : start + _FLAGS].decode()) for r in records)
+        parts = (_record_parts(n, record) for record in _level(n, jobs=jobs).records)
+        pairs = ((key.hex(), flags.decode()) for key, flags, _, _ in parts)
         if store is None:
             return pairs
         store.write_level(n, pairs)

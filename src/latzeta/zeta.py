@@ -105,8 +105,8 @@ def engine_pass(lattice, generators):
     bottom."""
     mu = lattice.mobius_to_top()
     gen_mask = sum(1 << g for g in generators)
-    counts, *verdicts = _count_pass(lattice.down, lattice.bottom, mu, gen_mask)
-    return ZetaReport(lattice, len(generators), tuple(counts), mu, *verdicts)
+    counts, sums, ordinary, strong = _count_pass(lattice.down, lattice.bottom, mu, gen_mask)
+    return ZetaReport(lattice, len(generators), tuple(counts), mu, sums, ordinary, strong)
 
 
 def zeta_series(lattice):
