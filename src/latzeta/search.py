@@ -142,11 +142,11 @@ def _record(key, flags, masks, generators):
 def _record_parts(n, record):
     """The raw key, the flag text, the packed masks and the list of
     generators of a record on n elements, each ``bytes``."""
-    flags = _key_width(n)
-    start = flags + _FLAGS
+    width = _key_width(n)
+    start = width + _FLAGS
     end = start + 2 * n * _WORD
     generators = [record[i : i + n] for i in range(end, len(record), n)]
-    return record[:flags], record[flags:start], record[start:end], generators
+    return record[:width], record[width:start], record[start:end], generators
 
 
 class _Level(Sequence):
