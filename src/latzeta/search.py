@@ -458,7 +458,9 @@ class LatticeCatalogEntry:
 
 def catalog_entry(key, n, flags):
     """The entry of the class with hex key ``key`` on n elements, decoded
-    from its flag text ``flags``."""
+    from its flag text ``flags``: the one place flag text becomes an
+    entry.  The tests' reference for a built ``Lattice`` is
+    ``builders.catalog_entry_of``."""
     return LatticeCatalogEntry(key, n, flags[0] == "a", flags[1] == "s", flags[2] == "w")
 
 
@@ -538,8 +540,10 @@ class CatalogStore:
 def _level_flags(n, store, jobs):
     """``(key, flags)`` of every class on n elements, in key order: from
     ``store`` when that level is complete there, else from the records,
-    then written to ``store``; the level is built before this returns."""
+    then written to ``store``; the level is built before this returns.
+    A level that must be built is checked against ``DEFAULT_MAX_N``."""
     if store is None or not store.is_complete(n):
+        _check_enumeration_cap(n)
         parts = (_record_parts(n, record) for record in _level(n, jobs=jobs).records)
         pairs = ((key.hex(), flags.decode()) for key, flags, _, _ in parts)
         if store is None:
@@ -555,7 +559,12 @@ def level_entries(n, *, store=None, jobs=1):
 
 
 def classify_catalog(n, *, store=None, jobs=1):
-    """Classification summary for all lattices on n elements."""
+    """Classification summary for all lattices on n elements.
+
+    It sums decoded entries rather than counting flag strings only
+    because the ``census`` benchmark (``bench/workloads.py``) times each
+    ``catalog_entry`` call as one operation and cannot run without any.
+    """
     total = strong = weak = atomistic = weak_not_strong = 0
     for e in level_entries(n, store=store, jobs=jobs):
         total += 1

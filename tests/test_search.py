@@ -173,22 +173,14 @@ def test_catalog_flags_match_classify(lattices_by_size):
             assert (entry.strong, entry.weak) == (verdict.strong, verdict.weak)
 
 
-def record_flags_match_the_built_lattices(n):
-    # the flags each record carries are those of the lattice built from
-    # its masks, with its own mu, join-irreducibles and atoms
-    for entry, lattice in zip(level_entries(n), enumerate_lattices(n), strict=True):
-        assert entry == catalog_entry_of(lattice), entry.key
-
-
-def test_record_flags_match_the_built_lattices():
-    for n in range(2, 11):
-        record_flags_match_the_built_lattices(n)
-
-
 @pytest.mark.long
 @pytest.mark.parametrize("n", [11, 12])
 def test_record_flags_match_the_built_lattices_long(n):
-    record_flags_match_the_built_lattices(n)
+    # the flags each record carries are those of the lattice built from
+    # its masks, with its own mu, join-irreducibles and atoms; n <= 10
+    # is checked in test_flags_from_counts_match_the_series
+    for entry, lattice in zip(level_entries(n), enumerate_lattices(n), strict=True):
+        assert entry == catalog_entry_of(lattice), entry.key
 
 
 def test_flags_from_counts_match_the_series():
@@ -199,6 +191,7 @@ def test_flags_from_counts_match_the_series():
     zero_sum_decided = 0
     for n in range(2, 11):
         for entry, lattice in zip(level_entries(n), enumerate_lattices(n), strict=True):
+            assert entry == catalog_entry_of(lattice), entry.key
             report = zeta_series(lattice)
             ordinary = report.series.is_ordinary()
             counts = [c for x, c in enumerate(report.j_below) if x != lattice.bottom]
@@ -375,6 +368,23 @@ def test_weak_not_strong_budget(monkeypatch):
     monkeypatch.setattr(search, "_level", refuse)
     with pytest.raises(BudgetExceeded):
         find_weak_not_strong(DEFAULT_MAX_N + 1)
+
+
+def test_catalog_budget(monkeypatch, tmp_path):
+    # a level past the cap is refused before it is built, unless a
+    # complete store level serves it
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was enumerated")
+
+    monkeypatch.setattr(search, "_level", refuse)
+    for read in (classify_catalog, level_entries):
+        with pytest.raises(BudgetExceeded):
+            read(DEFAULT_MAX_N + 1)
+        with pytest.raises(ValueError):
+            read(1)
+    store = CatalogStore(tmp_path / "catalog.txt")
+    store.write_level(DEFAULT_MAX_N + 1, [("ab", "---")])
+    assert classify_catalog(DEFAULT_MAX_N + 1, store=store)["total"] == 1
 
 
 @pytest.mark.long
