@@ -364,8 +364,8 @@ def _extend_chunk(args):
 
 
 def _level(n, *, jobs=1):
-    """Lattices on n elements as a ``_Level``: a sequence of
-    ``(key, masks, generators)`` sorted by key.
+    """Lattices on n elements, 2 <= n <= ``DEFAULT_MAX_N``, as a
+    ``_Level``: a sequence of ``(key, masks, generators)`` sorted by key.
 
     ``jobs`` worker processes build the missing levels; it must be at
     least 1 and is lowered to the CPU count.  Each class comes from one
@@ -373,6 +373,7 @@ def _level(n, *, jobs=1):
     met twice means the augmentation is broken and raises
     ``RuntimeError``.
     """
+    _check_enumeration_cap(n)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
@@ -417,7 +418,6 @@ def enumerate_lattices(n, *, jobs=1):
     straight from the level's record, and its down-masks are not
     transposed again.
     """
-    _check_enumeration_cap(n)
     for record in _level(n, jobs=jobs).records:
         key, _, masks, _ = _record_parts(n, record)
         lattice = Lattice._from_up(n, *_unpack_masks(masks))
@@ -427,7 +427,6 @@ def enumerate_lattices(n, *, jobs=1):
 
 def lattice_count(n, *, jobs=1):
     """Number of isomorphism classes of lattices on n elements."""
-    _check_enumeration_cap(n)
     return len(_level(n, jobs=jobs))
 
 
@@ -458,9 +457,7 @@ class LatticeCatalogEntry:
 
 def catalog_entry(key, n, flags):
     """The entry of the class with hex key ``key`` on n elements, decoded
-    from its flag text ``flags``: the one place flag text becomes an
-    entry.  The tests' reference for a built ``Lattice`` is
-    ``builders.catalog_entry_of``."""
+    from its flag text ``flags``."""
     return LatticeCatalogEntry(key, n, flags[0] == "a", flags[1] == "s", flags[2] == "w")
 
 
@@ -540,10 +537,8 @@ class CatalogStore:
 def _level_flags(n, store, jobs):
     """``(key, flags)`` of every class on n elements, in key order: from
     ``store`` when that level is complete there, else from the records,
-    then written to ``store``; the level is built before this returns.
-    A level that must be built is checked against ``DEFAULT_MAX_N``."""
+    then written to ``store``; the level is built before this returns."""
     if store is None or not store.is_complete(n):
-        _check_enumeration_cap(n)
         parts = (_record_parts(n, record) for record in _level(n, jobs=jobs).records)
         pairs = ((key.hex(), flags.decode()) for key, flags, _, _ in parts)
         if store is None:
@@ -559,12 +554,9 @@ def level_entries(n, *, store=None, jobs=1):
 
 
 def classify_catalog(n, *, store=None, jobs=1):
-    """Classification summary for all lattices on n elements.
-
-    It sums decoded entries rather than counting flag strings only
-    because the ``census`` benchmark (``bench/workloads.py``) times each
-    ``catalog_entry`` call as one operation and cannot run without any.
-    """
+    """Classification summary for all lattices on n elements.  It sums
+    decoded entries, not flag strings, only because the ``census``
+    benchmark times each ``catalog_entry`` call as one operation."""
     total = strong = weak = atomistic = weak_not_strong = 0
     for e in level_entries(n, store=store, jobs=jobs):
         total += 1

@@ -371,12 +371,13 @@ def test_weak_not_strong_budget(monkeypatch):
 
 
 def test_catalog_budget(monkeypatch, tmp_path):
-    # a level past the cap is refused before it is built, unless a
-    # complete store level serves it
+    # a level past the cap is refused before any level is built, unless
+    # a complete store level serves it
     def refuse(*args, **kwargs):
         raise AssertionError("a level was enumerated")
 
-    monkeypatch.setattr(search, "_level", refuse)
+    monkeypatch.setattr(search, "_LEVELS", dict(search._LEVELS))
+    monkeypatch.setattr(search, "_extend_parents", refuse)
     for read in (classify_catalog, level_entries):
         with pytest.raises(BudgetExceeded):
             read(DEFAULT_MAX_N + 1)
