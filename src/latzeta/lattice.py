@@ -40,8 +40,6 @@ constructed lattice to several threads is safe.
 
 from __future__ import annotations
 
-from itertools import groupby
-
 from .errors import (
     BottomHasNoIrreducibles,
     CyclicCovers,
@@ -407,22 +405,22 @@ class Lattice:
 
 
 def _split(cells, key):
-    """Each cell stably sorted by ``key`` and cut into runs of equal key,
-    which stay in the cell's slot.  ``key`` is called once per member of
-    each cell with more than one member; a cell whose members all have
-    one key passes through unsorted, as does a one-member cell."""
+    """Each cell cut into runs of equal ``key``, in key order, in the
+    cell's slot; runs keep their members' order.  ``key`` is called once
+    per member of each cell with more than one member; a cell with one
+    member or with one key passes through as it is."""
     out = []
     for members in cells:
         if len(members) == 1:
             out.append(members)
             continue
-        keys = list(map(key, members))
-        if keys.count(keys[0]) == len(keys):
+        runs = {}
+        for x in members:
+            runs.setdefault(key(x), []).append(x)
+        if len(runs) == 1:
             out.append(members)
-            continue
-        at = keys.__getitem__
-        order = sorted(range(len(members)), key=at)
-        out += [[members[i] for i in run] for _, run in groupby(order, at)]
+        else:
+            out += [runs[k] for k in sorted(runs)]
     return out
 
 
@@ -453,21 +451,21 @@ def _refine_partition(n, cells, covers_up, covers_down):
     Each round recolours each member of a cell with more than one member
     by (the multiset of cells of its upper covers, the multiset of cells
     of its lower covers) and splits cells accordingly; a round that
-    splits no cell is stable, and so is a discrete partition.  One-member
-    cells cannot split, so their members get no key, and a member's own
-    cell is left out of its key, since ``_split`` only compares members
-    of one cell.  Each member's key is built once per round.  Splitting
-    keeps sub-cells in key order inside the parent cell's slot, so the
-    dominant component of the seed ordering (rank) keeps dominating the
-    global cell order.
+    splits no cell is stable, and so is a discrete partition.  The key is
+    one flat tuple, the sorted upper cells, ``-1``, the sorted lower
+    cells; ``-1`` sorts below every cell, so it orders as the pair would.
+    One-member cells cannot split, so their members get no key, and a
+    member's own cell is left out of its key, since ``_split`` only
+    compares members of one cell.  Each member's key is built once per
+    round.  Splitting keeps sub-cells in key order inside the parent
+    cell's slot, so the dominant component of the seed ordering (rank)
+    keeps dominating the global cell order.
     """
     cell_of = [0] * n
+    cell = cell_of.__getitem__
 
     def key(x):
-        return (
-            sorted([cell_of[y] for y in covers_up[x]]),
-            sorted([cell_of[y] for y in covers_down[x]]),
-        )
+        return (*sorted(map(cell, covers_up[x])), -1, *sorted(map(cell, covers_down[x])))
 
     while len(cells) < n:
         for idx, members in enumerate(cells):
@@ -483,12 +481,14 @@ def _refine_partition(n, cells, covers_up, covers_down):
 def _root_partition(n, up, down, structure=None):
     """The refined seed colouring (rank, upper-cover degree, lower-cover
     degree) at the root of the canonical search, with the cover lists.
-    ``structure`` is ``_order_structure(n, up, down)`` when the caller
-    already has it, else None."""
+    The colour is one int that orders as the triple does, since degrees
+    are below ``n + 1``.  ``structure`` is ``_order_structure(n, up,
+    down)`` when the caller already has it, else None."""
     if structure is None:
         structure = _order_structure(n, up, down)
     covers_up, covers_down, heights = structure
-    init = [(heights[x], len(covers_up[x]), len(covers_down[x])) for x in range(n)]
+    b = n + 1
+    init = [(heights[x] * b + len(covers_up[x])) * b + len(covers_down[x]) for x in range(n)]
     seed = _split([list(range(n))], init.__getitem__)
     return _refine_partition(n, seed, covers_up, covers_down), covers_up, covers_down
 
@@ -553,13 +553,13 @@ def _canonical_labelling(n, up, down, structure=None):
     ``i < j``) and hex-encoded.  ``best_perm`` is the ordering of the
     first leaf reached with that triangle.
 
-    When the refined root is already discrete, it is the only leaf and
-    is returned with no search and an empty generator list.  The
-    automorphism group is then trivial: every automorphism fixes the
-    root partition cell by cell, so it fixes every element.  In
-    particular there are no twins, since refinement never separates
-    two twins.  In the census this is the case for about 42% of the
-    labelled children.
+    When every cell of the refined root is one twin class (a discrete
+    root is the case where every cell has one member), the root's cells
+    in order are the only leaf and the search is skipped: refinement
+    never separates twins, so individualising a member splits nothing
+    else, and twin pruning (below) searches one branch per cell.  The
+    twin transpositions generate the group.  Through n = 10 this serves
+    7,222 of 7,944 census labellings (3,344 discrete, 3,878 twin-class).
 
     Branches are pruned by automorphisms (McKay & Piperno, *Practical
     graph isomorphism II*, 2014), which never changes the minimum:
@@ -609,10 +609,16 @@ def _canonical_labelling(n, up, down, structure=None):
     one height give a single leaf and no recorded automorphism.
     """
     base, covers_up, covers_down = _root_partition(n, up, down, structure)
-    if len(base) == n:
-        # the root is the only leaf, and there are no twins to swap
-        perm = [members[0] for members in base]
-        return _columns_to_hex(n, _leaf_columns(n, covers_down, perm)), perm, []
+    classes = [members for members in base if len(members) > 1]
+    # refinement never separates twins, so each cell is one twin class iff
+    # the cells with more than one member hold as many twin classes as cells
+    strict = {(up[x] & ~(1 << x), down[x] & ~(1 << x)) for cell in classes for x in cell}
+    if len(strict) == len(classes):
+        # then the root's cells in order are the only leaf; members stay
+        # ascending in their cells, so the cells sort by least member
+        perm = [x for members in base for x in members]
+        key = _columns_to_hex(n, _leaf_columns(n, covers_down, perm))
+        return key, perm, _twin_swaps(n, sorted(classes))
     twin = [(up[x] & ~(1 << x), down[x] & ~(1 << x)) for x in range(n)]
     best = best_perm = None
     automorphisms = []
@@ -661,13 +667,20 @@ def _canonical_labelling(n, up, down, structure=None):
     twin_classes = {}
     for x in range(n):
         twin_classes.setdefault(twin[x], []).append(x)
-    generators = automorphisms
-    for members in twin_classes.values():
+    generators = automorphisms + _twin_swaps(n, twin_classes.values())
+    return _columns_to_hex(n, best), best_perm, generators
+
+
+def _twin_swaps(n, classes):
+    """The transposition of each adjacent pair of members of each class,
+    as lists ``g`` with ``g[x]`` the image of ``x``."""
+    swaps = []
+    for members in classes:
         for a, b in zip(members, members[1:]):
             gamma = list(range(n))
             gamma[a], gamma[b] = b, a
-            generators.append(gamma)
-    return _columns_to_hex(n, best), best_perm, generators
+            swaps.append(gamma)
+    return swaps
 
 
 # bits a canonical key collects before it moves whole bytes out: the

@@ -43,8 +43,9 @@ and each child's are derived from them (``_child_structure``): adding
 an atom below an antichain changes only the covers at the bottom, at
 the antichain and at the atom, and the heights inside the antichain's
 filter.  The labelling takes them as they are.  So are a kept child's
-catalog flags: mu(x, top) is computed once per parent, and the new atom
-changes it only at the atom and the bottom (``_class_flags``).
+catalog flags: mu(x, top), the join-irreducibles and the atoms are
+computed once per parent, and the new atom changes them only at itself,
+the bottom and the antichain (``_class_flags``).
 
 A level is a sorted list with one ``bytes`` record per class
 (``_record``): the raw canonical key, the three characters of the
@@ -289,14 +290,12 @@ def _child_structure(parent, order, amask, filt):
     return covers_up, covers_down, heights
 
 
-def _class_flags(mu, down, structure):
+def _class_flags(mu, down, irreducibles, atoms):
     """The flags of a lattice with its bottom as element 0, from mu(x,
-    top), its down-masks and ``_order_structure``: the verdicts of the
-    engine pass over the elements with one lower cover."""
-    covers_up, covers_down, _ = structure
-    irreducibles = sum(1 << x for x, below in enumerate(covers_down) if len(below) == 1)
+    top), its down-masks and the masks of its join-irreducibles and its
+    atoms: the verdicts of the engine pass over the join-irreducibles."""
     _, _, weak, strong = _count_pass(down, 0, mu, irreducibles)
-    return _flag_text(irreducibles == sum(1 << a for a in covers_up[0]), strong, weak)
+    return _flag_text(irreducibles == atoms, strong, weak)
 
 
 def _extend_parents(n, parents):
@@ -330,6 +329,8 @@ def _extend_parents(n, parents):
         # ordering by down-set size is a linear extension
         order = sorted(range(1, k), key=lambda v: down[v].bit_count())
         atoms = structure[0][0]
+        atom_mask = sum(1 << a for a in atoms)
+        irreducibles = sum(1 << x for x, below in enumerate(structure[1]) if len(below) == 1)
         above_bottom = ups[1:]
         admissible = _admissible_antichains(ups, down, atoms)
         for amask in _orbit_representatives(list(admissible), generators):
@@ -342,19 +343,20 @@ def _extend_parents(n, parents):
             child_down.append(newbit | 1)
             child_structure = _child_structure(structure, order, amask, filt)
             key, perm, child_gens = _canonical_labelling(n, child, child_down, child_structure)
-            # the child's atoms with the new atom's up-set size
+            # the antichain's atoms, the parent atoms in the filter, stop being atoms;
+            # m* is the first of the atoms with the new atom's up-set size
+            child_atoms = (atom_mask & ~filt) | newbit
             size = filt.bit_count() + 1
-            ties = {k} | {
-                a for a in atoms if ups[a].bit_count() == size and not (filt >> a) & 1
-            }
-            star = next(x for x in perm if x in ties)
+            star = next(x for x in perm if (child_atoms >> x) & 1 and child[x].bit_count() == size)
             if star != k:
                 orbit = _orbit_firsts(range(n), child_gens)
                 if orbit[star] != orbit[k]:
                     continue
-            # mu(x, top) stays above the bottom, whose mu drops by the atom's
+            # mu(x, top) stays above the bottom, whose mu drops by the atom's; the
+            # antichain's non-atoms gain a second lower cover
             atom = -sum(mu[y] for y in _iter_bits(filt))
-            flags = _class_flags((mu[0] - atom, *mu[1:], atom), child_down, child_structure)
+            child_irr = (irreducibles & ~(amask & ~atom_mask)) | newbit
+            flags = _class_flags((mu[0] - atom, *mu[1:], atom), child_down, child_irr, child_atoms)
             out.append(_record(key, flags, _pack_masks(child, child_down), child_gens))
     return out
 
@@ -469,7 +471,8 @@ class CatalogStore:
     run resumes by redoing only its last level and the regenerated file
     is byte-identical to an uninterrupted one (entries are kept sorted,
     writes go through a temp file).  A line that is neither an entry, a
-    marker nor a ``#`` comment raises ``CatalogCorrupt``.  Each level
+    marker nor a ``#`` comment, or an entry whose key is not
+    ``_key_width(n)`` bytes wide, raises ``CatalogCorrupt``.  Each level
     maps key to flags, and every entry with the same flags shares one
     interned string, so a level holds at most 8 flag objects.
     """
@@ -487,12 +490,13 @@ class CatalogStore:
         with open(self.path, encoding="ascii", errors="replace") as handle:
             for lineno, line in enumerate(handle, start=1):
                 match = _CATALOG_LINE.fullmatch(" ".join(line.split()))
-                if match is None:
+                key, n, flags, level = match.groups() if match else (None,) * 4
+                # an entry's key has the width of every key on its level
+                if match is None or key and len(key) != 2 * _key_width(int(n)):
                     raise CatalogCorrupt(
                         f"{self.path}, line {lineno}: malformed catalog line"
                         f" {line.strip()!r}"
                     )
-                key, n, flags, level = match.groups()
                 if key is not None:
                     pending.setdefault(int(n), {})[key] = sys.intern(flags)
                 elif level is not None:

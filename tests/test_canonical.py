@@ -21,7 +21,9 @@ in ``builders`` (the refinement also on random orders and seed
 partitions), the search's leaf triangles, built from the lower covers,
 against that scan, and the maps the search prunes with must fix the
 path.  The down-masks the census enumerator builds for each child must
-be the transpose of its up-masks and give the same labelling.
+be the transpose of its up-masks and give the same labelling.  A root
+whose cells are twin classes must be labelled without a search, with
+the unpruned key and generators of the whole group.
 """
 
 import functools
@@ -267,6 +269,48 @@ def test_generators_give_the_whole_group_on_wide_lattices():
         key, best_perm, generators = _canonical_labelling(lat.n, up, lat.down)
         assert key == lat.canonical_form()
         assert sorted(best_perm) == list(range(lat.n))
+        assert group_order(lat.n, up, generators) == automorphism_count(lat.n, up)
+
+
+@functools.cache
+def twin_rooted(lat):
+    """Whether every cell of the refined root of ``lat`` is one twin class
+    (equal strict up-sets and strict down-sets)."""
+    twin = [(lat.up[x] & ~(1 << x), lat.down[x] & ~(1 << x)) for x in range(lat.n)]
+    base = _root_partition(lat.n, lat.up, lat.down)[0]
+    return all(len({twin[x] for x in cell}) == 1 for cell in base)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_twin_class_root_is_the_only_leaf(data):
+    # A root whose cells are twin classes is labelled with no search: the
+    # root is refined and nothing else is.  Its key must be the unpruned
+    # search's, its ordering must give that key, and the twin swaps must
+    # generate the whole group.  A relabelling keeps the root's cells twin
+    # classes, so the rule is taken on a whole class or on none of it.
+    assert any(map(twin_rooted, census()))
+    lat = data.draw(st.sampled_from(census()) | st.sampled_from(wide()))
+    perm = data.draw(st.permutations(range(lat.n)))
+    up = relabel_masks(lat.up, perm)
+    down = _transpose_masks(lat.n, up)
+    refined = []
+    real = lattice._refine_partition
+
+    def counting(*args):
+        refined.append(args)
+        return real(*args)
+
+    lattice._refine_partition = counting
+    try:
+        key, best_perm, generators = _canonical_labelling(lat.n, up, down)
+    finally:
+        lattice._refine_partition = real
+    assert (len(refined) == 1) == twin_rooted(lat)
+    if len(refined) == 1:
+        assert key == oracle_key(lat)
+        covers_down = _order_structure(lat.n, up, down)[1]
+        assert _columns_to_hex(lat.n, _leaf_columns(lat.n, covers_down, best_perm)) == key
         assert group_order(lat.n, up, generators) == automorphism_count(lat.n, up)
 
 

@@ -348,8 +348,9 @@ def test_search_prints_the_same_with_and_without_a_catalog(capsys, tmp_path):
     assert plain[0] == 0 and plain == written == reread
 
 
-# flags "strong but not weak" (as-, -s-) are malformed: strong implies weak
-@pytest.mark.parametrize("bad", ["badline", "abcd 3", "# complete x", "80 2 as-"])
+# flags "strong but not weak" (as-, -s-) are malformed: strong implies weak;
+# so is a key whose width is not that of its level's keys (10 bytes at n = 10)
+@pytest.mark.parametrize("bad", ["badline", "abcd 3", "# complete x", "80 2 as-", "ab 10 asw"])
 def test_search_malformed_catalog_exit_code(capsys, tmp_path, bad):
     path = tmp_path / "cat.txt"
     path.write_text(f"# complete 2\n{bad}\n")

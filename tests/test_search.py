@@ -60,7 +60,13 @@ def test_counts_match_independent_oracle():
         assert brute_force_lattice_count(n) == lattice_count(n)
 
 
-def test_oracle_budget():
+def test_oracle_budget(monkeypatch):
+    # a level past the cap is refused before any level is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was enumerated")
+
+    monkeypatch.setattr(search, "_LEVELS", dict(search._LEVELS))
+    monkeypatch.setattr(search, "_extend_parents", refuse)
     with pytest.raises(BudgetExceeded):
         list(enumerate_lattices(DEFAULT_MAX_N + 1))
     with pytest.raises(ValueError):
@@ -284,7 +290,7 @@ def test_catalog_store_discards_incomplete_level(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad", ["badline", "abcd 3", "# complete x", "80 2 as-", "80 2 -s-"]
+    "bad", ["badline", "abcd 3", "# complete x", "80 2 as-", "80 2 -s-", "ab 10 asw"]
 )
 def test_catalog_store_rejects_malformed_line(tmp_path, bad):
     path = tmp_path / "catalog.txt"
@@ -509,8 +515,8 @@ def test_kept_children_do_not_depend_on_the_parent_labelling(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_kept_children_flags_match_the_built_lattice(data):
-    # Each kept child's mu(x, top) is derived from its parent's, and its
-    # flags from that mu and the child's derived covers; both must be
+    # Each kept child's mu(x, top), join-irreducibles and atoms are
+    # derived from its parent's, and its flags from them; all must be
     # what the child, built and validated as a Lattice, gives.  The
     # relabelling keeps the bottom at element 0.
     k = data.draw(st.integers(2, 8))
@@ -522,9 +528,9 @@ def test_kept_children_flags_match_the_built_lattice(data):
     calls = []
     real = search._class_flags
 
-    def recording(mu, down, structure):
-        flags = real(mu, down, structure)
-        calls.append((mu, down, flags))
+    def recording(mu, down, irreducibles, atoms):
+        flags = real(mu, down, irreducibles, atoms)
+        calls.append((mu, down, irreducibles, atoms, flags))
         return flags
 
     search._class_flags = recording
@@ -533,9 +539,11 @@ def test_kept_children_flags_match_the_built_lattice(data):
     finally:
         search._class_flags = real
     assert len(calls) == len(kept)
-    for mu, down, flags in calls:
+    for mu, down, irreducibles, atoms, flags in calls:
         lattice = Lattice._from_up(k + 1, _transpose_masks(k + 1, down), down)
         assert mu == lattice.mobius_to_top()
+        assert irreducibles == sum(1 << x for x in lattice.join_irreducibles())
+        assert atoms == sum(1 << x for x in lattice.atoms())
         assert flags == catalog_entry_of(lattice).flags
     for record in kept.records:
         key, flags, masks, _ = search._record_parts(k + 1, record)
