@@ -87,5 +87,5 @@ class UsageError(LatZetaError):
 
 
 class CatalogCorrupt(LatZetaError):
-    """A catalog file holds a line that is neither an entry, a level
-    marker nor a comment; the message names the path and line number."""
+    """A catalog file holds a malformed line, a key out of order or a
+    complete level with no entries; the message names the path and line."""

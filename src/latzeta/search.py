@@ -55,17 +55,16 @@ sort in key order.  ``_extend_parents`` reads parent records and emits
 child records, and ``_level`` hands them out as ``(key, masks,
 generators)`` through a read-only view.  The levels are the in-memory
 catalog: ``level_entries`` and the census read keys and flags from the
-records, or from a ``CatalogStore`` file, and build no ``Lattice``.
+records, or from a ``CatalogStore`` file, and build no ``Lattice``; the
+store holds a level as two ``bytes`` objects, its keys and its flags.
 """
 
 import os
 import re
-import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import pairwise
-from multiprocessing import Pool
 
 from .cosetlike import classify  # noqa: F401 -- bench/spans.py traces search.classify
 from .errors import BudgetExceeded, CatalogCorrupt
@@ -100,10 +99,12 @@ DEFAULT_MAX_N = 12
 # every line of a catalog file, with runs of blanks read as one space
 _CATALOG_LINE = re.compile(
     # an entry: key, n, flags; strong implies weak, so no "s" without "w"
-    r"((?:[0-9a-f]{2})+) ([0-9]+) ([a-](?:sw|-[w-]))"
+    r"([0-9a-f]+) ([0-9]+) ([a-](?:sw|-[w-]))"
     r"|# complete ([0-9]+)"  # the marker that closes level n
     r"|(?!# complete(?: |$))(?:#.*)?"  # a comment or a blank line
 )
+_FLAG_TEXTS = frozenset(a + sw for a in "a-" for sw in ("sw", "-w", "--"))  # as matched above
+_BLOCK = 256  # classes a CatalogStore turns back into text at a time
 
 
 # ----------------------------------------------------------------------
@@ -169,11 +170,7 @@ class _Level(Sequence):
         return key.hex(), masks, tuple(generators)
 
 
-# n -> the lattices on n elements, with the bottom as element 0: a list of
-# ``_record`` bytes sorted by key, one per class.  Each record holds the
-# class's canonical key, its catalog flags, its up- and down-masks packed
-# by ``_pack_masks`` and permutations of the n elements that generate its
-# automorphism group.  ``_level`` reads it through ``_Level``.
+# n -> the level's ``_record`` bytes, one per class, sorted; read through ``_Level``
 _LEVELS = {
     2: [_record(canonical_key_from_up(2, (3, 2), (1, 3)), "asw", _pack_masks((3, 2), (1, 3)), ())]
 }
@@ -384,6 +381,7 @@ def _level(n, *, jobs=1):
             continue
         parents = _LEVELS[size - 1]
         if jobs > 1 and len(parents) >= 4 * jobs:
+            from multiprocessing import Pool  # imported only by a process that starts a pool
             chunks = [(size, parents[i::jobs]) for i in range(jobs)]
             with Pool(jobs) as pool:
                 children = [c for part in pool.map(_extend_chunk, chunks) for c in part]
@@ -469,12 +467,13 @@ class CatalogStore:
 
     Levels without a marker are discarded on load, so an interrupted
     run resumes by redoing only its last level and the regenerated file
-    is byte-identical to an uninterrupted one (entries are kept sorted,
-    writes go through a temp file).  A line that is neither an entry, a
-    marker nor a ``#`` comment, or an entry whose key is not
-    ``_key_width(n)`` bytes wide, raises ``CatalogCorrupt``.  Each level
-    maps key to flags, and every entry with the same flags shares one
-    interned string, so a level holds at most 8 flag objects.
+    is byte-identical to an uninterrupted one (writes go through a temp
+    file).  A line that is neither an entry, a marker nor a ``#``
+    comment, a key of the wrong width or not above the one before it on
+    its level, and a marker of an empty level raise ``CatalogCorrupt``;
+    ``write_level`` raises ``ValueError`` on such entries.  A level is
+    held as two ``bytes`` objects, packed as it is read or written: its
+    raw keys in ascending order, then its flag texts.
     """
 
     def __init__(self, path):
@@ -485,22 +484,34 @@ class CatalogStore:
     def _load(self):
         if not os.path.exists(self.path):
             return
-        pending = {}
+
+        def corrupt(lineno, reason):
+            return CatalogCorrupt(f"{self.path}, line {lineno}: {reason}")
+
+        pending = {}  # n -> (keys, flags, hex key width) of a level not yet complete
         # a non-ASCII byte decodes to U+FFFD, which no entry or marker matches
         with open(self.path, encoding="ascii", errors="replace") as handle:
             for lineno, line in enumerate(handle, start=1):
                 match = _CATALOG_LINE.fullmatch(" ".join(line.split()))
                 key, n, flags, level = match.groups() if match else (None,) * 4
-                # an entry's key has the width of every key on its level
-                if match is None or key and len(key) != 2 * _key_width(int(n)):
-                    raise CatalogCorrupt(
-                        f"{self.path}, line {lineno}: malformed catalog line"
-                        f" {line.strip()!r}"
-                    )
                 if key is not None:
-                    pending.setdefault(int(n), {})[key] = sys.intern(flags)
+                    n = int(n)
+                    keys, text, width = pending.get(n) or pending.setdefault(
+                        n, (bytearray(), bytearray(), 2 * _key_width(n)))
+                # an entry's key has the width of every key on its level
+                if match is None or key and len(key) != width:
+                    raise corrupt(lineno, f"malformed catalog line {line.strip()!r}")
+                if key is not None:
+                    raw = bytes.fromhex(key)
+                    if raw <= keys[-len(raw) :]:
+                        raise corrupt(lineno, f"key {key} is not above the previous key on level {n}")
+                    keys += raw
+                    text += flags.encode()
                 elif level is not None:
-                    self._levels[int(level)] = pending.pop(int(level), {})
+                    keys, text, _ = pending.pop(int(level), (b"", b"", 0))
+                    if not keys:
+                        raise corrupt(lineno, f"level {level} is marked complete with no entries")
+                    self._levels[int(level)] = bytes(keys), bytes(text)
         # drop entries for levels that never saw their marker
 
     def is_complete(self, n):
@@ -511,14 +522,29 @@ class CatalogStore:
 
     def flags(self, n):
         """``(key, flags)`` of a complete level n, in key order."""
-        level = self._levels.get(n, {})
-        return ((key, level[key]) for key in sorted(level))
+        keys, flags = self._levels.get(n, (b"", b""))
+        width = _key_width(n)
+        for first in range(0, len(flags) // _FLAGS, _BLOCK):  # hexed a block at a time
+            hexed = keys[first * width : (first + _BLOCK) * width].hex(" ", width)
+            text = flags[first * _FLAGS : (first + _BLOCK) * _FLAGS].decode()
+            yield from zip(hexed.split(), re.findall("." * _FLAGS, text))
 
     def entries(self, n):
         return [catalog_entry(key, n, flags) for key, flags in self.flags(n)]
 
     def write_level(self, n, pairs):
-        self._levels[n] = {key: sys.intern(flags) for key, flags in pairs}
+        """Store level n, ``(key, flags)`` in key order, and rewrite the file."""
+        width = _key_width(n)
+        keys, flags = bytearray(), bytearray()
+        for key, text in pairs:
+            raw = bytes.fromhex(key)
+            if len(raw) != width or raw <= keys[-width:] or text not in _FLAG_TEXTS:
+                raise ValueError(f"level {n}: entry {key} {text} is malformed or out of order")
+            keys += raw
+            flags += text.encode()
+        if not keys:
+            raise ValueError(f"level {n} has no entries")
+        self._levels[n] = bytes(keys), bytes(flags)
         # A fresh temp file beside the catalog: O_EXCL never clobbers an
         # existing file or another writer's temp file, and mode 0666 less
         # the umask gives the catalog the permissions open() would.
@@ -526,9 +552,8 @@ class CatalogStore:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="ascii") as handle:
-                for level, data in sorted(self._levels.items()):
-                    for key in sorted(data):
-                        handle.write(f"{key} {level} {data[key]}\n")
+                for level in sorted(self._levels):
+                    handle.writelines(f"{key} {level} {text}\n" for key, text in self.flags(level))
                     handle.write(f"# complete {level}\n")
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -543,8 +568,8 @@ def _level_flags(n, store, jobs):
     ``store`` when that level is complete there, else from the records,
     then written to ``store``; the level is built before this returns."""
     if store is None or not store.is_complete(n):
-        parts = (_record_parts(n, record) for record in _level(n, jobs=jobs).records)
-        pairs = ((key.hex(), flags.decode()) for key, flags, _, _ in parts)
+        w = _key_width(n)
+        pairs = ((r[:w].hex(), r[w : w + _FLAGS].decode()) for r in _level(n, jobs=jobs).records)
         if store is None:
             return pairs
         store.write_level(n, pairs)

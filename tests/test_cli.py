@@ -4,6 +4,7 @@ and the verification suites."""
 import errno
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -300,7 +301,7 @@ def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
 
     serial = invoke(capsys, "search", "--max-n", "7")
     first = search._LEVELS[2]
-    monkeypatch.setattr(search, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     for cpus, asked, expected in ((2, "3", [2]), (2, "2", [2]), (4, "1", []), (None, "2", [])):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(search, "_LEVELS", {2: first})
@@ -353,10 +354,28 @@ def test_search_prints_the_same_with_and_without_a_catalog(capsys, tmp_path):
 @pytest.mark.parametrize("bad", ["badline", "abcd 3", "# complete x", "80 2 as-", "ab 10 asw"])
 def test_search_malformed_catalog_exit_code(capsys, tmp_path, bad):
     path = tmp_path / "cat.txt"
-    path.write_text(f"# complete 2\n{bad}\n")
+    path.write_text(f"80 2 asw\n# complete 2\n{bad}\n")
     code, out, err = invoke(capsys, "search", "--max-n", "3", "--catalog", str(path))
     assert code == 2 and out == ""
-    assert err == f"error: {path}, line 2: malformed catalog line {bad!r}\n"
+    assert err == f"error: {path}, line 3: malformed catalog line {bad!r}\n"
+
+
+# a key met twice on a level, and a level marked complete with no entries
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("80 2 asw\n80 2 ---\n# complete 2\n",
+         "line 2: key 80 is not above the previous key on level 2"),
+        ("# complete 3\n", "line 1: level 3 is marked complete with no entries"),
+    ],
+    ids=["twice", "bare-marker"],
+)
+def test_search_corrupt_catalog_level_exit_code(capsys, tmp_path, text, reason):
+    path = tmp_path / "cat.txt"
+    path.write_text(text)
+    code, out, err = invoke(capsys, "search", "--max-n", "3", "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}, {reason}\n"
 
 
 def test_search_catalog_directory_exit_code(capsys, tmp_path):

@@ -12,8 +12,10 @@ their size.
 
 import functools
 import hashlib
+import multiprocessing
 import os
 import random
+import subprocess
 import sys
 from array import array
 
@@ -125,13 +127,21 @@ def test_library_jobs_clamped_to_cpu_count(monkeypatch):
 
     serial = search._level(7)
     first = search._LEVELS[2]
-    monkeypatch.setattr(search, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     for cpus, asked, expected in ((2, 10**6, [2]), (3, 2, [2]), (None, 8, [])):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(search, "_LEVELS", {2: first})
         sizes.clear()
         assert search._level(7, jobs=asked).records == serial.records
         assert sizes == expected, (cpus, asked)
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only a pool started by jobs > 1 needs it
+    code = "import sys, latzeta, latzeta.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
@@ -243,16 +253,43 @@ def test_level_entries_and_summary():
     }
 
 
-def test_catalog_levels_share_their_flag_strings(tmp_path):
-    # one string object per flag value, however many entries carry it
+def test_catalog_levels_are_two_packed_byte_strings(tmp_path):
+    # a level holds its raw keys and its flag text, nothing per class
     path = tmp_path / "catalog.txt"
     store = CatalogStore(path)
     for n in range(2, 10):
         level_entries(n, store=store)
     for levels in (store._levels, CatalogStore(path)._levels):
-        flags = [f for level in levels.values() for f in level.values()]
-        assert len(flags) == sum(KNOWN_COUNTS[:8])
-        assert len({id(f) for f in flags}) == len(set(flags)) <= 8
+        assert sorted(levels) == list(range(2, 10))
+        for n, (keys, flags) in levels.items():
+            count = KNOWN_COUNTS[n - 2]
+            assert type(keys) is bytes and len(keys) == count * search._key_width(n)
+            assert type(flags) is bytes and len(flags) == count * 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_catalog_store_round_trips_any_level(tmp_path_factory, data):
+    # any nonempty subset of a level's classes, written, reads back as
+    # written; two adjacent entry lines swapped no longer load
+    n = data.draw(st.integers(2, 8))
+    pairs = list(search._level_flags(n, None, 1))
+    chosen = data.draw(st.sets(st.integers(0, len(pairs) - 1), min_size=1))
+    subset = [pairs[i] for i in sorted(chosen)]
+    path = tmp_path_factory.mktemp("catalog") / "catalog.txt"
+    CatalogStore(path).write_level(n, iter(subset))
+    assert list(CatalogStore(path).flags(n)) == subset
+    if len(subset) > 1:
+        lines = path.read_text().splitlines(keepends=True)
+        i = data.draw(st.integers(0, len(subset) - 2))
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        path.write_text("".join(lines))
+        with pytest.raises(CatalogCorrupt) as info:
+            CatalogStore(path)
+        assert str(info.value) == (
+            f"{path}, line {i + 2}: key {subset[i][0]} is not above the previous"
+            f" key on level {n}"
+        )
 
 
 def test_catalog_store_roundtrip(tmp_path):
@@ -303,6 +340,53 @@ def test_catalog_store_rejects_malformed_line(tmp_path, bad):
     assert str(info.value) == (
         f"{path}, line {line}: malformed catalog line {bad!r}"
     )
+
+
+# the last of two lines for one key would win, and a bare marker would
+# give a complete level with no classes
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("80 2 asw\n80 2 ---\n# complete 2\n",
+         "line 2: key 80 is not above the previous key on level 2"),
+        ("dc 4 asw\nfc 4 ---\nfc 4 ---\n# complete 4\n",
+         "line 3: key fc is not above the previous key on level 4"),
+        ("fc 4 ---\ndc 4 asw\n# complete 4\n",
+         "line 2: key dc is not above the previous key on level 4"),
+        ("# complete 3\n", "line 1: level 3 is marked complete with no entries"),
+        ("80 2 asw\n# complete 2\n# complete 2\n",
+         "line 3: level 2 is marked complete with no entries"),
+    ],
+    ids=["twice", "twice-at-the-end", "out-of-order", "bare-marker", "second-marker"],
+)
+def test_catalog_store_rejects_disordered_or_empty_level(tmp_path, text, message):
+    path = tmp_path / "catalog.txt"
+    path.write_text(text)
+    with pytest.raises(CatalogCorrupt) as info:
+        CatalogStore(path)
+    assert str(info.value) == f"{path}, {message}"
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [("dc", "asw"), ("fcfc", "---")],  # a 2-byte key where keys are 1 byte
+        [("fc", "---"), ("dc", "asw")],  # out of order
+        [("dc", "asw"), ("dc", "---")],  # twice
+        [("dc", "as-")],  # strong but not weak
+        [],
+    ],
+    ids=["wide-key", "out-of-order", "twice", "strong-not-weak", "empty"],
+)
+def test_catalog_write_refuses_what_the_reader_would(tmp_path, pairs):
+    path = tmp_path / "catalog.txt"
+    store = CatalogStore(path)
+    level_entries(3, store=store)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        store.write_level(4, iter(pairs))
+    assert path.read_bytes() == before
+    assert store.complete_levels() == [3]
 
 
 def test_catalog_store_ignores_comments(tmp_path):
@@ -389,9 +473,11 @@ def test_catalog_budget(monkeypatch, tmp_path):
             read(DEFAULT_MAX_N + 1)
         with pytest.raises(ValueError):
             read(1)
-    store = CatalogStore(tmp_path / "catalog.txt")
-    store.write_level(DEFAULT_MAX_N + 1, [("ab", "---")])
-    assert classify_catalog(DEFAULT_MAX_N + 1, store=store)["total"] == 1
+    # written with a key of that level's width, and read back from the file
+    path = tmp_path / "catalog.txt"
+    key = "ab" * search._key_width(DEFAULT_MAX_N + 1)
+    CatalogStore(path).write_level(DEFAULT_MAX_N + 1, [(key, "---")])
+    assert classify_catalog(DEFAULT_MAX_N + 1, store=CatalogStore(path))["total"] == 1
 
 
 @pytest.mark.long
