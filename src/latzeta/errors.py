@@ -88,4 +88,4 @@ class UsageError(LatZetaError):
 
 class CatalogCorrupt(LatZetaError):
     """A catalog file holds a malformed line, a key out of order or a
-    complete level with no entries; the message names the path and line."""
+    level marked complete twice or empty; the message names path and line."""

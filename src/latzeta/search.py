@@ -470,10 +470,10 @@ class CatalogStore:
     is byte-identical to an uninterrupted one (writes go through a temp
     file).  A line that is neither an entry, a marker nor a ``#``
     comment, a key of the wrong width or not above the one before it on
-    its level, and a marker of an empty level raise ``CatalogCorrupt``;
-    ``write_level`` raises ``ValueError`` on such entries.  A level is
-    held as two ``bytes`` objects, packed as it is read or written: its
-    raw keys in ascending order, then its flag texts.
+    its level, and a second marker or one of an empty level raise
+    ``CatalogCorrupt``; ``write_level`` raises ``ValueError`` on such
+    entries.  A level is held as two ``bytes`` objects, packed as it is
+    read or written: its raw keys in ascending order, then its flags.
     """
 
     def __init__(self, path):
@@ -488,7 +488,7 @@ class CatalogStore:
         def corrupt(lineno, reason):
             return CatalogCorrupt(f"{self.path}, line {lineno}: {reason}")
 
-        pending = {}  # n -> (keys, flags, hex key width) of a level not yet complete
+        pending = {}  # n -> (keys, flags, hex key width) of an unclosed level, dropped at the end
         # a non-ASCII byte decodes to U+FFFD, which no entry or marker matches
         with open(self.path, encoding="ascii", errors="replace") as handle:
             for lineno, line in enumerate(handle, start=1):
@@ -509,10 +509,10 @@ class CatalogStore:
                     text += flags.encode()
                 elif level is not None:
                     keys, text, _ = pending.pop(int(level), (b"", b"", 0))
-                    if not keys:
-                        raise corrupt(lineno, f"level {level} is marked complete with no entries")
+                    if not keys or int(level) in self._levels:
+                        why = "twice" if keys else "with no entries"
+                        raise corrupt(lineno, f"level {level} is marked complete {why}")
                     self._levels[int(level)] = bytes(keys), bytes(text)
-        # drop entries for levels that never saw their marker
 
     def is_complete(self, n):
         return n in self._levels

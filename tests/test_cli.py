@@ -360,15 +360,17 @@ def test_search_malformed_catalog_exit_code(capsys, tmp_path, bad):
     assert err == f"error: {path}, line 3: malformed catalog line {bad!r}\n"
 
 
-# a key met twice on a level, and a level marked complete with no entries
+# a key met twice on a level, a level marked complete with no entries or twice
 @pytest.mark.parametrize(
     "text, reason",
     [
         ("80 2 asw\n80 2 ---\n# complete 2\n",
          "line 2: key 80 is not above the previous key on level 2"),
         ("# complete 3\n", "line 1: level 3 is marked complete with no entries"),
+        ("80 2 asw\n# complete 2\n80 2 ---\n# complete 2\n",
+         "line 4: level 2 is marked complete twice"),
     ],
-    ids=["twice", "bare-marker"],
+    ids=["twice", "bare-marker", "second-block"],
 )
 def test_search_corrupt_catalog_level_exit_code(capsys, tmp_path, text, reason):
     path = tmp_path / "cat.txt"

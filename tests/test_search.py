@@ -342,8 +342,8 @@ def test_catalog_store_rejects_malformed_line(tmp_path, bad):
     )
 
 
-# the last of two lines for one key would win, and a bare marker would
-# give a complete level with no classes
+# the last of two lines or blocks for one key or level would win, and a
+# bare marker would give a complete level with no classes
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -356,8 +356,11 @@ def test_catalog_store_rejects_malformed_line(tmp_path, bad):
         ("# complete 3\n", "line 1: level 3 is marked complete with no entries"),
         ("80 2 asw\n# complete 2\n# complete 2\n",
          "line 3: level 2 is marked complete with no entries"),
+        ("80 2 asw\n# complete 2\n80 2 ---\n# complete 2\n",
+         "line 4: level 2 is marked complete twice"),
     ],
-    ids=["twice", "twice-at-the-end", "out-of-order", "bare-marker", "second-marker"],
+    ids=["twice", "twice-at-the-end", "out-of-order", "bare-marker", "second-marker",
+         "second-block"],
 )
 def test_catalog_store_rejects_disordered_or_empty_level(tmp_path, text, message):
     path = tmp_path / "catalog.txt"
