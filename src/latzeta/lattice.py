@@ -15,14 +15,15 @@ Conventions used throughout:
   arrives as covers (``.lat`` files and fixtures).
   Both check the element count against ``DEFAULT_MAX_ELEMENTS`` before
   they build the principal filters, and both hand those to one kernel,
-  ``Lattice._from_up``, which derives the down-masks (unless the caller,
-  the census enumerator, passes the ones it stored) and validates
-  eagerly: existence of a unique bottom and top, and existence of the
-  join of every element with every join-irreducible (an element whose
-  strict principal ideal is itself a principal ideal).  That suffices
-  for all joins, hence all meets (see ``Lattice._check_joins``), so a
-  ``Lattice`` that exists is a lattice.  The census enumerator checks
-  each new element with the same predicate, ``_join_failure``.
+  ``Lattice._from_up``, as does ``search.enumerate_lattices`` with the
+  up-masks a census record stores.  The kernel transposes the filters
+  into the principal ideals itself and validates eagerly: existence of a
+  unique bottom and top, and existence of the join of every element with
+  every join-irreducible (an element whose strict principal ideal is
+  itself a principal ideal).  That suffices for all joins, hence all
+  meets (see ``Lattice._check_joins``), so a ``Lattice`` that exists is
+  a lattice.  The census enumerator checks each new element with the
+  same predicate, ``_join_failure``.
 - A ``Lattice`` stores only the masks, the bounds, the filter and ideal
   indexes and its join-irreducibles; every other order fact is an index
   lookup.  The cover relation and heights of an order are computed from
@@ -239,14 +240,13 @@ class Lattice:
         return cls._from_up(n, up)
 
     @classmethod
-    def _from_up(cls, n, up, down=None):
+    def _from_up(cls, n, up):
         """The lattice of the partial order on ``n >= 2`` elements whose
         principal filters are ``up``; raises ``NoBoundedStructure`` or
-        ``NotALattice`` unless that order is a lattice.  ``down``, the
-        principal ideals, is derived from ``up`` unless the caller
-        passes it; it must then be the transpose of ``up``."""
-        if down is None:
-            down = _transpose_masks(n, up)
+        ``NotALattice`` unless that order is a lattice.  The principal
+        ideals are always the transpose of ``up``, computed here, so no
+        caller hands in masks that this cannot check."""
+        down = _transpose_masks(n, up)
         full = (1 << n) - 1
         bottom = top = -1
         for x in range(n):

@@ -35,13 +35,13 @@ orbit questions, on antichains and on the child's elements, go to
 ``lattice._orbit_firsts``, the routine that prunes the canonical search;
 the second is skipped when ``m*`` is the new atom itself.
 
-A child never recomputes what its parent knows.  A level stores the
-class's up-masks and down-masks packed into 16-bit words
-(``_pack_masks``), so neither the next level nor ``enumerate_lattices``
-transposes them.  The parent's covers and heights are computed once,
-and each child's are derived from them (``_child_structure``): adding
-an atom below an antichain changes only the covers at the bottom, at
-the antichain and at the atom, and the heights inside the antichain's
+A child never recomputes what its parent knows.  A parent's down-masks
+are the transpose of its stored up-masks, computed once per parent, and
+each child's follow from them: the new atom joins the ideal of every
+element of its filter.  The parent's covers and heights are computed
+once, and each child's are derived from them (``_child_structure``):
+adding an atom below an antichain changes only the covers at the bottom,
+at the antichain and at the atom, and the heights inside the antichain's
 filter.  The labelling takes them as they are.  So are a kept child's
 catalog flags: mu(x, top), the join-irreducibles and the atoms are
 computed once per parent, and the new atom changes them only at itself,
@@ -49,20 +49,19 @@ the bottom and the antichain (``_class_flags``).
 
 A level is a sorted list with one ``bytes`` record per class
 (``_record``): the raw canonical key, the three characters of the
-catalog flags, the packed masks, then the automorphism group's
-generators, n bytes each.  The key has one width per level, so records
-sort in key order.  ``_extend_parents`` reads parent records and emits
-child records, and ``_level`` hands them out as ``(key, masks,
-generators)`` through a read-only view.  The levels are the in-memory
-catalog: ``level_entries`` and the census read keys and flags from the
-records, or from a ``CatalogStore`` file, and build no ``Lattice``; the
-store holds a level as two ``bytes`` objects, its keys and its flags.
+catalog flags, the n up-masks as 16-bit words, then the automorphism
+group's generators, n bytes each.  The key has one width per level, so
+records sort in key order.  ``_extend_parents`` reads parent records and
+emits child records, and ``_level`` returns the list itself.  The levels
+are the in-memory catalog: ``level_entries`` and the census read keys
+and flags from the records, or from a ``CatalogStore`` file, and build
+no ``Lattice``; the store holds a level as two ``bytes`` objects, its
+keys and its flags.
 """
 
 import os
 import re
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import pairwise
 
@@ -76,6 +75,7 @@ from .lattice import (
     _mobius_vector,
     _orbit_firsts,
     _order_structure,
+    _transpose_masks,
     canonical_key_from_up,
 )
 from .zeta import _count_pass
@@ -93,14 +93,15 @@ __all__ = [
     "find_weak_not_strong",
 ]
 
-# at most 16: a level stores each mask as a 16-bit word (see _pack_masks)
+# at most 16: a level record stores each up-mask as a 16-bit word (see _record)
 DEFAULT_MAX_N = 12
 
-# every line of a catalog file, with runs of blanks read as one space
+# every line of a catalog file, with runs of blanks read as one space;
+# a level n is 2..16, the sizes whose masks fit a record's 16-bit words
 _CATALOG_LINE = re.compile(
     # an entry: key, n, flags; strong implies weak, so no "s" without "w"
-    r"([0-9a-f]+) ([0-9]+) ([a-](?:sw|-[w-]))"
-    r"|# complete ([0-9]+)"  # the marker that closes level n
+    r"([0-9a-f]+) (1[0-6]|[2-9]) ([a-](?:sw|-[w-]))"
+    r"|# complete (1[0-6]|[2-9])"  # the marker that closes level n
     r"|(?!# complete(?: |$))(?:#.*)?"  # a comment or a blank line
 )
 _FLAG_TEXTS = frozenset(a + sw for a in "a-" for sw in ("sw", "-w", "--"))  # as matched above
@@ -110,21 +111,8 @@ _BLOCK = 256  # classes a CatalogStore turns back into text at a time
 # ----------------------------------------------------------------------
 # lattice levels
 
-_WORD = array("H").itemsize  # bytes per packed mask
+_WORD = array("H").itemsize  # bytes per up-mask in a record
 _FLAGS = 3  # bytes of flag text per record
-
-
-def _pack_masks(up, down):
-    """The masks of a level entry: the n up-masks, then the n down-masks,
-    as 16-bit words in one ``bytes`` object."""
-    return array("H", (*up, *down)).tobytes()
-
-
-def _unpack_masks(masks):
-    """``(up, down)``, two tuples of ints, from ``_pack_masks`` output."""
-    words = array("H", masks)
-    n = len(words) // 2
-    return tuple(words[:n]), tuple(words[n:])
 
 
 def _key_width(n):
@@ -134,46 +122,27 @@ def _key_width(n):
     return max((n * (n - 1) // 2 + 7) // 8, 1)
 
 
-def _record(key, flags, masks, generators):
+def _record(key, flags, up, generators):
     """The level record of a class: the raw bytes of the hex ``key``, the
-    flag text ``flags``, the ``_pack_masks`` output ``masks``, then each
+    flag text ``flags``, the up-masks ``up`` as 16-bit words, then each
     generator (a sequence of n element ids) as n bytes."""
+    masks = array("H", up).tobytes()
     return bytes.fromhex(key) + flags.encode() + masks + b"".join(map(bytes, generators))
 
 
 def _record_parts(n, record):
-    """The raw key, the flag text, the packed masks and the list of
-    generators of a record on n elements, each ``bytes``."""
+    """The raw key, the flag text, the up-masks and the list of
+    generators of a record on n elements; the masks are a tuple of ints,
+    the rest ``bytes``."""
     width = _key_width(n)
     start = width + _FLAGS
-    end = start + 2 * n * _WORD
+    end = start + n * _WORD
     generators = [record[i : i + n] for i in range(end, len(record), n)]
-    return record[:width], record[width:start], record[start:end], generators
+    return record[:width], record[width:start], tuple(array("H", record[start:end])), generators
 
 
-class _Level(Sequence):
-    """Read-only view of a level's records as ``(key, masks,
-    generators)`` triples: the hex key, the packed masks and a tuple of
-    generators, each ``bytes``.  A triple is made only when read."""
-
-    def __init__(self, n, records):
-        self.n = n
-        self.records = records
-
-    def __len__(self):
-        return len(self.records)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return _Level(self.n, self.records[index])
-        key, _, masks, generators = _record_parts(self.n, self.records[index])
-        return key.hex(), masks, tuple(generators)
-
-
-# n -> the level's ``_record`` bytes, one per class, sorted; read through ``_Level``
-_LEVELS = {
-    2: [_record(canonical_key_from_up(2, (3, 2), (1, 3)), "asw", _pack_masks((3, 2), (1, 3)), ())]
-}
+# n -> the level's ``_record`` bytes, one per class, sorted
+_LEVELS = {2: [_record(canonical_key_from_up(2, (3, 2), (1, 3)), "asw", (3, 2), ())]}
 
 
 def _antichain_masks(n, comp):
@@ -311,15 +280,16 @@ def _extend_parents(n, parents):
     kept only if its new atom is in the orbit of its canonical atom
     ``m*``.  Each child's down-masks, covers, heights and, once kept,
     flags are derived from its parent's, which are computed once per
-    parent.  The key and generators are those of the child's labelling.
+    parent from its up-masks.  The key and generators are those of the
+    child's labelling.
     """
     out = []
     k = n - 1
     newbit = 1 << k
     full = (1 << n) - 1
     for record in parents:
-        _, _, masks, generators = _record_parts(k, record)
-        ups, down = _unpack_masks(masks)
+        _, _, ups, generators = _record_parts(k, record)
+        down = _transpose_masks(k, ups)
         structure = _order_structure(k, ups, down)
         # the top is the element whose principal ideal is everything
         mu = _mobius_vector(ups, full >> 1, down.index(full >> 1))
@@ -354,17 +324,14 @@ def _extend_parents(n, parents):
             atom = -sum(mu[y] for y in _iter_bits(filt))
             child_irr = (irreducibles & ~(amask & ~atom_mask)) | newbit
             flags = _class_flags((mu[0] - atom, *mu[1:], atom), child_down, child_irr, child_atoms)
-            out.append(_record(key, flags, _pack_masks(child, child_down), child_gens))
+            out.append(_record(key, flags, child, child_gens))
     return out
 
 
-def _extend_chunk(args):
-    return _extend_parents(*args)
-
-
 def _level(n, *, jobs=1):
-    """Lattices on n elements, 2 <= n <= ``DEFAULT_MAX_N``, as a
-    ``_Level``: a sequence of ``(key, masks, generators)`` sorted by key.
+    """The records (``_record``) of the lattices on n elements, 2 <= n <=
+    ``DEFAULT_MAX_N``: a list sorted by key, which the caller must not
+    change.
 
     ``jobs`` worker processes build the missing levels; it must be at
     least 1 and is lowered to the CPU count.  Each class comes from one
@@ -384,7 +351,7 @@ def _level(n, *, jobs=1):
             from multiprocessing import Pool  # imported only by a process that starts a pool
             chunks = [(size, parents[i::jobs]) for i in range(jobs)]
             with Pool(jobs) as pool:
-                children = [c for part in pool.map(_extend_chunk, chunks) for c in part]
+                children = [c for part in pool.starmap(_extend_parents, chunks) for c in part]
         else:
             children = _extend_parents(size, parents)
         # every key has the same width, so records sort in key order
@@ -394,7 +361,7 @@ def _level(n, *, jobs=1):
             if before[:width] == after[:width]:
                 raise RuntimeError(f"level {size}: class {before[:width].hex()} generated twice")
         _LEVELS[size] = children
-    return _Level(n, _LEVELS[n])
+    return _LEVELS[n]
 
 
 def _check_enumeration_cap(n):
@@ -414,13 +381,12 @@ def enumerate_lattices(n, *, jobs=1):
     passes full construction-time lattice validation.  The lattices are
     built by canonical augmentation (see the module docstring), and each
     one's ``canonical_form`` is the key of the enumerator's own
-    labelling rather than searched again.  Its masks and key are read
-    straight from the level's record, and its down-masks are not
-    transposed again.
+    labelling rather than searched again.  Its up-masks and key are read
+    straight from the level's record.
     """
-    for record in _level(n, jobs=jobs).records:
-        key, _, masks, _ = _record_parts(n, record)
-        lattice = Lattice._from_up(n, *_unpack_masks(masks))
+    for record in _level(n, jobs=jobs):
+        key, _, up, _ = _record_parts(n, record)
+        lattice = Lattice._from_up(n, up)
         lattice._canonical_key = key.hex()
         yield lattice
 
@@ -469,11 +435,12 @@ class CatalogStore:
     run resumes by redoing only its last level and the regenerated file
     is byte-identical to an uninterrupted one (writes go through a temp
     file).  A line that is neither an entry, a marker nor a ``#``
-    comment, a key of the wrong width or not above the one before it on
-    its level, and a second marker or one of an empty level raise
-    ``CatalogCorrupt``; ``write_level`` raises ``ValueError`` on such
-    entries.  A level is held as two ``bytes`` objects, packed as it is
-    read or written: its raw keys in ascending order, then its flags.
+    comment, a level outside 2..16, a key of the wrong width or not
+    above the one before it on its level, and a second marker or one of
+    an empty level raise ``CatalogCorrupt``; ``write_level`` raises
+    ``ValueError`` on such entries.  A level is held as two ``bytes``
+    objects, packed as it is read or written: its raw keys in ascending
+    order, then its flags.
     """
 
     def __init__(self, path):
@@ -534,6 +501,8 @@ class CatalogStore:
 
     def write_level(self, n, pairs):
         """Store level n, ``(key, flags)`` in key order, and rewrite the file."""
+        if not 2 <= n <= 16:
+            raise ValueError(f"level {n} is outside 2..16")
         width = _key_width(n)
         keys, flags = bytearray(), bytearray()
         for key, text in pairs:
@@ -569,7 +538,7 @@ def _level_flags(n, store, jobs):
     then written to ``store``; the level is built before this returns."""
     if store is None or not store.is_complete(n):
         w = _key_width(n)
-        pairs = ((r[:w].hex(), r[w : w + _FLAGS].decode()) for r in _level(n, jobs=jobs).records)
+        pairs = ((r[:w].hex(), r[w : w + _FLAGS].decode()) for r in _level(n, jobs=jobs))
         if store is None:
             return pairs
         store.write_level(n, pairs)

@@ -23,6 +23,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+from latzeta import search
 from latzeta.cosetlike import Classification
 from latzeta.dirichlet import DirichletSeries
 from latzeta.families import factorize
@@ -140,6 +141,17 @@ def brute_force_lattice_count(n):
     deduplicated by canonical key."""
     return len({canonical_key_from_up(n, up, _transpose_masks(n, up))
                 for up in naturally_labeled_posets(n) if is_lattice_masks(n, up)})
+
+
+def level_classes(n, records=None):
+    """The census level on n elements, or the level-n ``records`` given,
+    as a list of ``(hex key, up-masks, generators)`` triples in record
+    order: the up-masks a tuple of ints, each generator ``bytes``."""
+    out = []
+    for record in search._level(n) if records is None else records:
+        key, _, up, generators = search._record_parts(n, record)
+        out.append((key.hex(), up, generators))
+    return out
 
 
 def bottomless(ups):

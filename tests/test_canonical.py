@@ -47,13 +47,14 @@ from latzeta.lattice import (
     _transpose_masks,
     canonical_key_from_up,
 )
-from latzeta.search import _pack_masks, _unpack_masks, enumerate_lattices
+from latzeta.search import enumerate_lattices
 
 from builders import (
     _hex_to_columns,
     bottomless,
     in_orbit_bfs,
     leaf_columns_scan,
+    level_classes,
     moved_mask,
     orbit_representatives_bfs,
     refine_partition_loop,
@@ -257,8 +258,7 @@ def group_order(n, up, generators):
 def test_generators_give_the_whole_group_on_census_lattices():
     # The enumerator's stored generators (bytes) are the search's own.
     for n in range(2, 9):
-        for _key, masks, generators in search._level(n):
-            ups = _unpack_masks(masks)[0]
+        for _key, ups, generators in level_classes(n):
             up = list(ups)
             assert group_order(n, up, generators) == automorphism_count(n, up), ups
 
@@ -353,8 +353,7 @@ def test_refinement_matches_the_run_loop_on_every_semilattice():
     # are the census lattices on up to 8 elements with the bottom removed.
     rng = random.Random(20)
     for m in range(1, 8):
-        for _key, masks, _ in search._level(m + 1):
-            ups = _unpack_masks(masks)[0]
+        for _key, ups, _ in level_classes(m + 1):
             perm = list(range(m))
             rng.shuffle(perm)
             up = relabel_masks(bottomless(ups), perm)
@@ -416,12 +415,10 @@ def test_labelling_with_the_enumerators_child_down(data):
     # must give what it gives from the transpose.  The relabelling keeps
     # the bottom at element 0, where the enumerator expects it.
     k = data.draw(st.integers(2, 8))
-    key, masks, _ = data.draw(st.sampled_from(search._level(k)))
-    ups = _unpack_masks(masks)[0]
+    key, ups, _ = data.draw(st.sampled_from(level_classes(k)))
     perm = [0] + data.draw(st.permutations(range(1, k)))
     moved = tuple(relabel_masks(ups, perm))
-    moved_down = _transpose_masks(k, moved)
-    generators = _canonical_labelling(k, moved, moved_down)[2]
+    generators = _canonical_labelling(k, moved, _transpose_masks(k, moved))[2]
     calls = []
 
     def recording(n, up, down, structure=None):
@@ -431,7 +428,7 @@ def test_labelling_with_the_enumerators_child_down(data):
 
     search._canonical_labelling = recording
     try:
-        parent = search._record(key, "---", _pack_masks(moved, moved_down), generators)
+        parent = search._record(key, "---", moved, generators)
         search._extend_parents(k + 1, [parent])
     finally:
         search._canonical_labelling = _canonical_labelling

@@ -296,8 +296,8 @@ def test_jobs_clamped_to_cpu_count(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, chunks):
-            return [fn(chunk) for chunk in chunks]
+        def starmap(self, fn, chunks):
+            return [fn(*chunk) for chunk in chunks]
 
     serial = invoke(capsys, "search", "--max-n", "7")
     first = search._LEVELS[2]

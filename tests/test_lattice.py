@@ -21,7 +21,6 @@ from latzeta.errors import (
     SizeLimitExceeded,
 )
 from latzeta import lattice as lattice_mod
-from latzeta import search
 from latzeta.families import (
     boolean_lattice,
     chain,
@@ -39,7 +38,7 @@ from latzeta.lattice import (
     parse_lat,
 )
 
-from builders import adjoin_atoms, bottomless, decode_canonical_key, heights
+from builders import adjoin_atoms, bottomless, decode_canonical_key, heights, level_classes
 
 DIAMOND = (4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 PENTAGON = (5, [(0, 1), (0, 2), (2, 3), (1, 4), (3, 4)])
@@ -406,11 +405,11 @@ def test_census_keys_are_pinned():
     # is the enumerator's own; each semilattice key is searched on the
     # same lattice with its bottom, element 0, removed.
     for n in range(2, 11):
-        level = search._level(n)
+        level = level_classes(n)
         lattices = [key for key, _, _ in level]
         semi = []
-        for _, masks, _ in level:
-            up = bottomless(search._unpack_masks(masks)[0])
+        for _, ups, _ in level:
+            up = bottomless(ups)
             semi.append(canonical_key_from_up(n - 1, up, _transpose_masks(n - 1, up)))
         assert _digest(semi) == PINNED_KEYS["semilattice_levels"][str(n)], n
         assert _digest(lattices) == PINNED_KEYS["lattice_levels"][str(n)], n

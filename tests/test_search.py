@@ -46,7 +46,7 @@ from latzeta.search import (
 )
 from latzeta.zeta import zeta_series
 
-from builders import brute_force_lattice_count, catalog_entry_of
+from builders import brute_force_lattice_count, catalog_entry_of, level_classes
 
 # isomorphism classes of lattices on n elements, n = 2..10
 KNOWN_COUNTS = [1, 1, 2, 5, 15, 53, 222, 1078, 5994]
@@ -122,8 +122,8 @@ def test_library_jobs_clamped_to_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, chunks):
-            return [fn(chunk) for chunk in chunks]
+        def starmap(self, fn, chunks):
+            return [fn(*chunk) for chunk in chunks]
 
     serial = search._level(7)
     first = search._LEVELS[2]
@@ -132,7 +132,7 @@ def test_library_jobs_clamped_to_cpu_count(monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(search, "_LEVELS", {2: first})
         sizes.clear()
-        assert search._level(7, jobs=asked).records == serial.records
+        assert search._level(7, jobs=asked) == serial
         assert sizes == expected, (cpus, asked)
 
 
@@ -327,7 +327,16 @@ def test_catalog_store_discards_incomplete_level(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad", ["badline", "abcd 3", "# complete x", "80 2 as-", "80 2 -s-", "ab 10 asw"]
+    "bad",
+    [
+        "badline", "abcd 3", "# complete x", "80 2 as-", "80 2 -s-", "ab 10 asw",
+        # a level is 2..16 with no leading zero, so no level number is too
+        # long for int()
+        "80 02 asw", "# complete 1",
+        pytest.param("ab" * 17 + " 17 asw", id="level-17-entry"),
+        pytest.param("ab " + "9" * 5000 + " asw", id="huge-level-entry"),
+        pytest.param("# complete " + "9" * 5000, id="huge-level-marker"),
+    ],
 )
 def test_catalog_store_rejects_malformed_line(tmp_path, bad):
     path = tmp_path / "catalog.txt"
@@ -371,23 +380,25 @@ def test_catalog_store_rejects_disordered_or_empty_level(tmp_path, text, message
 
 
 @pytest.mark.parametrize(
-    "pairs",
+    "n, pairs",
     [
-        [("dc", "asw"), ("fcfc", "---")],  # a 2-byte key where keys are 1 byte
-        [("fc", "---"), ("dc", "asw")],  # out of order
-        [("dc", "asw"), ("dc", "---")],  # twice
-        [("dc", "as-")],  # strong but not weak
-        [],
+        (4, [("dc", "asw"), ("fcfc", "---")]),  # a 2-byte key where keys are 1 byte
+        (4, [("fc", "---"), ("dc", "asw")]),  # out of order
+        (4, [("dc", "asw"), ("dc", "---")]),  # twice
+        (4, [("dc", "as-")]),  # strong but not weak
+        (4, []),
+        (1, [("80", "---")]),  # levels are 2..16
+        (17, [("ab" * 17, "---")]),
     ],
-    ids=["wide-key", "out-of-order", "twice", "strong-not-weak", "empty"],
+    ids=["wide-key", "out-of-order", "twice", "strong-not-weak", "empty", "level-1", "level-17"],
 )
-def test_catalog_write_refuses_what_the_reader_would(tmp_path, pairs):
+def test_catalog_write_refuses_what_the_reader_would(tmp_path, n, pairs):
     path = tmp_path / "catalog.txt"
     store = CatalogStore(path)
     level_entries(3, store=store)
     before = path.read_bytes()
     with pytest.raises(ValueError):
-        store.write_level(4, iter(pairs))
+        store.write_level(n, iter(pairs))
     assert path.read_bytes() == before
     assert store.complete_levels() == [3]
 
@@ -559,7 +570,7 @@ def oracle_level(n):
 
 def test_augmentation_matches_deduplication_oracle():
     for n in range(2, 10):
-        keys = [key for key, _, _ in search._level(n)]
+        keys = [key for key, _, _ in level_classes(n)]
         assert keys == sorted(oracle_level(n)), n
 
 
@@ -573,12 +584,11 @@ def relabel_masks(ups, perm):
     return tuple(out)
 
 
-def children(k, key, masks, generators):
+def children(k, key, ups, generators):
     """What ``_extend_parents`` makes of one parent on k elements, read
-    as ``(key, masks, generators)`` triples; the parent's flags are not
-    read."""
-    parent = search._record(key, "---", masks, generators)
-    return search._Level(k + 1, search._extend_parents(k + 1, [parent]))
+    as ``level_classes`` triples; the parent's flags are not read."""
+    parent = search._record(key, "---", ups, generators)
+    return level_classes(k + 1, search._extend_parents(k + 1, [parent]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -588,15 +598,12 @@ def test_kept_children_do_not_depend_on_the_parent_labelling(data):
     # the parent's class, a property of the class alone.  The relabelling
     # keeps the bottom at element 0, where the enumerator expects it.
     k = data.draw(st.integers(2, 8))
-    parent_key, masks, generators = data.draw(st.sampled_from(search._level(k)))
-    ups = search._unpack_masks(masks)[0]
+    parent_key, ups, generators = data.draw(st.sampled_from(level_classes(k)))
     perm = [0] + data.draw(st.permutations(range(1, k)))
     moved = relabel_masks(ups, perm)
-    moved_down = _transpose_masks(k, moved)
-    _, _, moved_generators = _canonical_labelling(k, moved, moved_down)
-    kept = {key for key, _, _ in children(k, parent_key, masks, generators)}
-    moved_masks = search._pack_masks(moved, moved_down)
-    again = children(k, parent_key, moved_masks, moved_generators)
+    _, _, moved_generators = _canonical_labelling(k, moved, _transpose_masks(k, moved))
+    kept = {key for key, _, _ in children(k, parent_key, ups, generators)}
+    again = children(k, parent_key, moved, moved_generators)
     assert {key for key, _, _ in again} == kept
     assert len(again) == len(kept)
 
@@ -609,11 +616,10 @@ def test_kept_children_flags_match_the_built_lattice(data):
     # what the child, built and validated as a Lattice, gives.  The
     # relabelling keeps the bottom at element 0.
     k = data.draw(st.integers(2, 8))
-    parent_key, masks, _ = data.draw(st.sampled_from(search._level(k)))
+    parent_key, ups, _ = data.draw(st.sampled_from(level_classes(k)))
     perm = [0] + data.draw(st.permutations(range(1, k)))
-    moved = relabel_masks(search._unpack_masks(masks)[0], perm)
-    moved_down = _transpose_masks(k, moved)
-    generators = _canonical_labelling(k, moved, moved_down)[2]
+    moved = relabel_masks(ups, perm)
+    generators = _canonical_labelling(k, moved, _transpose_masks(k, moved))[2]
     calls = []
     real = search._class_flags
 
@@ -623,20 +629,21 @@ def test_kept_children_flags_match_the_built_lattice(data):
         return flags
 
     search._class_flags = recording
+    parent = search._record(parent_key, "---", moved, generators)
     try:
-        kept = children(k, parent_key, search._pack_masks(moved, moved_down), generators)
+        kept = search._extend_parents(k + 1, [parent])
     finally:
         search._class_flags = real
     assert len(calls) == len(kept)
     for mu, down, irreducibles, atoms, flags in calls:
-        lattice = Lattice._from_up(k + 1, _transpose_masks(k + 1, down), down)
+        lattice = Lattice._from_up(k + 1, _transpose_masks(k + 1, down))
         assert mu == lattice.mobius_to_top()
         assert irreducibles == sum(1 << x for x in lattice.join_irreducibles())
         assert atoms == sum(1 << x for x in lattice.atoms())
         assert flags == catalog_entry_of(lattice).flags
-    for record in kept.records:
-        key, flags, masks, _ = search._record_parts(k + 1, record)
-        lattice = Lattice._from_up(k + 1, *search._unpack_masks(masks))
+    for record in kept:
+        key, flags, up, _ = search._record_parts(k + 1, record)
+        lattice = Lattice._from_up(k + 1, up)
         assert catalog_entry(key.hex(), k + 1, flags.decode()) == catalog_entry_of(lattice)
 
 
@@ -665,9 +672,9 @@ def test_admissibility_commutes_with_the_orbit_reduction(data):
     # the representatives, in the order, that running them after it
     # does.  The relabelling keeps the bottom at element 0.
     k = data.draw(st.integers(2, 8))
-    _, masks, _ = data.draw(st.sampled_from(search._level(k)))
+    _, ups, _ = data.draw(st.sampled_from(level_classes(k)))
     perm = [0] + data.draw(st.permutations(range(1, k)))
-    ups = relabel_masks(search._unpack_masks(masks)[0], perm)
+    ups = relabel_masks(ups, perm)
     down = _transpose_masks(k, ups)
     generators = _canonical_labelling(k, ups, down)[2]
     atoms = _order_structure(k, ups, down)[0][0]
@@ -746,8 +753,8 @@ def test_child_structure_matches_order_structure_on_every_child():
     # the enumerator drops (failed joins, smaller up-set than an atom),
     # with the enumerator's linear extension, ascending down-set size
     for k in range(2, 9):
-        for _, masks, _ in search._level(k):
-            ups, down = search._unpack_masks(masks)
+        for _, ups, _ in level_classes(k):
+            down = _transpose_masks(k, ups)
             order = sorted(range(1, k), key=lambda v: down[v].bit_count())
             for child, derived, expected in derived_children(ups, order):
                 assert derived == expected, child
@@ -759,9 +766,9 @@ def test_child_structure_on_relabelled_parents(data):
     # the bottom stays at element 0, where the enumerator expects it; the
     # linear extension is by height, ties broken at random
     k = data.draw(st.integers(2, 8))
-    _, masks, _ = data.draw(st.sampled_from(search._level(k)))
+    _, ups, _ = data.draw(st.sampled_from(level_classes(k)))
     perm = [0] + data.draw(st.permutations(range(1, k)))
-    moved = relabel_masks(search._unpack_masks(masks)[0], perm)
+    moved = relabel_masks(ups, perm)
     heights = _order_structure(k, moved, _transpose_masks(k, moved))[2]
     ties = data.draw(st.permutations(range(1, k)))
     order = sorted(range(1, k), key=lambda v: (heights[v], ties.index(v)))
@@ -770,8 +777,8 @@ def test_child_structure_on_relabelled_parents(data):
 
 
 def test_enumerated_down_masks_are_the_transpose():
-    # enumerate_lattices hands the level's stored down-masks to the
-    # lattice instead of transposing the up-masks again
+    # a record stores only the up-masks, and Lattice._from_up transposes
+    # them itself: its down-masks must be the transpose on every class
     for n in range(2, 11):
         for lat in enumerate_lattices(n):
             assert list(lat.down) == _transpose_masks(n, lat.up)
@@ -780,17 +787,23 @@ def test_enumerated_down_masks_are_the_transpose():
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_packed_masks_round_trip(data):
+    # a record's up-masks, one 16-bit word each, read back as stored,
+    # between its key and flags and its generators
     n = data.draw(st.integers(2, 16))
-    masks = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
-    up, down = tuple(data.draw(masks)), tuple(data.draw(masks))
-    packed = search._pack_masks(up, down)
-    assert isinstance(packed, bytes)
-    assert search._unpack_masks(packed) == (up, down)
+    up = tuple(data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+    key = data.draw(st.binary(min_size=search._key_width(n), max_size=search._key_width(n)))
+    flags = data.draw(st.sampled_from(sorted(search._FLAG_TEXTS)))
+    generators = data.draw(st.lists(st.permutations(range(n)).map(bytes), max_size=3))
+    record = search._record(key.hex(), flags, up, generators)
+    assert isinstance(record, bytes)
+    assert search._record_parts(n, record) == (key, flags.encode(), up, generators)
 
 
 # sha256 of each level's (key, masks, generators), one line per class:
-# the hex key, the hex of the packed masks as little-endian 16-bit words
-# and the hex of each generator
+# the hex key, the hex of the up-masks and then of their transpose, the
+# down-masks, as little-endian 16-bit words, and the hex of each
+# generator; the transpose keeps the digests pinned when records stored
+# both mask lists valid
 LEVEL_DIGESTS = {
     2: "825b81fdf02b9adfeb178cacc6c35671d6c4385c83b56794c47b2daff17beadd",
     3: "76425bc72279291554efa0fed7629a0017142640e7cdcea90c0ed365078031e9",
@@ -810,8 +823,8 @@ ATOMISTIC_WEAK_NOT_STRONG_12 = "d22104080f07c3ffc0"
 
 def level_digest(n):
     digest = hashlib.sha256()
-    for key, masks, generators in search._level(n):
-        words = array("H", masks)
+    for key, up, generators in level_classes(n):
+        words = array("H", (*up, *_transpose_masks(n, up)))
         if sys.byteorder == "big":
             words.byteswap()
         line = f"{key} {words.tobytes().hex()} {' '.join(g.hex() for g in generators)}\n"
@@ -825,29 +838,37 @@ def test_levels_are_pinned():
 
 
 def test_level_records_are_compact():
-    # a class costs its record and its slot in the level's list
-    search._level(10)
-    records = search._LEVELS[10]
+    # a class costs its record and its slot in the level's list, about
+    # 80 bytes at n = 10; a record that also held the transpose of its
+    # up-masks would cost about 100 and fail
+    records = search._level(10)
+    assert records is search._LEVELS[10]
     assert all(type(record) is bytes for record in records)
     size = sys.getsizeof(records) + sum(map(sys.getsizeof, records))
-    assert size <= 120 * len(records)
+    assert size <= 90 * len(records)
 
 
 def test_level_view_reads_its_records():
-    level = search._level(6)
-    assert len(level) == 15
-    assert list(level[3:5]) == [level[3], level[4]]
-    for record, (key, masks, generators) in zip(level.records, level):
+    # the level is the sorted list of records, and level_classes reads
+    # each back to what _record stored
+    records = search._level(6)
+    assert type(records) is list and len(records) == 15
+    assert records == sorted(records)
+    for record, (key, up, generators) in zip(records, level_classes(6), strict=True):
         flags = search._record_parts(6, record)[1].decode()
-        assert search._record(key, flags, masks, generators) == record
+        assert search._record(key, flags, up, generators) == record
         assert len(key) == 2 * search._key_width(6)
         assert all(sorted(g) == list(range(6)) for g in generators)
 
 
 def test_level_masks_fit_their_words():
-    # each mask has one bit per element, in one 16-bit word
+    # a record holds n up-masks, one 16-bit word each with a bit per
+    # element, and no down-masks
+    word = array("H").itemsize
     assert DEFAULT_MAX_N <= 16
-    assert DEFAULT_MAX_N <= 8 * array("H").itemsize
+    assert DEFAULT_MAX_N <= 8 * word
     for n in range(2, 9):
-        for _, masks, _ in search._level(n):
-            assert len(masks) == 2 * n * array("H").itemsize
+        for record in search._level(n):
+            _, _, up, generators = search._record_parts(n, record)
+            assert len(up) == n and max(up) < 1 << n
+            assert len(record) == search._key_width(n) + 3 + n * (word + len(generators))
